@@ -16,19 +16,21 @@ from typing import Optional, TextIO
 
 from .board import board_to_ascii, legal_moves, move, perft
 from .fen import FenError, parse_fen
-from .game import REMIS, game_move, new_game
+from .game import new_game
 from .pgn import (
+    PIECE_LETTERS,
+    RESULT_BY_WINNER,
     GameResult,
     PgnGame,
     PgnParseError,
     SanError,
     X_TO_FILE,
     parse_pgn,
-    resolve_san,
+    replay,
     san_text,
     serialize_game,
 )
-from .pieces import Colour, opposite_colour
+from .pieces import opposite_colour
 
 OK_EXIT = 0
 INVALID_EXIT = 1
@@ -68,16 +70,6 @@ def _tag_summary(parsed: PgnGame) -> str:
     return f"({event})" if event else "untagged"
 
 
-def _winner_to_result(winner) -> GameResult:
-    if winner is REMIS:
-        return GameResult.DRAW
-    if winner is Colour.WHITE:
-        return GameResult.WHITE_WINS
-    if winner is Colour.BLACK:
-        return GameResult.BLACK_WINS
-    return GameResult.UNKNOWN
-
-
 def _validate_game(
     parsed: PgnGame,
     path: str,
@@ -91,30 +83,21 @@ def _validate_game(
         tag_summary=_tag_summary(parsed),
         tag_result=parsed.result,
     )
-    game = new_game()
-    winner = None
-    for ply, token in enumerate(parsed.tokens, start=1):
-        lexeme = san_text(token)
-        if winner is not None:
-            report.status = "error"
-            report.ply, report.lexeme = ply, lexeme
-            report.reason = "move after the game already ended"
-            break
-        try:
-            resolved = resolve_san(token, game)
-            game, winner = game_move(game, resolved)
-        except (SanError, ValueError) as exc:
-            report.status = "error"
-            report.ply, report.lexeme = ply, lexeme
-            report.reason = str(exc)
-            break
-        if verbose:
-            print(f"{path} game {index} ply {ply}: {lexeme}", file=out)
-            print(board_to_ascii(game.board.board_state), file=out)
-            print(file=out)
+    game, winner, played = new_game(), None, 0
+    try:
+        for played, (_, game, winner) in enumerate(replay(parsed.tokens), start=1):
+            if verbose:
+                lexeme = san_text(parsed.tokens[played - 1])
+                print(f"{path} game {index} ply {played}: {lexeme}", file=out)
+                print(board_to_ascii(game.board.board_state), file=out)
+                print(file=out)
+    except SanError as exc:
+        report.status = "error"
+        report.ply, report.lexeme = played + 1, san_text(parsed.tokens[played])
+        report.reason = str(exc)
     report.final_position = board_to_ascii(game.board.board_state)
     if report.status == "ok":
-        report.engine_result = _winner_to_result(winner)
+        report.engine_result = RESULT_BY_WINNER[winner]
         if (
             report.engine_result is not GameResult.UNKNOWN
             and report.engine_result is not report.tag_result
@@ -141,14 +124,12 @@ def cmd_validate(
     parse_failed = False
     for path in paths:
         try:
-            text = Path(path).read_text()
+            games = parse_pgn(Path(path).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             print(f"{path}: cannot read: {exc}", file=err)
             io_failed = True
             continue
-        try:
-            games = parse_pgn(text)
-        except PgnParseError as exc:
+        except (PgnParseError, UnicodeDecodeError) as exc:
             print(f"{path}: parse error: {exc}", file=err)
             parse_failed = True
             continue
@@ -193,9 +174,7 @@ def _coordinate_text(mov) -> str:
         + str(mov.to_.square.y)
     )
     if mov.to_.type is not mov.from_.type:
-        text += {"knight": "n", "bishop": "b", "rook": "r", "queen": "q"}[
-            mov.to_.type.value
-        ]
+        text += PIECE_LETTERS[mov.to_.type].lower()
     return text
 
 
@@ -241,26 +220,19 @@ def cmd_roundtrip(
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        text = Path(path).read_text()
+        games = parse_pgn(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         print(f"{path}: cannot read: {exc}", file=err)
         return IO_EXIT
-    try:
-        games = parse_pgn(text)
-    except PgnParseError as exc:
+    except (PgnParseError, UnicodeDecodeError) as exc:
         print(f"{path}: failed at parse stage: {exc}", file=err)
         return INVALID_EXIT
 
     serialized: list[str] = []
     for index, parsed in enumerate(games, start=1):
-        game = new_game()
-        moves = []
         try:
-            for token in parsed.tokens:
-                resolved = resolve_san(token, game)
-                game, _ = game_move(game, resolved)
-                moves.append(resolved)
-        except (SanError, ValueError) as exc:
+            moves = [mov for mov, _, _ in replay(parsed.tokens)]
+        except SanError as exc:
             print(f"{path}: game {index} failed at replay stage: {exc}", file=err)
             return INVALID_EXIT
         try:
@@ -272,7 +244,7 @@ def cmd_roundtrip(
     out_path = Path(path).with_suffix(".out.pgn")
     out_text = "\n".join(serialized)
     try:
-        out_path.write_text(out_text)
+        out_path.write_text(out_text, encoding="utf-8")
     except OSError as exc:
         print(f"{out_path}: cannot write: {exc}", file=err)
         return IO_EXIT

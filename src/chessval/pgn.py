@@ -12,19 +12,11 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .board import (
-    Board,
-    IllegalMoveError,
-    Move,
-    has_legal_move,
-    in_check,
-    legal_moves,
-    move,
-)
-from .game import Game, game_move, new_game
-from .pieces import Coordinate, PieceType, opposite_colour
+from .board import Board, IllegalMoveError, Move, in_check, possible_moves
+from .game import REMIS, Game, Winner, game_move, new_game
+from .pieces import Colour, Coordinate, PieceType
 
 FILE_TO_X = {c: i for i, c in enumerate("abcdefgh", start=1)}
 RANK_TO_Y = {c: i for i, c in enumerate("12345678", start=1)}
@@ -312,21 +304,71 @@ def parse_pgn(text: str) -> list[PgnGame]:
 
 # --- resolution -------------------------------------------------------------
 
+#: The PGN result for each game_move winner; None is a game still going on.
+RESULT_BY_WINNER = {
+    Colour.WHITE: GameResult.WHITE_WINS,
+    Colour.BLACK: GameResult.BLACK_WINS,
+    REMIS: GameResult.DRAW,
+    None: GameResult.UNKNOWN,
+}
+
 
 def _is_capture(board: Board, mov: Move) -> bool:
-    occupied = {p.square for p in board.board_state}
-    if mov.to_.square in occupied:
+    if mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x:
         return True
-    return mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x
+    return any(p.square == mov.to_.square for p in board.board_state)
 
 
-def _post_move_marks(board: Board, mov: Move) -> tuple[bool, bool]:
-    """(gives check, gives mate) for a legal move."""
-    after = move(board, mov)
-    opponent = opposite_colour(mov.from_.colour)
-    gives_check = in_check(after.board_state, opponent)
-    gives_mate = gives_check and not has_legal_move(after, opponent)
-    return gives_check, gives_mate
+def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:
+    """The legal moves of the mover's pieces of one type that land on target."""
+    board = game.board
+    return [
+        m
+        for piece in board.board_state
+        if piece.colour is game.turn and piece.type is piece_type
+        for m in possible_moves(board, piece)
+        if m.to_.square == target
+    ]
+
+
+def _step(game: Game, mov: Move) -> tuple[Game, Winner, CheckMark]:
+    """Play a move: the game after it, its winner and the mark it earns."""
+    after, winner = game_move(game, mov)
+    if winner is None:
+        checked = in_check(after.board.board_state, after.turn)
+        return after, winner, CheckMark.CHECK if checked else CheckMark.NONE
+    return after, winner, CheckMark.MATE if winner is game.turn else CheckMark.NONE
+
+
+def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner]:
+    """Resolve a token and play it; see resolve_san for the errors."""
+    piece_type, target = token.piece_type, token.target
+    if token.kind is not SanKind.NORMAL:
+        piece_type = PieceType.KING
+        target = Coordinate(
+            7 if token.kind is SanKind.KINGSIDE_CASTLE else 3,
+            1 if game.turn is Colour.WHITE else 8,
+        )
+    matches = [
+        m
+        for m in _candidates(game, piece_type, target)
+        if _is_capture(game.board, m) == token.is_capture
+        and m.to_.type is (token.promotion or m.from_.type)
+        and (token.origin_file is None or m.from_.square.x == token.origin_file)
+        and (token.origin_rank is None or m.from_.square.y == token.origin_rank)
+        and (token.kind is SanKind.NORMAL or abs(m.to_.square.x - m.from_.square.x) == 2)
+    ]
+    text = san_text(token)
+    if not matches:
+        raise SanError(f"no legal move matches {text!r}")
+    if len(matches) > 1:
+        raise SanError(f"ambiguous SAN {text!r}: {len(matches)} moves match")
+    after, winner, mark = _step(game, matches[0])
+    if token.check_mark is CheckMark.CHECK and mark is CheckMark.NONE:
+        raise SanError(f"{text!r} claims check but gives none")
+    if token.check_mark is CheckMark.MATE and mark is not CheckMark.MATE:
+        raise SanError(f"{text!r} claims mate but does not mate")
+    return matches[0], after, winner
 
 
 def resolve_san(token: SanToken, game: Game) -> Move:
@@ -336,97 +378,64 @@ def resolve_san(token: SanToken, game: Game) -> Move:
     is ambiguous), or when a claimed check or mate mark does not hold in
     the resulting position.
     """
-    moves = legal_moves(game.board, game.turn)
-    if token.kind is not SanKind.NORMAL:
-        direction = 2 if token.kind is SanKind.KINGSIDE_CASTLE else -2
-        matches = [
-            m
-            for m in moves
-            if m.from_.type is PieceType.KING
-            and m.to_.square.x - m.from_.square.x == direction
-        ]
-    else:
-        matches = [
-            m
-            for m in moves
-            if m.from_.type is token.piece_type
-            and m.to_.square == token.target
-            and _is_capture(game.board, m) == token.is_capture
-            and m.to_.type is (token.promotion or m.from_.type)
-            and (token.origin_file is None or m.from_.square.x == token.origin_file)
-            and (token.origin_rank is None or m.from_.square.y == token.origin_rank)
-        ]
-    text = san_text(token)
-    if not matches:
-        raise SanError(f"no legal move matches {text!r}")
-    if len(matches) > 1:
-        raise SanError(f"ambiguous SAN {text!r}: {len(matches)} moves match")
-    resolved = matches[0]
-    if token.check_mark is not CheckMark.NONE:
-        gives_check, gives_mate = _post_move_marks(game.board, resolved)
-        if token.check_mark is CheckMark.CHECK and not gives_check:
-            raise SanError(f"{text!r} claims check but gives none")
-        if token.check_mark is CheckMark.MATE and not gives_mate:
-            raise SanError(f"{text!r} claims mate but does not mate")
-    return resolved
+    return _play_san(token, game)[0]
+
+
+_ENDED = "move after the game already ended"
+
+
+def replay(tokens: Iterable[SanToken]) -> Iterator[tuple[Move, Game, Winner]]:
+    """Play SAN tokens from the initial position, yielding (move, game
+    after it, winner) for each ply.
+
+    Raises SanError, as resolve_san does, at the first token that does not
+    denote a legal move, and at any token after the game has ended.
+    """
+    game, winner = new_game(), None
+    for token in tokens:
+        if winner is not None:
+            raise SanError(_ENDED)
+        mov, game, winner = _play_san(token, game)
+        yield mov, game, winner
 
 
 # --- serialization ----------------------------------------------------------
 
 
-def _disambiguation(moves, mov: Move) -> str:
-    rivals = [
-        m
-        for m in moves
-        if m.from_.type is mov.from_.type
-        and m.to_.square == mov.to_.square
-        and m.from_.square != mov.from_.square
-    ]
-    if not rivals:
-        return ""
+def _san_body(mov: Move, game: Game) -> str:
+    """SAN for a legal move without its check or mate mark."""
+    if mov.from_.colour is not game.turn:
+        raise IllegalMoveError(f"it is not {mov.from_.colour.value}'s turn")
+    rivals = _candidates(game, mov.from_.type, mov.to_.square)
+    if mov not in rivals:
+        raise IllegalMoveError(f"illegal move: {mov}")
     origin = mov.from_.square
-    if all(m.from_.square.x != origin.x for m in rivals):
-        return X_TO_FILE[origin.x]
-    if all(m.from_.square.y != origin.y for m in rivals):
-        return str(origin.y)
-    return X_TO_FILE[origin.x] + str(origin.y)
+    if mov.from_.type is PieceType.KING and abs(mov.to_.square.x - origin.x) == 2:
+        return "O-O" if mov.to_.square.x > origin.x else "O-O-O"
+    target = X_TO_FILE[mov.to_.square.x] + str(mov.to_.square.y)
+    capture = "x" if _is_capture(game.board, mov) else ""
+    if mov.from_.type is PieceType.PAWN:
+        promo = (
+            "" if mov.to_.type is PieceType.PAWN else "=" + PIECE_LETTERS[mov.to_.type]
+        )
+        return (X_TO_FILE[origin.x] if capture else "") + capture + target + promo
+    others = [m.from_.square for m in rivals if m.from_.square != origin]
+    if not others:
+        hint = ""
+    elif all(square.x != origin.x for square in others):
+        hint = X_TO_FILE[origin.x]
+    elif all(square.y != origin.y for square in others):
+        hint = str(origin.y)
+    else:
+        hint = X_TO_FILE[origin.x] + str(origin.y)
+    return PIECE_LETTERS[mov.from_.type] + hint + capture + target
 
 
 def move_to_pgn_string(mov: Move, game: Game) -> str:
     """Minimal SAN for a legal move in the given game: piece letter, only
     as much disambiguation as needed, capture and promotion markers, and
     a trailing + or # when the move gives check or mate."""
-    if mov.from_.colour is not game.turn:
-        raise IllegalMoveError(f"it is not {mov.from_.colour.value}'s turn")
-    moves = legal_moves(game.board, game.turn)
-    if mov not in moves:
-        raise IllegalMoveError(f"illegal move: {mov}")
-    if mov.from_.type is PieceType.KING and abs(mov.to_.square.x - mov.from_.square.x) == 2:
-        body = "O-O" if mov.to_.square.x > mov.from_.square.x else "O-O-O"
-    else:
-        target = X_TO_FILE[mov.to_.square.x] + str(mov.to_.square.y)
-        capture = _is_capture(game.board, mov)
-        if mov.from_.type is PieceType.PAWN:
-            prefix = X_TO_FILE[mov.from_.square.x] + "x" if capture else ""
-            promo = (
-                "=" + PIECE_LETTERS[mov.to_.type]
-                if mov.to_.type is not PieceType.PAWN
-                else ""
-            )
-            body = prefix + target + promo
-        else:
-            body = (
-                PIECE_LETTERS[mov.from_.type]
-                + _disambiguation(moves, mov)
-                + ("x" if capture else "")
-                + target
-            )
-    gives_check, gives_mate = _post_move_marks(game.board, mov)
-    if gives_mate:
-        return body + "#"
-    if gives_check:
-        return body + "+"
-    return body
+    return _san_body(mov, game) + _step(game, mov)[2].value
 
 
 def serialize_game(
@@ -435,33 +444,31 @@ def serialize_game(
     """Serialize a replayable move sequence to a PGN game text.
 
     The moves are replayed from the initial position to compute each SAN;
-    an unreplayable sequence raises ValueError.  The Result tag is added
-    (or checked, if supplied) to match `result`.
+    an unreplayable sequence, or one that goes on after the game ended,
+    raises ValueError.  The Result tag is added (or checked, if supplied)
+    to match `result`.
     """
-    game = new_game()
+    tag_list = list(tags)
+    if all(name != "Result" for name, _ in tag_list):
+        tag_list.append(("Result", result.value))
+    PgnGame(tuple(tag_list), (), result)  # raises if the Result tag contradicts
+
+    game, winner = new_game(), None
     words: list[str] = []
     for ply, mov in enumerate(moves, start=1):
         if ply % 2 == 1:
             words.append(f"{(ply + 1) // 2}.")
         try:
-            words.append(move_to_pgn_string(mov, game))
-            game, _ = game_move(game, mov)
+            if winner is not None:
+                raise IllegalMoveError(_ENDED)
+            body = _san_body(mov, game)
         except IllegalMoveError as exc:
             raise ValueError(
                 f"move sequence is not replayable at ply {ply}: {exc}"
             ) from exc
+        game, winner, mark = _step(game, mov)
+        words.append(body + mark.value)
     words.append(result.value)
-
-    tag_list = list(tags)
-    names = [name for name, _ in tag_list]
-    if "Result" in names:
-        declared = dict(tag_list)["Result"]
-        if declared != result.value:
-            raise ValueError(
-                f"Result tag {declared!r} contradicts result {result.value!r}"
-            )
-    else:
-        tag_list.append(("Result", result.value))
 
     lines = [f'[{name} "{_escape(value)}"]' for name, value in tag_list]
     lines.append("")

@@ -89,6 +89,41 @@ def test_validate_rejects_moves_after_the_game_ended(tmp_path, capsys):
     assert "already ended" in out
 
 
+@pytest.mark.parametrize(
+    "movetext, engine_result",
+    [("1. e4 f6 2. Qh5 *", "*"), ("1. f3 e5 2. g4 Qh4 0-1", "0-1")],
+)
+def test_validate_accepts_checks_and_mates_written_without_marks(
+    tmp_path, capsys, movetext, engine_result
+):
+    path = tmp_path / "unmarked.pgn"
+    path.write_text(movetext + "\n")
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "game 1: ok" in out
+    assert f"engine result {engine_result}" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "roundtrip"])
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, capsys, command):
+    path = tmp_path / "bom.pgn"
+    path.write_bytes(b"\xef\xbb\xbf" + FOOLS_MATE_PGN.encode())
+    assert main([command, str(path)]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "roundtrip"])
+def test_a_non_utf8_file_is_a_one_line_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.pgn"
+    path.write_bytes('[White "M\u00fcller"]\n\n1. e4 *\n'.encode("latin-1"))
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "utf-8" in err
+    assert err.count("\n") == 1
+
+
 def test_validate_output_carries_no_ansi_codes_when_piped(fools_mate_file, capsys):
     main(["validate", str(fools_mate_file)])
     assert "\x1b[" not in capsys.readouterr().out
@@ -173,6 +208,16 @@ def test_roundtrip_reports_the_replay_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "replay stage" in err
+
+
+def test_roundtrip_rejects_moves_after_the_game_ended(tmp_path, capsys):
+    path = tmp_path / "zombie.pgn"
+    path.write_text("1. f3 e5 2. g4 Qh4# 3. Nc6# 0-1\n")
+    code = main(["roundtrip", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "replay stage" in err
+    assert "already ended" in err
 
 
 def test_roundtrip_of_an_empty_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """PGN parsing, SAN resolution and serialization tests."""
 
+from pathlib import Path
+
 import pytest
 
 from chessval.board import Board, IllegalMoveError, Move
@@ -15,6 +17,7 @@ from chessval.pgn import (
     char_maps,
     move_to_pgn_string,
     parse_pgn,
+    replay,
     resolve_san,
     san_text,
     serialize_game,
@@ -382,6 +385,24 @@ def test_serialize_rejects_an_unreplayable_sequence():
     bad = (M(P(KING, 5, 1), 5, 3),)
     with pytest.raises(ValueError, match="ply 1"):
         serialize_game([], bad, GameResult.UNKNOWN)
+
+
+def test_serialize_rejects_a_move_after_mate():
+    after_mate = FOOLS_MATE_MOVES + (M(P(KNIGHT, 2, 8, B), 3, 6),)
+    with pytest.raises(ValueError, match="ply 5"):
+        serialize_game([], after_mate, GameResult.BLACK_WINS)
+
+
+def test_serialized_corpus_games_reproduce_the_corpus_text():
+    # pins tag order, move numbers and the 79-column wrap
+    corpus = (Path(__file__).parent / "data" / "corpus.pgn").read_text()
+    blocks = [
+        serialize_game(
+            parsed.tags, [mov for mov, _, _ in replay(parsed.tokens)], parsed.result
+        )
+        for parsed in parse_pgn(corpus)[:12]
+    ]
+    assert corpus.startswith("\n".join(blocks))
 
 
 def test_serialize_rejects_a_contradicting_result_tag():

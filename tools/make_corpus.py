@@ -13,9 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from chessval.game import REMIS, game_move, new_game
-from chessval.pgn import GameResult, parse_pgn, resolve_san, serialize_game
-from chessval.pieces import Colour
+from chessval.pgn import RESULT_BY_WINNER, parse_pgn, replay, serialize_game
 
 from drivers import play_random_game
 
@@ -149,23 +147,8 @@ MAX_PLIES = 250
 
 def canonicalize(text: str) -> str:
     (parsed,) = parse_pgn(text)
-    game = new_game()
-    moves = []
-    for token in parsed.tokens:
-        resolved = resolve_san(token, game)
-        game, _ = game_move(game, resolved)
-        moves.append(resolved)
+    moves = [mov for mov, _, _ in replay(parsed.tokens)]
     return serialize_game(parsed.tags, moves, parsed.result)
-
-
-def result_of(winner) -> GameResult:
-    if winner is Colour.WHITE:
-        return GameResult.WHITE_WINS
-    if winner is Colour.BLACK:
-        return GameResult.BLACK_WINS
-    if winner is REMIS:
-        return GameResult.DRAW
-    return GameResult.UNKNOWN
 
 
 def generated_game(seed: int) -> str:
@@ -178,7 +161,7 @@ def generated_game(seed: int) -> str:
         ("White", "Random mover"),
         ("Black", "Random mover"),
     ]
-    return serialize_game(tags, moves, result_of(winner))
+    return serialize_game(tags, moves, RESULT_BY_WINNER[winner])
 
 
 def main() -> None:
