@@ -4,12 +4,16 @@ A Board is an immutable pair of a piece set and a move history (newest
 first).  The history is the only record of the past: castling rights and
 en-passant windows are derived from it rather than stored.  Applying a
 move never mutates anything; it builds a new Board value.
+
+A Board also carries a derived legality context, filled on first use and
+shared by every query on it; equality, hashing, repr and pickles ignore it,
+and filling it is idempotent, so boards stay safe to share across threads.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .pieces import (
@@ -83,6 +87,10 @@ class Board:
 
     board_state: BoardState
     history: History = ()
+    _contexts: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
+
+    def __getstate__(self):
+        return {"board_state": self.board_state, "history": self.history}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "board_state", frozenset(self.board_state))
@@ -122,10 +130,6 @@ Occupancy = dict[tuple[int, int], Piece]
 
 def _occupancy(state: BoardState) -> Occupancy:
     return {(p.square.x, p.square.y): p for p in state}
-
-
-def _colours_of(occ: Occupancy) -> dict[tuple[int, int], Colour]:
-    return {sq: p.colour for sq, p in occ.items()}
 
 
 _SLIDER_PROBES = (
@@ -191,21 +195,12 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
     return frozenset(attacked)
 
 
-def _king_of(state: BoardState, colour: Colour) -> Optional[Piece]:
-    for p in state:
-        if p.type is KING and p.colour is colour:
-            return p
-    return None
-
-
 def in_check(state: BoardState, colour: Colour) -> bool:
     """Whether `colour`'s king stands on a square its opponent attacks."""
-    king = _king_of(state, colour)
+    king, checked, _ = _king_context(_occupancy(state), state, colour)
     if king is None:
         raise ValueError(f"no {colour.value} king on the board")
-    return _square_attacked(
-        _occupancy(state), king.square.x, king.square.y, opposite_colour(colour)
-    )
+    return checked
 
 
 # --- special moves ----------------------------------------------------------
@@ -298,16 +293,15 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     check, and neither the crossed square nor the destination is attacked.
     """
     _require_piece(board, king, KING)
-    return frozenset(_castling_moves(_occupancy(board.board_state), board.history, king))
+    return frozenset(_castling_moves(_context(board, king.colour), board.history, king))
 
 
-def _castling_moves(occ: Occupancy, history: History, king: Piece) -> list[Move]:
+def _castling_moves(context, history: History, king: Piece) -> list[Move]:
+    occ, checked = context[0], context[3]
     y = 1 if king.colour is Colour.WHITE else 8
-    if king.square.x != 5 or king.square.y != y:
+    if checked or king.square.x != 5 or king.square.y != y:
         return []
     enemy = opposite_colour(king.colour)
-    if _square_attacked(occ, 5, y, enemy):
-        return []
     moves = []
     for corner_x, crossed_x, dest_x in _CASTLING_WINGS:
         rook = occ.get((corner_x, y))
@@ -335,32 +329,32 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """The special moves available to a piece: double push, en passant and
     promotion for pawns, castling for kings, nothing for the rest."""
     _require_piece(board, piece)
-    occ = _occupancy(board.board_state)
-    return frozenset(_stateful_candidates(occ, _colours_of(occ), board.history, piece))
+    context = _context(board, piece.colour)
+    return frozenset(_stateful_candidates(context, board.history, piece))
 
 
-def _stateful_candidates(occ, colours, history, piece: Piece) -> list[Move]:
+def _stateful_candidates(context, history, piece: Piece) -> list[Move]:
     if piece.type is PAWN:
         return (
-            _double_push(occ, piece)
+            _double_push(context[0], piece)
             + _en_passant_moves(history, piece)
-            + _promotions(colours, piece)
+            + _promotions(context[1], piece)
         )
     if piece.type is KING:
-        return _castling_moves(occ, history, piece)
+        return _castling_moves(context, history, piece)
     return []
 
 
 # --- legality ---------------------------------------------------------------
 
 
-def _candidate_moves(occ, colours, history, piece: Piece) -> list[Move]:
+def _candidate_moves(context, history, piece: Piece) -> list[Move]:
     """Simple moves lifted to Move values, plus the special moves."""
     candidates = [
         Move(piece, Piece(piece.type, target, piece.colour))
-        for target in moves_with_colours(piece, colours)
+        for target in moves_with_colours(piece, context[1])
     ]
-    candidates.extend(_stateful_candidates(occ, colours, history, piece))
+    candidates.extend(_stateful_candidates(context, history, piece))
     return candidates
 
 
@@ -372,32 +366,15 @@ def _is_en_passant_shape(occ: Occupancy, mov: Move) -> bool:
     )
 
 
-def _leaves_king_attacked(
-    occ: Occupancy, mov: Move, king: Optional[Piece], king_checked: bool
-) -> bool:
+def _leaves_king_attacked(occ: Occupancy, mov: Move, king: Piece) -> bool:
     """Apply mov to a scratch copy of the occupancy and probe the mover's
-    king.  A missing king (synthetic positions) can never be attacked.
-
-    When the king is not already in check, a move by another piece can
-    only expose it by vacating a square on a line through the king (or by
-    the en-passant removal of a third piece), so anything else is safe
-    without the probe: occupying a square never opens a line, and an
-    ordinary capture replaces the victim on its own square.
-    """
-    if king is None:
-        return False
+    king."""
     fx, fy = mov.from_.square.x, mov.from_.square.y
     tx, ty = mov.to_.square.x, mov.to_.square.y
-    is_ep = _is_en_passant_shape(occ, mov)
-    if mov.from_.type is not KING:
-        kx, ky = king.square.x, king.square.y
-        if not king_checked and not is_ep:
-            dx, dy = fx - kx, fy - ky
-            if dx != 0 and dy != 0 and dx != dy and dx != -dy:
-                return False
+    kx, ky = king.square.x, king.square.y
     scratch = dict(occ)
     del scratch[(fx, fy)]
-    if is_ep:
+    if _is_en_passant_shape(occ, mov):
         scratch.pop((tx, fy), None)
     scratch[(tx, ty)] = mov.to_
     if mov.from_.type is KING:
@@ -419,12 +396,43 @@ def _missed_promotion(mov: Move) -> bool:
 
 
 def _king_context(occ: Occupancy, state: BoardState, colour: Colour):
-    """The mover's king and whether it currently stands in check."""
-    king = _king_of(state, colour)
-    checked = king is not None and _square_attacked(
-        occ, king.square.x, king.square.y, opposite_colour(colour)
-    )
-    return king, checked
+    """The side's king, whether it is in check, and its pinned pieces'
+    squares: a piece is pinned when it is the first on a king ray and the
+    next piece along that ray is an enemy slider that moves along it."""
+    king = next((p for p in state if p.type is KING and p.colour is colour), None)
+    if king is None:
+        return None, False, frozenset()
+    kx, ky = king.square.x, king.square.y
+    pinned = set()
+    for directions, sliders in _SLIDER_PROBES:
+        for dx, dy in directions:
+            x, y, shield = kx + dx, ky + dy, None
+            while 1 <= x <= 8 and 1 <= y <= 8:
+                p = occ.get((x, y))
+                if p is not None:
+                    if shield is None and p.colour is colour:
+                        shield = (x, y)
+                    else:
+                        if shield and p.colour is not colour and p.type in sliders:
+                            pinned.add(shield)
+                        break
+                x, y = x + dx, y + dy
+    return king, _square_attacked(occ, kx, ky, opposite_colour(colour)), pinned
+
+
+def _context(board: Board, colour: Colour):
+    """One side's legality context: (occupancy, colour map, king, in check,
+    pinned squares), filled on first use and kept on the board.  Key None
+    holds the two maps, which both sides share."""
+    contexts = board._contexts
+    if contexts is None:
+        occ = _occupancy(board.board_state)
+        contexts = {None: (occ, {sq: p.colour for sq, p in occ.items()})}
+        object.__setattr__(board, "_contexts", contexts)
+    if colour not in contexts:
+        occ = contexts[None][0]
+        contexts[colour] = contexts[None] + _king_context(occ, board.board_state, colour)
+    return contexts[colour]
 
 
 def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
@@ -432,71 +440,63 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     mover's own king in check, and any pawn move onto the last rank that
     keeps the pawn a pawn (promotion is mandatory)."""
     _require_piece(board, piece)
-    occ = _occupancy(board.board_state)
-    colours = _colours_of(occ)
-    king, checked = _king_context(occ, board.board_state, piece.colour)
-    return frozenset(
-        m
-        for m in _candidate_moves(occ, colours, board.history, piece)
-        if _missed_promotion(m) or _leaves_king_attacked(occ, m, king, checked)
-    )
+    context = _context(board, piece.colour)
+    legal = _legal_for_piece(context, board.history, piece)
+    return frozenset(_candidate_moves(context, board.history, piece)) - frozenset(legal)
 
 
 def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """Every legal move for one piece: its simple moves lifted to Move
     values, plus its special moves, minus the impossible ones."""
     _require_piece(board, piece)
-    occ = _occupancy(board.board_state)
-    colours = _colours_of(occ)
-    king, checked = _king_context(occ, board.board_state, piece.colour)
-    return frozenset(
-        _legal_for_piece(occ, colours, board.history, piece, king, checked)
-    )
+    context = _context(board, piece.colour)
+    return frozenset(_legal_for_piece(context, board.history, piece))
 
 
-def _legal_for_piece(occ, colours, history, piece: Piece, king, checked) -> list[Move]:
+def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
+    """The piece's candidates minus the impossible ones.  With the king out
+    of check, only its own moves, a pinned piece's moves and en passant
+    (which also removes the captured pawn) can expose it, so only those
+    are probed.  A missing king (synthetic positions) is never attacked."""
+    occ, _, king, checked, pinned = context
+    moves = _candidate_moves(context, history, piece)
+    if piece.type is PAWN:
+        moves = [m for m in moves if not _missed_promotion(m)]
+    if king is None or not (
+        piece.type is KING or checked or (piece.square.x, piece.square.y) in pinned
+        or (piece.type is PAWN and _en_passant_moves(history, piece))
+    ):
+        return moves
+    return [m for m in moves if not _leaves_king_attacked(occ, m, king)]
+
+
+def _legal_list(board: Board, colour: Colour) -> list[Move]:
+    """legal_moves as a list, which never holds a move twice."""
+    context = _context(board, colour)
     return [
         m
-        for m in _candidate_moves(occ, colours, history, piece)
-        if not _missed_promotion(m)
-        and not _leaves_king_attacked(occ, m, king, checked)
+        for piece in board.board_state
+        if piece.colour is colour
+        for m in _legal_for_piece(context, board.history, piece)
     ]
 
 
 def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:
     """Every legal move for one side; the union of possible_moves over its
-    pieces, sharing one occupancy scan."""
-    occ = _occupancy(board.board_state)
-    colours = _colours_of(occ)
-    king, checked = _king_context(occ, board.board_state, colour)
-    moves: list[Move] = []
-    for piece in board.board_state:
-        if piece.colour is colour:
-            moves.extend(
-                _legal_for_piece(occ, colours, board.history, piece, king, checked)
-            )
-    return frozenset(moves)
+    pieces."""
+    return frozenset(_legal_list(board, colour))
 
 
 def has_legal_move(board: Board, colour: Colour) -> bool:
-    """Whether the side has any legal move; stops at the first one found.
-
-    Equivalent to `bool(legal_moves(board, colour))` but cheap in the
-    common case, which matters when every played move must test the
-    opponent for mate or stalemate.
-    """
-    occ = _occupancy(board.board_state)
-    colours = _colours_of(occ)
-    king, checked = _king_context(occ, board.board_state, colour)
-    for piece in board.board_state:
-        if piece.colour is not colour:
-            continue
-        for m in _candidate_moves(occ, colours, board.history, piece):
-            if not _missed_promotion(m) and not _leaves_king_attacked(
-                occ, m, king, checked
-            ):
-                return True
-    return False
+    """Whether the side has any legal move; stops at the first piece that
+    has one, which matters when every played move must test the opponent
+    for mate or stalemate."""
+    context = _context(board, colour)
+    return any(
+        _legal_for_piece(context, board.history, piece)
+        for piece in board.board_state
+        if piece.colour is colour
+    )
 
 
 # --- move application -------------------------------------------------------
@@ -510,7 +510,7 @@ def iss_castling(board: Board, mov: Move) -> bool:
 def iss_en_passant(board: Board, mov: Move) -> bool:
     """Whether a (legal) move is an en-passant capture: a pawn stepping
     diagonally onto an empty square."""
-    return _is_en_passant_shape(_occupancy(board.board_state), mov)
+    return _is_en_passant_shape(_context(board, mov.from_.colour)[0], mov)
 
 
 def move(board: Board, mov: Move) -> Board:
@@ -519,7 +519,6 @@ def move(board: Board, mov: Move) -> Board:
     This is the engine's single legality gate; illegal moves raise
     IllegalMoveError.  The input board is untouched.
     """
-    _require_piece(board, mov.from_)
     if mov not in possible_moves(board, mov.from_):
         raise IllegalMoveError(f"illegal move: {mov}")
     return _apply(board, mov)
@@ -538,8 +537,8 @@ def move_other(board: Board, mov: Move) -> Board:
     """An ordinary move: drop whatever sat on the target square and the
     moving piece, then add the arriving piece.  Promotion needs no special
     handling because the arriving piece already carries its new type."""
-    dead = {p for p in board.board_state if p.square == mov.to_.square}
-    new_state = (board.board_state - (dead | {mov.from_})) | {mov.to_}
+    dead = _context(board, mov.from_.colour)[0].get((mov.to_.square.x, mov.to_.square.y))
+    new_state = (board.board_state - {dead, mov.from_}) | {mov.to_}
     return Board(new_state, (mov,) + board.history)
 
 
@@ -548,9 +547,7 @@ def move_castling(board: Board, mov: Move) -> Board:
     square the king crossed."""
     y = mov.from_.square.y
     corner_x = 8 if mov.to_.square.x > mov.from_.square.x else 1
-    rook = next(
-        (p for p in board.board_state if p.square == Coordinate(corner_x, y)), None
-    )
+    rook = _context(board, mov.from_.colour)[0].get((corner_x, y))
     if rook is None or rook.type is not ROOK:
         raise IllegalMoveError(f"no rook to castle with on file {corner_x}")
     crossed = Coordinate((mov.from_.square.x + mov.to_.square.x) // 2, y)
@@ -563,9 +560,7 @@ def move_en_passant(board: Board, mov: Move) -> Board:
     """En passant: the pawn moves diagonally while the captured enemy pawn
     disappears from the square beside it."""
     bypassed = Coordinate(mov.to_.square.x, mov.from_.square.y)
-    captured = next(
-        (p for p in board.board_state if p.square == bypassed), None
-    )
+    captured = _context(board, mov.from_.colour)[0].get((bypassed.x, bypassed.y))
     if captured is None:
         raise IllegalMoveError(f"no pawn to capture en passant on {bypassed}")
     new_state = (board.board_state - {mov.from_, captured}) | {mov.to_}
@@ -586,7 +581,7 @@ def perft(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> int:
         raise ValueError("perft depth must be non-negative")
     if depth == 0:
         return 1
-    moves = legal_moves(board, to_move)
+    moves = _legal_list(board, to_move)
     if depth == 1:
         return len(moves)
     nxt = opposite_colour(to_move)

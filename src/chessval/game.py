@@ -10,9 +10,9 @@ from .board import (
     Board,
     IllegalMoveError,
     Move,
+    _context,
     default_board,
     has_legal_move,
-    in_check,
     move,
 )
 from .pieces import Colour, opposite_colour
@@ -55,7 +55,7 @@ def game_move(game: Game, mov: Move) -> tuple[Game, Winner]:
     new_board = move(game.board, mov)
     opponent = opposite_colour(game.turn)
     if not has_legal_move(new_board, opponent):
-        if in_check(new_board.board_state, opponent):
+        if _context(new_board, opponent)[3]:  # in check
             return Game(new_board, game.turn), game.turn
         return Game(new_board, game.turn), REMIS
     return Game(new_board, opponent), None

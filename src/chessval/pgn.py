@@ -2,8 +2,9 @@
 
 The parser covers the PGN export format for standard games: tag pairs,
 movetext with move numbers, brace and semicolon comments, numeric
-annotation glyphs and result markers.  Recursive variations are rejected
-rather than skipped so corpus errors cannot pass silently.
+annotation glyphs and result markers.  Recursive variations and set-up
+positions (FEN tags) are rejected rather than skipped so corpus errors
+cannot pass silently.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .board import Board, IllegalMoveError, Move, in_check, possible_moves
+from .board import Board, IllegalMoveError, Move, _context, possible_moves
 from .game import REMIS, Game, Winner, game_move, new_game
 from .pieces import Colour, Coordinate, PieceType
 
@@ -214,8 +215,11 @@ def _parse_tag_pair(scanner: _Scanner) -> tuple[str, str]:
             line_end = len(scanner.text)
         snippet = scanner.text[scanner.pos:line_end][:40]
         raise scanner.error("malformed tag pair", lexeme=snippet)
+    name, value = match.group(1), _unescape(match.group(2))
+    if name == "FEN" or (name == "SetUp" and value != "0"):
+        raise scanner.error("unsupported set-up tag", lexeme=name)
     scanner.pos = match.end()
-    return match.group(1), _unescape(match.group(2))
+    return name, value
 
 
 def _parse_san_word(word: str, scanner: _Scanner, start: int) -> SanToken:
@@ -253,8 +257,8 @@ def parse_pgn(text: str) -> list[PgnGame]:
     Each game is a tag section (possibly empty) followed by movetext that
     must end in a result marker (1-0, 0-1, 1/2-1/2 or *).  Comments, move
     numbers, NAGs and !?-style suffixes are accepted and dropped;
-    recursive variations and malformed input raise PgnParseError with the
-    position of the offending lexeme.
+    recursive variations, set-up positions and malformed input raise
+    PgnParseError with the position of the offending lexeme.
     """
     scanner = _Scanner(text)
     games: list[PgnGame] = []
@@ -316,7 +320,7 @@ RESULT_BY_WINNER = {
 def _is_capture(board: Board, mov: Move) -> bool:
     if mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x:
         return True
-    return any(p.square == mov.to_.square for p in board.board_state)
+    return (mov.to_.square.x, mov.to_.square.y) in _context(board, mov.from_.colour)[0]
 
 
 def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:
@@ -335,7 +339,8 @@ def _step(game: Game, mov: Move) -> tuple[Game, Winner, CheckMark]:
     """Play a move: the game after it, its winner and the mark it earns."""
     after, winner = game_move(game, mov)
     if winner is None:
-        checked = in_check(after.board.board_state, after.turn)
+        # game_move's terminal test has just filled this context.
+        checked = _context(after.board, after.turn)[3]
         return after, winner, CheckMark.CHECK if checked else CheckMark.NONE
     return after, winner, CheckMark.MATE if winner is game.turn else CheckMark.NONE
 

@@ -124,6 +124,22 @@ def test_a_non_utf8_file_is_a_one_line_error(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "roundtrip"])
+@pytest.mark.parametrize("tag", ["SetUp", "FEN"])
+def test_a_set_up_position_is_a_one_line_error_naming_the_tag(
+    tmp_path, capsys, command, tag
+):
+    fen = "4k3/8/8/8/8/8/8/4K2R w K - 0 1"
+    tags = {"SetUp": f'[SetUp "1"]\n[FEN "{fen}"]', "FEN": f'[FEN "{fen}"]'}[tag]
+    path = tmp_path / "setup.pgn"
+    path.write_text(tags + "\n\n1. O-O *\n")
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"unsupported set-up tag at line 1, column 1: '{tag}'" in err
+    assert err.count("\n") == 1
+
+
 def test_validate_output_carries_no_ansi_codes_when_piped(fools_mate_file, capsys):
     main(["validate", str(fools_mate_file)])
     assert "\x1b[" not in capsys.readouterr().out

@@ -169,6 +169,15 @@ def test_malformed_tag_pair_reports_its_position():
     assert exc.value.column == 1
 
 
+def test_a_set_up_position_tag_reports_its_position():
+    with pytest.raises(PgnParseError, match="unsupported set-up tag") as exc:
+        parse_pgn('[Event "x"]\n[SetUp "1"]\n[FEN "4k3/8/8/8/8/8/8/4K3 w - - 0 1"]\n\n*')
+    assert exc.value.lexeme == "SetUp"
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    (game,) = parse_pgn('[SetUp "0"]\n\n1. e4 *')
+    assert game.tag("SetUp") == "0"
+
+
 def test_unterminated_comment_reports_its_position():
     with pytest.raises(PgnParseError, match="unterminated comment") as exc:
         parse_pgn("1. e4 {never closed")
