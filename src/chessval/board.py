@@ -267,13 +267,13 @@ def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
     reach on the last rank."""
     _require_piece(state, pawn, PAWN)
     colours = {(p.square.x, p.square.y): p.colour for p in state}
-    return frozenset(_promotions(colours, pawn))
+    return frozenset(_promotions(pawn, moves_with_colours(pawn, colours)))
 
 
-def _promotions(colours, pawn: Piece) -> list[Move]:
+def _promotions(pawn: Piece, targets) -> list[Move]:
     last = _last_rank(pawn.colour)
     moves = []
-    for target in moves_with_colours(pawn, colours):
+    for target in targets:
         if target.y == last:
             for new_type in PROMOTABLE_TYPES:
                 moves.append(Move(pawn, Piece(new_type, target, pawn.colour)))
@@ -330,15 +330,16 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     promotion for pawns, castling for kings, nothing for the rest."""
     _require_piece(board, piece)
     context = _context(board, piece.colour)
-    return frozenset(_stateful_candidates(context, board.history, piece))
+    targets = moves_with_colours(piece, context[1])
+    return frozenset(_stateful_candidates(context, board.history, piece, targets))
 
 
-def _stateful_candidates(context, history, piece: Piece) -> list[Move]:
+def _stateful_candidates(context, history, piece: Piece, targets) -> list[Move]:
     if piece.type is PAWN:
         return (
             _double_push(context[0], piece)
             + _en_passant_moves(history, piece)
-            + _promotions(context[1], piece)
+            + _promotions(piece, targets)
         )
     if piece.type is KING:
         return _castling_moves(context, history, piece)
@@ -350,11 +351,11 @@ def _stateful_candidates(context, history, piece: Piece) -> list[Move]:
 
 def _candidate_moves(context, history, piece: Piece) -> list[Move]:
     """Simple moves lifted to Move values, plus the special moves."""
+    targets = moves_with_colours(piece, context[1])
     candidates = [
-        Move(piece, Piece(piece.type, target, piece.colour))
-        for target in moves_with_colours(piece, context[1])
+        Move(piece, Piece(piece.type, target, piece.colour)) for target in targets
     ]
-    candidates.extend(_stateful_candidates(context, history, piece))
+    candidates.extend(_stateful_candidates(context, history, piece, targets))
     return candidates
 
 
@@ -581,15 +582,20 @@ def perft(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> int:
         raise ValueError("perft depth must be non-negative")
     if depth == 0:
         return 1
-    moves = _legal_list(board, to_move)
     if depth == 1:
-        return len(moves)
-    nxt = opposite_colour(to_move)
+        return len(_legal_list(board, to_move))
+    return sum(count for _, count in _divide(board, to_move, depth, jobs))
+
+
+def _divide(board: Board, to_move: Colour, depth: int, jobs: int) -> list:
+    """(move, perft count of depth - 1 after it) for each legal move; with
+    jobs > 1 the subtrees run in one pool of that many processes."""
+    moves = _legal_list(board, to_move)
+    tasks = [(_apply(board, m), opposite_colour(to_move), depth - 1) for m in moves]
     if jobs > 1:
-        tasks = [(_apply(board, m), nxt, depth - 1) for m in moves]
         with multiprocessing.Pool(jobs) as pool:
-            return sum(pool.starmap(perft, tasks))
-    return sum(perft(_apply(board, m), nxt, depth - 1) for m in moves)
+            return list(zip(moves, pool.starmap(perft, tasks)))
+    return [(m, perft(*task)) for m, task in zip(moves, tasks)]
 
 
 # --- display ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, TextIO
 
-from .board import board_to_ascii, legal_moves, move, perft
+from .board import _divide, board_to_ascii, perft
 from .fen import FenError, parse_fen
 from .game import new_game
 from .pgn import (
@@ -25,12 +25,11 @@ from .pgn import (
     PgnParseError,
     SanError,
     X_TO_FILE,
+    canonical_text,
     parse_pgn,
     replay,
     san_text,
-    serialize_game,
 )
-from .pieces import opposite_colour
 
 OK_EXIT = 0
 INVALID_EXIT = 1
@@ -85,7 +84,7 @@ def _validate_game(
     )
     game, winner, played = new_game(), None, 0
     try:
-        for played, (_, game, winner) in enumerate(replay(parsed.tokens), start=1):
+        for played, (_, game, winner, _) in enumerate(replay(parsed.tokens), start=1):
             if verbose:
                 lexeme = san_text(parsed.tokens[played - 1])
                 print(f"{path} game {index} ply {played}: {lexeme}", file=out)
@@ -198,14 +197,10 @@ def cmd_perft(
         return INVALID_EXIT
     jobs = (os.cpu_count() or 1) if depth >= 4 else 1
     if divide and depth >= 1:
-        opponent = opposite_colour(game.turn)
-        total = 0
-        roots = sorted(legal_moves(game.board, game.turn), key=_coordinate_text)
-        for root in roots:
-            count = perft(move(game.board, root), opponent, depth - 1, jobs=jobs)
-            total += count
+        counts = _divide(game.board, game.turn, depth, jobs)
+        for root, count in sorted(counts, key=lambda pair: _coordinate_text(pair[0])):
             print(f"{_coordinate_text(root)}: {count}", file=out)
-        print(f"total: {total}", file=out)
+        print(f"total: {sum(count for _, count in counts)}", file=out)
     else:
         total = perft(game.board, game.turn, depth, jobs=jobs)
         print(total, file=out)
@@ -231,14 +226,9 @@ def cmd_roundtrip(
     serialized: list[str] = []
     for index, parsed in enumerate(games, start=1):
         try:
-            moves = [mov for mov, _, _ in replay(parsed.tokens)]
+            serialized.append(canonical_text(parsed))
         except SanError as exc:
             print(f"{path}: game {index} failed at replay stage: {exc}", file=err)
-            return INVALID_EXIT
-        try:
-            serialized.append(serialize_game(parsed.tags, moves, parsed.result))
-        except ValueError as exc:
-            print(f"{path}: game {index} failed at serialize stage: {exc}", file=err)
             return INVALID_EXIT
 
     out_path = Path(path).with_suffix(".out.pgn")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .board import Board, Move
 from .game import Game
-from .pgn import FILE_TO_X
+from .pgn import FILE_TO_X, RANK_TO_Y
 from .pieces import Colour, Coordinate, Piece, PieceType
 
 
@@ -45,7 +45,7 @@ def _parse_placement(placement: str) -> set[Piece]:
         y = 8 - offset
         x = 1
         for ch in row:
-            if ch.isdigit():
+            if ch in "12345678":
                 x += int(ch)
             elif ch.lower() in _LETTER_TO_TYPE:
                 if x > 8:
@@ -72,9 +72,9 @@ def _rights_killer(colour: Colour, corner_x: int) -> Move:
 
 
 def _en_passant_push(square: str, to_move: Colour, occupied) -> Move:
-    if len(square) != 2 or square[0] not in FILE_TO_X or not square[1].isdigit():
+    if len(square) != 2 or square[0] not in FILE_TO_X or square[1] not in RANK_TO_Y:
         raise FenError(f"bad en-passant square {square!r}")
-    x, y = FILE_TO_X[square[0]], int(square[1])
+    x, y = FILE_TO_X[square[0]], RANK_TO_Y[square[1]]
     expected_rank = 6 if to_move is Colour.WHITE else 3
     if y != expected_rank:
         raise FenError(
@@ -129,7 +129,7 @@ def parse_fen(text: str) -> Game:
                 history.append(_rights_killer(colour, corner_x))
 
     for counter in fields[4:6]:
-        if not counter.isdigit():
+        if not (counter.isascii() and counter.isdigit()):
             raise FenError(f"bad move counter {counter!r}")
 
     try:

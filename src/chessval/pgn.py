@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .board import Board, IllegalMoveError, Move, _context, possible_moves
+from .board import Board, IllegalMoveError, Move, _context, _legal_for_piece
 from .game import REMIS, Game, Winner, game_move, new_game
 from .pieces import Colour, Coordinate, PieceType
 
@@ -326,27 +326,32 @@ def _is_capture(board: Board, mov: Move) -> bool:
 def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:
     """The legal moves of the mover's pieces of one type that land on target."""
     board = game.board
+    context = _context(board, game.turn)
     return [
         m
         for piece in board.board_state
         if piece.colour is game.turn and piece.type is piece_type
-        for m in possible_moves(board, piece)
+        for m in _legal_for_piece(context, board.history, piece)
         if m.to_.square == target
     ]
 
 
-def _step(game: Game, mov: Move) -> tuple[Game, Winner, CheckMark]:
-    """Play a move: the game after it, its winner and the mark it earns."""
+def _step(game: Game, mov: Move, rivals: list[Move]) -> tuple:
+    """Play a move through game_move's move() gate, the only legality check,
+    and spell it against its rivals: (game after it, winner, mark, SAN)."""
     after, winner = game_move(game, mov)
     if winner is None:
         # game_move's terminal test has just filled this context.
         checked = _context(after.board, after.turn)[3]
-        return after, winner, CheckMark.CHECK if checked else CheckMark.NONE
-    return after, winner, CheckMark.MATE if winner is game.turn else CheckMark.NONE
+        mark = CheckMark.CHECK if checked else CheckMark.NONE
+    else:
+        mark = CheckMark.MATE if winner is game.turn else CheckMark.NONE
+    return after, winner, mark, _san_body(mov, game, rivals) + mark.value
 
 
-def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner]:
-    """Resolve a token and play it; see resolve_san for the errors."""
+def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, str]:
+    """Resolve a token and play it: the move, the game after it, its winner
+    and the move's minimal SAN; see resolve_san for the errors."""
     piece_type, target = token.piece_type, token.target
     if token.kind is not SanKind.NORMAL:
         piece_type = PieceType.KING
@@ -354,9 +359,10 @@ def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner]:
             7 if token.kind is SanKind.KINGSIDE_CASTLE else 3,
             1 if game.turn is Colour.WHITE else 8,
         )
+    rivals = _candidates(game, piece_type, target)
     matches = [
         m
-        for m in _candidates(game, piece_type, target)
+        for m in rivals
         if _is_capture(game.board, m) == token.is_capture
         and m.to_.type is (token.promotion or m.from_.type)
         and (token.origin_file is None or m.from_.square.x == token.origin_file)
@@ -368,12 +374,12 @@ def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner]:
         raise SanError(f"no legal move matches {text!r}")
     if len(matches) > 1:
         raise SanError(f"ambiguous SAN {text!r}: {len(matches)} moves match")
-    after, winner, mark = _step(game, matches[0])
+    after, winner, mark, san = _step(game, matches[0], rivals)
     if token.check_mark is CheckMark.CHECK and mark is CheckMark.NONE:
         raise SanError(f"{text!r} claims check but gives none")
     if token.check_mark is CheckMark.MATE and mark is not CheckMark.MATE:
         raise SanError(f"{text!r} claims mate but does not mate")
-    return matches[0], after, winner
+    return matches[0], after, winner, san
 
 
 def resolve_san(token: SanToken, game: Game) -> Move:
@@ -389,9 +395,9 @@ def resolve_san(token: SanToken, game: Game) -> Move:
 _ENDED = "move after the game already ended"
 
 
-def replay(tokens: Iterable[SanToken]) -> Iterator[tuple[Move, Game, Winner]]:
+def replay(tokens: Iterable[SanToken]) -> Iterator[tuple[Move, Game, Winner, str]]:
     """Play SAN tokens from the initial position, yielding (move, game
-    after it, winner) for each ply.
+    after it, winner, the move's minimal SAN) for each ply.
 
     Raises SanError, as resolve_san does, at the first token that does not
     denote a legal move, and at any token after the game has ended.
@@ -400,20 +406,16 @@ def replay(tokens: Iterable[SanToken]) -> Iterator[tuple[Move, Game, Winner]]:
     for token in tokens:
         if winner is not None:
             raise SanError(_ENDED)
-        mov, game, winner = _play_san(token, game)
-        yield mov, game, winner
+        mov, game, winner, san = _play_san(token, game)
+        yield mov, game, winner, san
 
 
 # --- serialization ----------------------------------------------------------
 
 
-def _san_body(mov: Move, game: Game) -> str:
-    """SAN for a legal move without its check or mate mark."""
-    if mov.from_.colour is not game.turn:
-        raise IllegalMoveError(f"it is not {mov.from_.colour.value}'s turn")
-    rivals = _candidates(game, mov.from_.type, mov.to_.square)
-    if mov not in rivals:
-        raise IllegalMoveError(f"illegal move: {mov}")
+def _san_body(mov: Move, game: Game, rivals: list[Move]) -> str:
+    """SAN for a legal move, without its check or mate mark; rivals are the
+    legal moves of its piece type onto its target square."""
     origin = mov.from_.square
     if mov.from_.type is PieceType.KING and abs(mov.to_.square.x - origin.x) == 2:
         return "O-O" if mov.to_.square.x > origin.x else "O-O-O"
@@ -440,7 +442,40 @@ def move_to_pgn_string(mov: Move, game: Game) -> str:
     """Minimal SAN for a legal move in the given game: piece letter, only
     as much disambiguation as needed, capture and promotion markers, and
     a trailing + or # when the move gives check or mate."""
-    return _san_body(mov, game) + _step(game, mov)[2].value
+    return _step(game, mov, _candidates(game, mov.from_.type, mov.to_.square))[3]
+
+
+def _game_text(tags, sans: list[str], result: GameResult) -> str:
+    """PGN text of one game: the tag pairs (with a Result tag added when
+    missing), a blank line, then numbered movetext wrapped at 79 columns."""
+    lines = [f'[{name} "{_escape(value)}"]' for name, value in tags]
+    if all(name != "Result" for name, _ in tags):
+        lines.append(f'[Result "{result.value}"]')
+    lines.append("")
+    words: list[str] = []
+    for ply, san in enumerate(sans, start=1):
+        if ply % 2 == 1:
+            words.append(f"{(ply + 1) // 2}.")
+        words.append(san)
+    words.append(result.value)
+    current = ""
+    for word in words:
+        if not current:
+            current = word
+        elif len(current) + 1 + len(word) <= 79:
+            current += " " + word
+        else:
+            lines.append(current)
+            current = word
+    lines.append(current)
+    return "\n".join(lines) + "\n"
+
+
+def canonical_text(parsed: PgnGame) -> str:
+    """A parsed game's canonical PGN text, spelled by one replay of its
+    tokens; raises SanError as replay does."""
+    sans = [san for _, _, _, san in replay(parsed.tokens)]
+    return _game_text(parsed.tags, sans, parsed.result)
 
 
 def serialize_game(
@@ -453,38 +488,20 @@ def serialize_game(
     raises ValueError.  The Result tag is added (or checked, if supplied)
     to match `result`.
     """
-    tag_list = list(tags)
-    if all(name != "Result" for name, _ in tag_list):
-        tag_list.append(("Result", result.value))
-    PgnGame(tuple(tag_list), (), result)  # raises if the Result tag contradicts
+    tags = tuple(tags)
+    PgnGame(tags, (), result)  # raises if the Result tag contradicts
 
     game, winner = new_game(), None
-    words: list[str] = []
+    sans: list[str] = []
     for ply, mov in enumerate(moves, start=1):
-        if ply % 2 == 1:
-            words.append(f"{(ply + 1) // 2}.")
         try:
             if winner is not None:
                 raise IllegalMoveError(_ENDED)
-            body = _san_body(mov, game)
+            rivals = _candidates(game, mov.from_.type, mov.to_.square)
+            game, winner, _, san = _step(game, mov, rivals)
         except IllegalMoveError as exc:
             raise ValueError(
                 f"move sequence is not replayable at ply {ply}: {exc}"
             ) from exc
-        game, winner, mark = _step(game, mov)
-        words.append(body + mark.value)
-    words.append(result.value)
-
-    lines = [f'[{name} "{_escape(value)}"]' for name, value in tag_list]
-    lines.append("")
-    current = ""
-    for word in words:
-        if not current:
-            current = word
-        elif len(current) + 1 + len(word) <= 79:
-            current += " " + word
-        else:
-            lines.append(current)
-            current = word
-    lines.append(current)
-    return "\n".join(lines) + "\n"
+        sans.append(san)
+    return _game_text(tags, sans, result)

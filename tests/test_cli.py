@@ -191,6 +191,15 @@ def test_perft_rejects_a_bad_fen(capsys):
     assert "bad FEN" in captured.err
 
 
+def test_perft_rejects_a_fen_with_a_non_ascii_digit(capsys):
+    fen = "rnbqkbnr/pppppppp/\u00b2/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
+    code = main(["perft", "--depth", "1", "--fen", fen])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("bad FEN")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_perft_rejects_negative_depth(capsys):
     code = cmd_perft(-1)
     captured = capsys.readouterr()
@@ -234,6 +243,22 @@ def test_roundtrip_rejects_moves_after_the_game_ended(tmp_path, capsys):
     assert code == 1
     assert "replay stage" in err
     assert "already ended" in err
+
+
+@pytest.mark.parametrize(
+    "movetext",
+    [
+        "1. Ngf3 *",  # over-disambiguated
+        "1. e4 e5 2. Qh5 Nc6 3. Bc4 Nf6 4. Qxf7+ 1-0",  # a mate marked as check
+    ],
+)
+def test_roundtrip_respells_rather_than_echoes(tmp_path, capsys, movetext):
+    path = tmp_path / "respelled.pgn"
+    path.write_text(movetext + "\n")
+    code = main(["roundtrip", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "compare stage" in err
 
 
 def test_roundtrip_of_an_empty_file(tmp_path, capsys):

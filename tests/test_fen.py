@@ -72,6 +72,11 @@ def test_perft_from_a_fen_position_matches_the_initial_position():
         "4k3/8/8/8/8/8/8/4K3 w - e6",   # no pawn behind the ep square
         "8/8/8/8/8/8/8/K6k w - - x 1",  # bad counter
         "8/8/8/8/8/8/8/KK5k w",         # two white kings
+        "8/8/\u00b2/8/8/8/8/K6k w",        # superscript two as a run length
+        "8/8/\u0668/8/8/8/8/K6k w",        # Arabic-Indic eight as a run length
+        "4k3/8/8/3pP3/8/8/8/4K3 w - d\u00b3",  # superscript rank
+        "4k3/8/8/3pP3/8/8/8/4K3 w - d\u0666",  # Arabic-Indic rank
+        "8/8/8/8/8/8/8/K6k w - - \u0660 1",     # Arabic-Indic counter
     ],
 )
 def test_bad_fens_are_rejected(bad):

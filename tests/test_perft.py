@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from chessval.board import Board, _legal_list, legal_moves, perft
+from chessval.board import Board, _divide, _legal_list, legal_moves, perft
 from chessval.fen import parse_fen
 from chessval.game import game_move, new_game
 from chessval.pieces import Colour
@@ -102,3 +102,11 @@ def test_the_legality_context_is_not_part_of_the_board_value():
     assert len(pickle.dumps(board)) == before
     assert pickle.loads(pickle.dumps(board)) == fresh
     assert legal_moves(fresh, Colour.WHITE) == moves
+
+
+def test_divide_with_a_pool_equals_the_serial_divide():
+    game = parse_fen(KIWIPETE)
+    serial = _divide(game.board, game.turn, 2, jobs=1)
+    pooled = _divide(game.board, game.turn, 2, jobs=2)
+    assert len(serial) == 48 and sum(count for _, count in serial) == 2039
+    assert dict(pooled) == dict(serial)

@@ -14,6 +14,7 @@ from chessval.pgn import (
     SanError,
     SanKind,
     SanToken,
+    canonical_text,
     char_maps,
     move_to_pgn_string,
     parse_pgn,
@@ -403,15 +404,19 @@ def test_serialize_rejects_a_move_after_mate():
 
 
 def test_serialized_corpus_games_reproduce_the_corpus_text():
-    # pins tag order, move numbers and the 79-column wrap
+    # pins tag order, move numbers and the 79-column wrap, for the move
+    # serializer and for the writer that spells SAN during the replay
     corpus = (Path(__file__).parent / "data" / "corpus.pgn").read_text()
-    blocks = [
+    games = parse_pgn(corpus)[:12]
+    serialized = [
         serialize_game(
-            parsed.tags, [mov for mov, _, _ in replay(parsed.tokens)], parsed.result
+            parsed.tags, [mov for mov, _, _, _ in replay(parsed.tokens)], parsed.result
         )
-        for parsed in parse_pgn(corpus)[:12]
+        for parsed in games
     ]
-    assert corpus.startswith("\n".join(blocks))
+    written = [canonical_text(parsed) for parsed in games]
+    for blocks in (serialized, written):
+        assert corpus.startswith("\n".join(blocks))
 
 
 def test_serialize_rejects_a_contradicting_result_tag():

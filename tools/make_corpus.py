@@ -13,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from chessval.pgn import RESULT_BY_WINNER, parse_pgn, replay, serialize_game
+from chessval.pgn import RESULT_BY_WINNER, canonical_text, parse_pgn, serialize_game
 
 from drivers import play_random_game
 
@@ -147,8 +147,7 @@ MAX_PLIES = 250
 
 def canonicalize(text: str) -> str:
     (parsed,) = parse_pgn(text)
-    moves = [mov for mov, _, _ in replay(parsed.tokens)]
-    return serialize_game(parsed.tags, moves, parsed.result)
+    return canonical_text(parsed)
 
 
 def generated_game(seed: int) -> str:
