@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .pieces import (
+    ALL_DIRECTIONS,
     Colour,
     Coordinate,
     DIAGONAL_DIRECTIONS,
@@ -197,7 +198,7 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
 
 def in_check(state: BoardState, colour: Colour) -> bool:
     """Whether `colour`'s king stands on a square its opponent attacks."""
-    king, checked, _ = _king_context(_occupancy(state), state, colour)
+    king, checked = _king_context(_occupancy(state), state, colour)[:2]
     if king is None:
         raise ValueError(f"no {colour.value} king on the board")
     return checked
@@ -206,12 +207,7 @@ def in_check(state: BoardState, colour: Colour) -> bool:
 # --- special moves ----------------------------------------------------------
 
 
-def _require_piece(board_or_state, piece: Piece, piece_type=None) -> None:
-    state = (
-        board_or_state.board_state
-        if isinstance(board_or_state, Board)
-        else board_or_state
-    )
+def _require_piece(state: BoardState, piece: Piece, piece_type=None) -> None:
     if piece not in state:
         raise IllegalMoveError(f"piece not on the board: {piece}")
     if piece_type is not None and piece.type is not piece_type:
@@ -240,7 +236,7 @@ def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
     """The en-passant capture, legal exactly one ply after an enemy pawn's
     double push lands beside this pawn; the capture moves onto the square
     the enemy pawn skipped."""
-    _require_piece(board, pawn, PAWN)
+    _require_piece(board.board_state, pawn, PAWN)
     return frozenset(_en_passant_moves(board.history, pawn))
 
 
@@ -292,7 +288,7 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     either square, the squares between them are empty, the king is not in
     check, and neither the crossed square nor the destination is attacked.
     """
-    _require_piece(board, king, KING)
+    _require_piece(board.board_state, king, KING)
     return frozenset(_castling_moves(_context(board, king.colour), board.history, king))
 
 
@@ -328,7 +324,7 @@ def _castling_moves(context, history: History, king: Piece) -> list[Move]:
 def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """The special moves available to a piece: double push, en passant and
     promotion for pawns, castling for kings, nothing for the rest."""
-    _require_piece(board, piece)
+    _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
     targets = moves_with_colours(piece, context[1])
     return frozenset(_stateful_candidates(context, board.history, piece, targets))
@@ -368,24 +364,17 @@ def _is_en_passant_shape(occ: Occupancy, mov: Move) -> bool:
 
 
 def _leaves_king_attacked(occ: Occupancy, mov: Move, king: Piece) -> bool:
-    """Apply mov to a scratch copy of the occupancy and probe the mover's
-    king."""
+    """Apply an en-passant capture to a scratch copy of the occupancy and
+    probe the mover's king: the capture empties two squares of one rank,
+    which no pin line describes."""
     fx, fy = mov.from_.square.x, mov.from_.square.y
     tx, ty = mov.to_.square.x, mov.to_.square.y
-    kx, ky = king.square.x, king.square.y
     scratch = dict(occ)
     del scratch[(fx, fy)]
-    if _is_en_passant_shape(occ, mov):
-        scratch.pop((tx, fy), None)
+    del scratch[(tx, fy)]
     scratch[(tx, ty)] = mov.to_
-    if mov.from_.type is KING:
-        if abs(tx - fx) == 2:  # castling also relocates the rook
-            corner_x = 8 if tx > fx else 1
-            rook = scratch.pop((corner_x, fy), None)
-            if rook is not None:
-                scratch[((fx + tx) // 2, fy)] = rook
-        kx, ky = tx, ty
-    return _square_attacked(scratch, kx, ky, opposite_colour(mov.from_.colour))
+    enemy = opposite_colour(king.colour)
+    return _square_attacked(scratch, king.square.x, king.square.y, enemy)
 
 
 def _missed_promotion(mov: Move) -> bool:
@@ -396,15 +385,26 @@ def _missed_promotion(mov: Move) -> bool:
     )
 
 
+# (dx, dy, attacker) for the one-step checks on a king of each colour
+_STEP_CHECKS = {
+    colour: tuple((dx, dy, KNIGHT) for dx, dy in KNIGHT_OFFSETS)
+    + tuple((dx, dy, KING) for dx, dy in ALL_DIRECTIONS)
+    + ((-1, pawn_dy, PAWN), (1, pawn_dy, PAWN))
+    for colour, pawn_dy in ((Colour.WHITE, 1), (Colour.BLACK, -1))
+}
+
+
 def _king_context(occ: Occupancy, state: BoardState, colour: Colour):
-    """The side's king, whether it is in check, and its pinned pieces'
-    squares: a piece is pinned when it is the first on a king ray and the
-    next piece along that ray is an enemy slider that moves along it."""
+    """The side's king, whether it is in check, its pin lines and its check
+    evasions.  A piece first on a king ray is pinned by an enemy slider next
+    on that ray; its pin line runs from the king up to and including the
+    pinner.  The evasions are the checker's square and the squares between
+    it and the king (none in double check), or None out of check."""
     king = next((p for p in state if p.type is KING and p.colour is colour), None)
     if king is None:
-        return None, False, frozenset()
+        return None, False, {}, None
     kx, ky = king.square.x, king.square.y
-    pinned = set()
+    pins, checks = {}, []
     for directions, sliders in _SLIDER_PROBES:
         for dx, dy in directions:
             x, y, shield = kx + dx, ky + dy, None
@@ -414,65 +414,110 @@ def _king_context(occ: Occupancy, state: BoardState, colour: Colour):
                     if shield is None and p.colour is colour:
                         shield = (x, y)
                     else:
-                        if shield and p.colour is not colour and p.type in sliders:
-                            pinned.add(shield)
+                        if p.colour is not colour and p.type in sliders:
+                            line = frozenset(
+                                (kx + i * dx, ky + i * dy)
+                                for i in range(1, max(abs(x - kx), abs(y - ky)) + 1)
+                            )
+                            if shield is None:
+                                checks.append(line)
+                            else:
+                                pins[shield] = line
                         break
                 x, y = x + dx, y + dy
-    return king, _square_attacked(occ, kx, ky, opposite_colour(colour)), pinned
+    for dx, dy, attacker in _STEP_CHECKS[colour]:
+        p = occ.get((kx + dx, ky + dy))
+        if p is not None and p.colour is not colour and p.type is attacker:
+            checks.append(frozenset({(kx + dx, ky + dy)}))
+    if len(checks) > 1:
+        checks = [frozenset()]  # double check: only the king may move
+    return king, bool(checks), pins, checks[0] if checks else None
 
 
 def _context(board: Board, colour: Colour):
     """One side's legality context: (occupancy, colour map, king, in check,
-    pinned squares), filled on first use and kept on the board.  Key None
-    holds the two maps, which both sides share."""
+    pin lines, check evasions, the legal moves _piece_moves keeps by square),
+    filled on first use and kept on the board.  Key None holds the two maps,
+    which both sides share."""
     contexts = board._contexts
     if contexts is None:
         occ = _occupancy(board.board_state)
         contexts = {None: (occ, {sq: p.colour for sq, p in occ.items()})}
         object.__setattr__(board, "_contexts", contexts)
     if colour not in contexts:
-        occ = contexts[None][0]
-        contexts[colour] = contexts[None] + _king_context(occ, board.board_state, colour)
+        king_context = _king_context(contexts[None][0], board.board_state, colour)
+        contexts[colour] = contexts[None] + king_context + ({},)
     return contexts[colour]
+
+
+def _piece_moves(board: Board, context, piece: Piece) -> list[Move]:
+    """The legal moves of a piece on the board, worked out once and kept on
+    the board's context by square.  The list is shared: never mutate it."""
+    by_square = context[6]
+    square = (piece.square.x, piece.square.y)
+    moves = by_square.get(square)
+    if moves is None:
+        moves = by_square[square] = _legal_for_piece(context, board.history, piece)
+    return moves
 
 
 def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """The candidate moves the rules forbid: any move that leaves the
     mover's own king in check, and any pawn move onto the last rank that
     keeps the pawn a pawn (promotion is mandatory)."""
-    _require_piece(board, piece)
+    _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
-    legal = _legal_for_piece(context, board.history, piece)
+    legal = _piece_moves(board, context, piece)
     return frozenset(_candidate_moves(context, board.history, piece)) - frozenset(legal)
 
 
 def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """Every legal move for one piece: its simple moves lifted to Move
     values, plus its special moves, minus the impossible ones."""
-    _require_piece(board, piece)
-    context = _context(board, piece.colour)
-    return frozenset(_legal_for_piece(context, board.history, piece))
+    _require_piece(board.board_state, piece)
+    return frozenset(_piece_moves(board, _context(board, piece.colour), piece))
 
 
 def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
-    """The piece's candidates minus the impossible ones.  With the king out
-    of check, only its own moves, a pinned piece's moves and en passant
-    (which also removes the captured pawn) can expose it, so only those
-    are probed.  A missing king (synthetic positions) is never attacked."""
-    occ, _, king, checked, pinned = context
+    """The piece's candidates minus the impossible ones.  A king step must
+    land where the enemy does not attack with the king lifted off (castling
+    was tested when generated); other moves must stay on the pin line and
+    land on an evasion square.  Only en passant, which also removes the
+    captured pawn, is tried on a scratch copy.  A missing king (synthetic
+    positions) is never attacked."""
+    occ, _, king, _, pins, evasions, _ = context
     moves = _candidate_moves(context, history, piece)
     if piece.type is PAWN:
         moves = [m for m in moves if not _missed_promotion(m)]
-    if king is None or not (
-        piece.type is KING or checked or (piece.square.x, piece.square.y) in pinned
-        or (piece.type is PAWN and _en_passant_moves(history, piece))
-    ):
+    if king is None:
         return moves
-    return [m for m in moves if not _leaves_king_attacked(occ, m, king)]
+    if piece.type is KING:
+        lifted = dict(occ)
+        del lifted[(king.square.x, king.square.y)]
+        enemy = opposite_colour(king.colour)
+        return [
+            m for m in moves
+            if abs(m.to_.square.x - king.square.x) == 2
+            or not _square_attacked(lifted, m.to_.square.x, m.to_.square.y, enemy)
+        ]
+    allowed = pins.get((piece.square.x, piece.square.y))
+    if evasions is not None:
+        allowed = evasions if allowed is None else allowed & evasions
+    if allowed is None and not (piece.type is PAWN and _en_passant_moves(history, piece)):
+        return moves
+    return [
+        m for m in moves
+        if (
+            not _leaves_king_attacked(occ, m, king)
+            if _is_en_passant_shape(occ, m)
+            else allowed is None or (m.to_.square.x, m.to_.square.y) in allowed
+        )
+    ]
 
 
 def _legal_list(board: Board, colour: Colour) -> list[Move]:
-    """legal_moves as a list, which never holds a move twice."""
+    """legal_moves as a list, which never holds a move twice, worked out
+    afresh: perft visits each node once, so it keeps nothing on the context."""
     context = _context(board, colour)
     return [
         m
@@ -485,7 +530,9 @@ def _legal_list(board: Board, colour: Colour) -> list[Move]:
 def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:
     """Every legal move for one side; the union of possible_moves over its
     pieces."""
-    return frozenset(_legal_list(board, colour))
+    context = _context(board, colour)
+    pieces = (p for p in board.board_state if p.colour is colour)
+    return frozenset(m for p in pieces for m in _piece_moves(board, context, p))
 
 
 def has_legal_move(board: Board, colour: Colour) -> bool:
@@ -494,7 +541,7 @@ def has_legal_move(board: Board, colour: Colour) -> bool:
     for mate or stalemate."""
     context = _context(board, colour)
     return any(
-        _legal_for_piece(context, board.history, piece)
+        _piece_moves(board, context, piece)
         for piece in board.board_state
         if piece.colour is colour
     )
@@ -520,7 +567,8 @@ def move(board: Board, mov: Move) -> Board:
     This is the engine's single legality gate; illegal moves raise
     IllegalMoveError.  The input board is untouched.
     """
-    if mov not in possible_moves(board, mov.from_):
+    _require_piece(board.board_state, mov.from_)
+    if mov not in _piece_moves(board, _context(board, mov.from_.colour), mov.from_):
         raise IllegalMoveError(f"illegal move: {mov}")
     return _apply(board, mov)
 
@@ -539,8 +587,7 @@ def move_other(board: Board, mov: Move) -> Board:
     moving piece, then add the arriving piece.  Promotion needs no special
     handling because the arriving piece already carries its new type."""
     dead = _context(board, mov.from_.colour)[0].get((mov.to_.square.x, mov.to_.square.y))
-    new_state = (board.board_state - {dead, mov.from_}) | {mov.to_}
-    return Board(new_state, (mov,) + board.history)
+    return _successor(board, (board.board_state - {dead, mov.from_}) | {mov.to_}, mov)
 
 
 def move_castling(board: Board, mov: Move) -> Board:
@@ -554,7 +601,7 @@ def move_castling(board: Board, mov: Move) -> Board:
     crossed = Coordinate((mov.from_.square.x + mov.to_.square.x) // 2, y)
     new_rook = Piece(ROOK, crossed, rook.colour)
     new_state = (board.board_state - {mov.from_, rook}) | {mov.to_, new_rook}
-    return Board(new_state, (mov,) + board.history)
+    return _successor(board, new_state, mov)
 
 
 def move_en_passant(board: Board, mov: Move) -> Board:
@@ -564,8 +611,17 @@ def move_en_passant(board: Board, mov: Move) -> Board:
     captured = _context(board, mov.from_.colour)[0].get((bypassed.x, bypassed.y))
     if captured is None:
         raise IllegalMoveError(f"no pawn to capture en passant on {bypassed}")
-    new_state = (board.board_state - {mov.from_, captured}) | {mov.to_}
-    return Board(new_state, (mov,) + board.history)
+    return _successor(board, (board.board_state - {mov.from_, captured}) | {mov.to_}, mov)
+
+
+def _successor(board: Board, new_state: BoardState, mov: Move) -> Board:
+    """The board after an applied move, built without Board's checks: a
+    move on a valid board cannot break them."""
+    after = object.__new__(Board)
+    object.__setattr__(after, "board_state", new_state)
+    object.__setattr__(after, "history", (mov,) + board.history)
+    object.__setattr__(after, "_contexts", None)
+    return after
 
 
 # --- verification oracle ----------------------------------------------------

@@ -8,10 +8,10 @@ accepted and ignored.
 
 from __future__ import annotations
 
-from .board import Board, Move
+from .board import Board, Move, in_check
 from .game import Game
 from .pgn import FILE_TO_X, RANK_TO_Y
-from .pieces import Colour, Coordinate, Piece, PieceType
+from .pieces import Colour, Coordinate, Piece, PieceType, opposite_colour
 
 
 class FenError(ValueError):
@@ -97,7 +97,9 @@ def _en_passant_push(square: str, to_move: Colour, occupied) -> Move:
 
 
 def parse_fen(text: str) -> Game:
-    """Read a FEN string into a game value."""
+    """Read a FEN string into a game value.  A placement no game reaches
+    (a side without exactly one king, a pawn on rank 1 or 8, or the side
+    not to move in check) raises FenError."""
     fields = text.split()
     if len(fields) < 2:
         raise FenError("FEN needs at least piece placement and side to move")
@@ -110,6 +112,13 @@ def parse_fen(text: str) -> Game:
         to_move = Colour.BLACK
     else:
         raise FenError(f"side to move must be 'w' or 'b', got {fields[1]!r}")
+    kings = sorted(p.colour.value for p in pieces if p.type is PieceType.KING)
+    if kings != ["black", "white"]:
+        raise FenError("each side needs exactly one king")
+    if any(p.type is PieceType.PAWN and p.square.y in (1, 8) for p in pieces):
+        raise FenError("a pawn stands on rank 1 or 8")
+    if in_check(frozenset(pieces), opposite_colour(to_move)):
+        raise FenError(f"{opposite_colour(to_move).value} is in check but not to move")
 
     history: list[Move] = []
     occupied = {(p.square.x, p.square.y): p for p in pieces}
@@ -132,8 +141,4 @@ def parse_fen(text: str) -> Game:
         if not (counter.isascii() and counter.isdigit()):
             raise FenError(f"bad move counter {counter!r}")
 
-    try:
-        board = Board(frozenset(pieces), tuple(history))
-    except ValueError as exc:
-        raise FenError(str(exc)) from exc
-    return Game(board, to_move)
+    return Game(Board(frozenset(pieces), tuple(history)), to_move)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .board import Board, IllegalMoveError, Move, _context, _legal_for_piece
+from .board import Board, IllegalMoveError, Move, _context, _piece_moves
 from .game import REMIS, Game, Winner, game_move, new_game
 from .pieces import Colour, Coordinate, PieceType
 
@@ -331,7 +331,7 @@ def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[M
         m
         for piece in board.board_state
         if piece.colour is game.turn and piece.type is piece_type
-        for m in _legal_for_piece(context, board.history, piece)
+        for m in _piece_moves(board, context, piece)
         if m.to_.square == target
     ]
 

@@ -17,6 +17,8 @@ class Colour(Enum):
     WHITE = "white"
     BLACK = "black"
 
+    __hash__ = object.__hash__  # members compare by identity; Enum's hash is slow
+
 
 class PieceType(Enum):
     PAWN = "pawn"
@@ -25,6 +27,8 @@ class PieceType(Enum):
     BISHOP = "bishop"
     QUEEN = "queen"
     KING = "king"
+
+    __hash__ = object.__hash__  # as for Colour
 
 
 def opposite_colour(c: Colour) -> Colour:

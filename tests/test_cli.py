@@ -200,6 +200,23 @@ def test_perft_rejects_a_fen_with_a_non_ascii_digit(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "fen",
+    [
+        "4k2R/8/8/8/8/8/8/4K3 w - - 0 1",  # black in check, white to move
+        "P3k3/8/8/8/8/8/8/4K3 w - - 0 1",  # a pawn on rank 8
+        "8/8/8/8/8/8/8/4K3 w - - 0 1",     # no black king
+    ],
+)
+def test_perft_rejects_an_impossible_fen_position(capsys, fen):
+    code = main(["perft", "--depth", "2", "--fen", fen])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("bad FEN")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_perft_rejects_negative_depth(capsys):
     code = cmd_perft(-1)
     captured = capsys.readouterr()

@@ -77,6 +77,9 @@ def test_perft_from_a_fen_position_matches_the_initial_position():
         "4k3/8/8/3pP3/8/8/8/4K3 w - d\u00b3",  # superscript rank
         "4k3/8/8/3pP3/8/8/8/4K3 w - d\u0666",  # Arabic-Indic rank
         "8/8/8/8/8/8/8/K6k w - - \u0660 1",     # Arabic-Indic counter
+        "4k2R/8/8/8/8/8/8/4K3 w - - 0 1",   # the side not to move is in check
+        "P3k3/8/8/8/8/8/8/4K3 w - - 0 1",   # a pawn on rank 8
+        "8/8/8/8/8/8/8/4K3 w - - 0 1",      # no black king
     ],
 )
 def test_bad_fens_are_rejected(bad):

@@ -4,7 +4,8 @@ The counts are the published values from
 https://www.chessprogramming.org/Perft_Results; these positions exercise
 castling through attacked squares, promotions and en-passant pins, which
 the initial position barely reaches.  The deeper published values are
-left out to keep the run short.
+left out to keep the run short.  The check evasions, pin lines and
+per-square legal lists of the context are compared with the oracle.
 """
 
 import pickle
@@ -12,13 +13,26 @@ import random
 
 import pytest
 
-from chessval.board import Board, _divide, _legal_list, legal_moves, perft
+from chessval import board as board_module
+from chessval.board import (
+    Board,
+    _context,
+    _divide,
+    _legal_list,
+    has_legal_move,
+    in_check,
+    legal_moves,
+    move,
+    perft,
+    possible_moves,
+)
 from chessval.fen import parse_fen
-from chessval.game import game_move, new_game
-from chessval.pieces import Colour
+from chessval.game import Game, game_move, new_game
+from chessval.pgn import _candidates
+from chessval.pieces import Colour, opposite_colour
 
 from drivers import canonical_order
-from oracles import move_key, oracle_legal_moves
+from oracles import move_key, oracle_legal_moves, random_sparse_board
 
 KIWIPETE = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
 POSITION_3 = "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1"
@@ -81,6 +95,18 @@ def test_the_legal_move_list_never_holds_a_move_twice():
         ("4r2k/8/8/8/8/8/4K3/8 w - - 0 1", 6),
         # with two shields in front of the king, neither is pinned
         ("4k3/8/8/8/4r3/4P3/4R3/4K3 w - - 0 1", 11),
+        # double check: only king steps
+        ("R3r2k/8/8/8/8/3n4/8/4K3 w - - 0 1", 3),
+        # en passant captures the checking pawn
+        ("8/8/8/2k5/3Pp3/8/8/4K3 b - d3 0 1", 9),
+        # a pinned bishop may not block a check
+        ("4r2k/8/8/8/8/8/4B3/4K2q w - - 0 1", 2),
+        # a knight blocks a diagonal check
+        ("4k3/8/8/8/1b6/8/8/R2NK3 w Q - 0 1", 4),
+        # the king takes an unprotected checker
+        ("4k3/8/8/8/8/8/4q3/4K3 w - - 0 1", 1),
+        # no castling through an attacked square
+        ("4k3/8/8/8/8/8/5r2/R3K2R w KQ - 0 1", 22),
     ],
 )
 def test_pin_and_check_edge_cases_match_the_oracle(fen, count):
@@ -88,6 +114,46 @@ def test_pin_and_check_edge_cases_match_the_oracle(fen, count):
     engine = {move_key(m) for m in legal_moves(game.board, game.turn)}
     assert engine == oracle_legal_moves(game.board, game.turn)
     assert len(engine) == count
+
+
+def test_sparse_positions_in_check_or_with_a_pin_match_the_oracle():
+    rng = random.Random(6)
+    checked = pinned = 0
+    while checked < 200 or pinned < 50:
+        board, colour = random_sparse_board(rng, max_extra=8)
+        engine = {move_key(m) for m in legal_moves(board, colour)}
+        assert engine == oracle_legal_moves(board, colour)
+        checked += in_check(board.board_state, colour)
+        pinned += bool(_context(board, colour)[4])
+
+
+def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
+    computed = []
+    legal_for_piece = board_module._legal_for_piece
+
+    def counting(context, history, piece):
+        computed.append((piece.colour, piece.square))
+        return legal_for_piece(context, history, piece)
+
+    monkeypatch.setattr(board_module, "_legal_for_piece", counting)
+    for board, colour in _sample_positions():
+        expected = legal_moves(Board(board.board_state, board.history), colour)
+        mov = canonical_order(expected)[0]
+        fillers = [
+            lambda b: has_legal_move(b, colour),
+            lambda b: move(b, mov),
+            lambda b: _candidates(Game(b, colour), mov.from_.type, mov.to_.square),
+            lambda b: has_legal_move(b, opposite_colour(colour)),
+        ]
+        for fill in fillers:
+            fresh = Board(board.board_state, board.history)
+            computed.clear()
+            fill(fresh)
+            assert legal_moves(fresh, colour) == expected
+            assert possible_moves(fresh, mov.from_) == {
+                m for m in expected if m.from_ == mov.from_
+            }
+            assert len(computed) == len(set(computed))  # once per piece
 
 
 def test_the_legality_context_is_not_part_of_the_board_value():
