@@ -13,6 +13,7 @@ and filling it is idempotent, so boards stay safe to share across threads.
 from __future__ import annotations
 
 import multiprocessing
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,8 +29,6 @@ from .pieces import (
     coordinate_factory,
     moves_with_colours,
     opposite_colour,
-    pieces_to_obstacles,
-    type_based_moves,
 )
 
 PAWN = PieceType.PAWN
@@ -138,6 +137,15 @@ _SLIDER_PROBES = (
     (DIAGONAL_DIRECTIONS, (BISHOP, QUEEN)),
 )
 
+# (dx, dy, type) per attacking colour: its piece of that type on
+# (x + dx, y + dy) attacks (x, y) in one step
+_STEP_CHECKS = {
+    colour: ((-1, pawn_dy, PAWN), (1, pawn_dy, PAWN))
+    + tuple((dx, dy, KNIGHT) for dx, dy in KNIGHT_OFFSETS)
+    + tuple((dx, dy, KING) for dx, dy in ALL_DIRECTIONS)
+    for colour, pawn_dy in ((Colour.WHITE, -1), (Colour.BLACK, 1))
+}
+
 
 def _square_attacked(occ: Occupancy, x: int, y: int, by: Colour) -> bool:
     """Whether colour `by` attacks square (x, y), probing outward from it.
@@ -147,32 +155,21 @@ def _square_attacked(occ: Occupancy, x: int, y: int, by: Colour) -> bool:
     legality filter calls it millions of times in perft runs.
     """
     occ_get = occ.get
-    pawn_rank = y - 1 if by is Colour.WHITE else y + 1
-    p = occ_get((x - 1, pawn_rank))
-    if p is not None and p.colour is by and p.type is PAWN:
-        return True
-    p = occ_get((x + 1, pawn_rank))
-    if p is not None and p.colour is by and p.type is PAWN:
-        return True
-    for dx, dy in KNIGHT_OFFSETS:
+    for dx, dy, attacker in _STEP_CHECKS[by]:
         p = occ_get((x + dx, y + dy))
-        if p is not None and p.colour is by and p.type is KNIGHT:
+        if p is not None and p.type is attacker and p.colour is by:
             return True
     for directions, sliders in _SLIDER_PROBES:
         for dx, dy in directions:
             nx, ny = x + dx, y + dy
-            adjacent = True
             while 1 <= nx <= 8 and 1 <= ny <= 8:
                 p = occ_get((nx, ny))
                 if p is not None:
-                    if p.colour is by and (
-                        p.type in sliders or (adjacent and p.type is KING)
-                    ):
+                    if p.colour is by and p.type in sliders:
                         return True
                     break
                 nx += dx
                 ny += dy
-                adjacent = False
     return False
 
 
@@ -180,7 +177,7 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
     """Every square colour `by` attacks: the union of its pieces' movement
     patterns, except that pawns attack only their two forward diagonals
     (occupied or not) and never the square in front of them."""
-    obstacles = pieces_to_obstacles(state)
+    occ = _occupancy(state)
     attacked: set[Coordinate] = set()
     for p in state:
         if p.colour is not by:
@@ -192,13 +189,13 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
                 if diagonal is not None:
                     attacked.add(diagonal)
         else:
-            attacked |= type_based_moves(p, obstacles)
+            attacked.update(moves_with_colours(p, occ))
     return frozenset(attacked)
 
 
 def in_check(state: BoardState, colour: Colour) -> bool:
     """Whether `colour`'s king stands on a square its opponent attacks."""
-    king, checked = _king_context(_occupancy(state), state, colour)[:2]
+    king, checked = _king_context(_occupancy(state), colour)[:2]
     if king is None:
         raise ValueError(f"no {colour.value} king on the board")
     return checked
@@ -262,8 +259,7 @@ def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
     """Four moves (one per promotable type) for every square the pawn can
     reach on the last rank."""
     _require_piece(state, pawn, PAWN)
-    colours = {(p.square.x, p.square.y): p.colour for p in state}
-    return frozenset(_promotions(pawn, moves_with_colours(pawn, colours)))
+    return frozenset(_promotions(pawn, moves_with_colours(pawn, _occupancy(state))))
 
 
 def _promotions(pawn: Piece, targets) -> list[Move]:
@@ -293,9 +289,9 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
 
 
 def _castling_moves(context, history: History, king: Piece) -> list[Move]:
-    occ, checked = context[0], context[3]
+    occ = context.occ
     y = 1 if king.colour is Colour.WHITE else 8
-    if checked or king.square.x != 5 or king.square.y != y:
+    if context.checked or king.square.x != 5 or king.square.y != y:
         return []
     enemy = opposite_colour(king.colour)
     moves = []
@@ -326,14 +322,14 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     promotion for pawns, castling for kings, nothing for the rest."""
     _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
-    targets = moves_with_colours(piece, context[1])
+    targets = moves_with_colours(piece, context.occ)
     return frozenset(_stateful_candidates(context, board.history, piece, targets))
 
 
 def _stateful_candidates(context, history, piece: Piece, targets) -> list[Move]:
     if piece.type is PAWN:
         return (
-            _double_push(context[0], piece)
+            _double_push(context.occ, piece)
             + _en_passant_moves(history, piece)
             + _promotions(piece, targets)
         )
@@ -347,7 +343,7 @@ def _stateful_candidates(context, history, piece: Piece, targets) -> list[Move]:
 
 def _candidate_moves(context, history, piece: Piece) -> list[Move]:
     """Simple moves lifted to Move values, plus the special moves."""
-    targets = moves_with_colours(piece, context[1])
+    targets = moves_with_colours(piece, context.occ)
     candidates = [
         Move(piece, Piece(piece.type, target, piece.colour)) for target in targets
     ]
@@ -385,22 +381,13 @@ def _missed_promotion(mov: Move) -> bool:
     )
 
 
-# (dx, dy, attacker) for the one-step checks on a king of each colour
-_STEP_CHECKS = {
-    colour: tuple((dx, dy, KNIGHT) for dx, dy in KNIGHT_OFFSETS)
-    + tuple((dx, dy, KING) for dx, dy in ALL_DIRECTIONS)
-    + ((-1, pawn_dy, PAWN), (1, pawn_dy, PAWN))
-    for colour, pawn_dy in ((Colour.WHITE, 1), (Colour.BLACK, -1))
-}
-
-
-def _king_context(occ: Occupancy, state: BoardState, colour: Colour):
+def _king_context(occ: Occupancy, colour: Colour):
     """The side's king, whether it is in check, its pin lines and its check
     evasions.  A piece first on a king ray is pinned by an enemy slider next
     on that ray; its pin line runs from the king up to and including the
     pinner.  The evasions are the checker's square and the squares between
     it and the king (none in double check), or None out of check."""
-    king = next((p for p in state if p.type is KING and p.colour is colour), None)
+    king = next((p for p in occ.values() if p.type is KING and p.colour is colour), None)
     if king is None:
         return None, False, {}, None
     kx, ky = king.square.x, king.square.y
@@ -425,35 +412,41 @@ def _king_context(occ: Occupancy, state: BoardState, colour: Colour):
                                 pins[shield] = line
                         break
                 x, y = x + dx, y + dy
-    for dx, dy, attacker in _STEP_CHECKS[colour]:
+    enemy = opposite_colour(colour)
+    for dx, dy, attacker in _STEP_CHECKS[enemy]:
         p = occ.get((kx + dx, ky + dy))
-        if p is not None and p.colour is not colour and p.type is attacker:
+        if p is not None and p.type is attacker and p.colour is enemy:
             checks.append(frozenset({(kx + dx, ky + dy)}))
     if len(checks) > 1:
         checks = [frozenset()]  # double check: only the king may move
     return king, bool(checks), pins, checks[0] if checks else None
 
 
-def _context(board: Board, colour: Colour):
-    """One side's legality context: (occupancy, colour map, king, in check,
-    pin lines, check evasions, the legal moves _piece_moves keeps by square),
-    filled on first use and kept on the board.  Key None holds the two maps,
-    which both sides share."""
+_Context = namedtuple("_Context", "occ king checked pins evasions moves")
+
+
+def _context(board: Board, colour: Colour) -> _Context:
+    """One side's legality context, filled on first use and kept on the
+    board: the occupancy, the side's king, whether it is in check, its pin
+    lines, its check evasions and the legal moves _piece_moves keeps by
+    square.  The occupancy (square -> Piece, under key None) is the one
+    square map of the position: both sides share it, and the geometry, the
+    attack probes and SAN read it.  Other modules read the fields by name;
+    only this one knows their order."""
     contexts = board._contexts
     if contexts is None:
-        occ = _occupancy(board.board_state)
-        contexts = {None: (occ, {sq: p.colour for sq, p in occ.items()})}
+        contexts = {None: _occupancy(board.board_state)}
         object.__setattr__(board, "_contexts", contexts)
     if colour not in contexts:
-        king_context = _king_context(contexts[None][0], board.board_state, colour)
-        contexts[colour] = contexts[None] + king_context + ({},)
+        occ = contexts[None]
+        contexts[colour] = _Context(occ, *_king_context(occ, colour), {})
     return contexts[colour]
 
 
 def _piece_moves(board: Board, context, piece: Piece) -> list[Move]:
     """The legal moves of a piece on the board, worked out once and kept on
     the board's context by square.  The list is shared: never mutate it."""
-    by_square = context[6]
+    by_square = context.moves
     square = (piece.square.x, piece.square.y)
     moves = by_square.get(square)
     if moves is None:
@@ -485,7 +478,7 @@ def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
     land on an evasion square.  Only en passant, which also removes the
     captured pawn, is tried on a scratch copy.  A missing king (synthetic
     positions) is never attacked."""
-    occ, _, king, _, pins, evasions, _ = context
+    occ, king, _, pins, evasions, _ = context
     moves = _candidate_moves(context, history, piece)
     if piece.type is PAWN:
         moves = [m for m in moves if not _missed_promotion(m)]
@@ -558,7 +551,7 @@ def iss_castling(board: Board, mov: Move) -> bool:
 def iss_en_passant(board: Board, mov: Move) -> bool:
     """Whether a (legal) move is an en-passant capture: a pawn stepping
     diagonally onto an empty square."""
-    return _is_en_passant_shape(_context(board, mov.from_.colour)[0], mov)
+    return _is_en_passant_shape(_context(board, mov.from_.colour).occ, mov)
 
 
 def move(board: Board, mov: Move) -> Board:
@@ -586,7 +579,7 @@ def move_other(board: Board, mov: Move) -> Board:
     """An ordinary move: drop whatever sat on the target square and the
     moving piece, then add the arriving piece.  Promotion needs no special
     handling because the arriving piece already carries its new type."""
-    dead = _context(board, mov.from_.colour)[0].get((mov.to_.square.x, mov.to_.square.y))
+    dead = _context(board, mov.from_.colour).occ.get((mov.to_.square.x, mov.to_.square.y))
     return _successor(board, (board.board_state - {dead, mov.from_}) | {mov.to_}, mov)
 
 
@@ -595,7 +588,7 @@ def move_castling(board: Board, mov: Move) -> Board:
     square the king crossed."""
     y = mov.from_.square.y
     corner_x = 8 if mov.to_.square.x > mov.from_.square.x else 1
-    rook = _context(board, mov.from_.colour)[0].get((corner_x, y))
+    rook = _context(board, mov.from_.colour).occ.get((corner_x, y))
     if rook is None or rook.type is not ROOK:
         raise IllegalMoveError(f"no rook to castle with on file {corner_x}")
     crossed = Coordinate((mov.from_.square.x + mov.to_.square.x) // 2, y)
@@ -608,7 +601,7 @@ def move_en_passant(board: Board, mov: Move) -> Board:
     """En passant: the pawn moves diagonally while the captured enemy pawn
     disappears from the square beside it."""
     bypassed = Coordinate(mov.to_.square.x, mov.from_.square.y)
-    captured = _context(board, mov.from_.colour)[0].get((bypassed.x, bypassed.y))
+    captured = _context(board, mov.from_.colour).occ.get((bypassed.x, bypassed.y))
     if captured is None:
         raise IllegalMoveError(f"no pawn to capture en passant on {bypassed}")
     return _successor(board, (board.board_state - {mov.from_, captured}) | {mov.to_}, mov)

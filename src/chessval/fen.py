@@ -71,7 +71,7 @@ def _rights_killer(colour: Colour, corner_x: int) -> Move:
     )
 
 
-def _en_passant_push(square: str, to_move: Colour, occupied) -> Move:
+def _en_passant_push(square: str, to_move: Colour, pieces: set[Piece]) -> Move:
     if len(square) != 2 or square[0] not in FILE_TO_X or square[1] not in RANK_TO_Y:
         raise FenError(f"bad en-passant square {square!r}")
     x, y = FILE_TO_X[square[0]], RANK_TO_Y[square[1]]
@@ -82,18 +82,14 @@ def _en_passant_push(square: str, to_move: Colour, occupied) -> Move:
         )
     pusher = Colour.BLACK if to_move is Colour.WHITE else Colour.WHITE
     from_y, to_y = (7, 5) if pusher is Colour.BLACK else (2, 4)
-    pawn_square = Coordinate(x, to_y)
-    pawn = occupied.get((x, to_y))
-    if pawn is None or pawn.type is not PieceType.PAWN or pawn.colour is not pusher:
+    pawn = Piece(PieceType.PAWN, Coordinate(x, to_y), pusher)
+    if pawn not in pieces:
         raise FenError(
             f"en-passant square {square!r} has no matching {pusher.value} pawn"
         )
-    if (x, y) in occupied or (x, from_y) in occupied:
+    if any(p.square.x == x and p.square.y in (y, from_y) for p in pieces):
         raise FenError(f"en-passant square {square!r} is inconsistent")
-    return Move(
-        Piece(PieceType.PAWN, Coordinate(x, from_y), pusher),
-        Piece(PieceType.PAWN, pawn_square, pusher),
-    )
+    return Move(Piece(PieceType.PAWN, Coordinate(x, from_y), pusher), pawn)
 
 
 def parse_fen(text: str) -> Game:
@@ -121,10 +117,8 @@ def parse_fen(text: str) -> Game:
         raise FenError(f"{opposite_colour(to_move).value} is in check but not to move")
 
     history: list[Move] = []
-    occupied = {(p.square.x, p.square.y): p for p in pieces}
-
     if len(fields) >= 4 and fields[3] != "-":
-        history.append(_en_passant_push(fields[3], to_move, occupied))
+        history.append(_en_passant_push(fields[3], to_move, pieces))
 
     if len(fields) >= 3:
         rights = fields[2]

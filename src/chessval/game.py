@@ -55,7 +55,7 @@ def game_move(game: Game, mov: Move) -> tuple[Game, Winner]:
     new_board = move(game.board, mov)
     opponent = opposite_colour(game.turn)
     if not has_legal_move(new_board, opponent):
-        if _context(new_board, opponent)[3]:  # in check
+        if _context(new_board, opponent).checked:
             return Game(new_board, game.turn), game.turn
         return Game(new_board, game.turn), REMIS
     return Game(new_board, opponent), None

@@ -2,7 +2,8 @@
 
 The parser covers the PGN export format for standard games: tag pairs,
 movetext with move numbers, brace and semicolon comments, numeric
-annotation glyphs and result markers.  Recursive variations and set-up
+annotation glyphs and result markers; of the import format, unspaced
+move numbers (1.e4) and % escape lines.  Recursive variations and set-up
 positions (FEN tags) are rejected rather than skipped so corpus errors
 cannot pass silently.
 """
@@ -137,14 +138,14 @@ class SanError(ValueError):
 
 
 _RESULT_BY_MARKER = {r.value: r for r in GameResult}
-_MOVE_NUMBER_RE = re.compile(r"\d+\.*\Z")
+_MOVE_NUMBER_RE = re.compile(r"\d+\Z")
 _NAG_RE = re.compile(r"\$\d+\Z")
 _TAG_RE = re.compile(r"\[\s*([A-Za-z0-9_]+)\s+\"((?:[^\"\\\n]|\\.)*)\"\s*\]")
 _CASTLE_RE = re.compile(r"(O-O(?:-O)?)([+#])?\Z")
 _SAN_RE = re.compile(
     r"([KQRBN])?([a-h])?([1-8])?(x)?([a-h][1-8])(?:=([QRBN]))?([+#])?\Z"
 )
-_TOKEN_BREAKS = set(" \t\r\n\v\f{};()[")
+_TOKEN_BREAKS = set(" \t\r\n\v\f{};()[.")
 
 
 class _Scanner:
@@ -174,7 +175,8 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def skip_trivia(self) -> None:
-        """Advance past whitespace, brace comments and line comments."""
+        """Advance past whitespace, brace comments, line comments and escape
+        lines (a % in a line's first column)."""
         text = self.text
         while self.pos < len(text):
             ch = text[self.pos]
@@ -185,7 +187,7 @@ class _Scanner:
                 if end < 0:
                     raise self.error("unterminated comment", lexeme="{")
                 self.pos = end + 1
-            elif ch == ";":
+            elif ch == ";" or (ch == "%" and text[self.pos - 1 : self.pos] in ("", "\n")):
                 end = text.find("\n", self.pos + 1)
                 self.pos = len(text) if end < 0 else end + 1
             else:
@@ -255,8 +257,9 @@ def parse_pgn(text: str) -> list[PgnGame]:
     """Parse PGN text into its games.
 
     Each game is a tag section (possibly empty) followed by movetext that
-    must end in a result marker (1-0, 0-1, 1/2-1/2 or *).  Comments, move
-    numbers, NAGs and !?-style suffixes are accepted and dropped;
+    must end in a result marker (1-0, 0-1, 1/2-1/2 or *).  Comments,
+    escape lines, move numbers (a period is a token of its own, so 1.e4
+    and 1...e5 read), NAGs and !?-style suffixes are accepted and dropped;
     recursive variations, set-up positions and malformed input raise
     PgnParseError with the position of the offending lexeme.
     """
@@ -286,6 +289,9 @@ def parse_pgn(text: str) -> list[PgnGame]:
                 raise scanner.error(
                     "tag pair before the game's result marker", lexeme="["
                 )
+            if ch == ".":
+                scanner.pos += 1
+                continue
             word = scanner.next_word()
             if not word:
                 raise scanner.error("unrecognized token", lexeme=ch)
@@ -320,7 +326,7 @@ RESULT_BY_WINNER = {
 def _is_capture(board: Board, mov: Move) -> bool:
     if mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x:
         return True
-    return (mov.to_.square.x, mov.to_.square.y) in _context(board, mov.from_.colour)[0]
+    return (mov.to_.square.x, mov.to_.square.y) in _context(board, mov.from_.colour).occ
 
 
 def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:
@@ -342,7 +348,7 @@ def _step(game: Game, mov: Move, rivals: list[Move]) -> tuple:
     after, winner = game_move(game, mov)
     if winner is None:
         # game_move's terminal test has just filled this context.
-        checked = _context(after.board, after.turn)[3]
+        checked = _context(after.board, after.turn).checked
         mark = CheckMark.CHECK if checked else CheckMark.NONE
     else:
         mark = CheckMark.MATE if winner is game.turn else CheckMark.NONE

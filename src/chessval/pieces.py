@@ -1,9 +1,12 @@
 """Colours, piece types, board coordinates and basic movement patterns.
 
 Everything here is purely geometric: given a piece and the squares other
-pieces occupy (the obstacles), compute the squares it could step to.
-Moves that need game history (castling, en passant, the double push,
-promotion) live in the board module.
+pieces occupy (the obstacles), compute the squares it could step to.  The
+movement loops read one square -> holder map, where a holder is anything
+with a colour (a Piece or an Obstacle); the board module passes the
+occupancy both sides of a position share.  Moves that need game history
+(castling, en passant, the double push, promotion) live in the board
+module.
 """
 
 from __future__ import annotations
@@ -92,8 +95,11 @@ def pieces_to_obstacles(pieces: Iterable[Piece]) -> ObstacleSet:
     return frozenset(Obstacle(p.square, p.colour) for p in pieces)
 
 
-def _colour_map(obstacles: Iterable[Obstacle]) -> dict[tuple[int, int], Colour]:
-    return {(o.square.x, o.square.y): o.colour for o in obstacles}
+Holders = dict[tuple[int, int], Piece | Obstacle]
+
+
+def _holders(obstacles: Iterable[Obstacle]) -> Holders:
+    return {(o.square.x, o.square.y): o for o in obstacles}
 
 
 def possible_move_direction(
@@ -104,16 +110,15 @@ def possible_move_direction(
     None when the step leaves the board or lands on a friendly piece; an
     enemy-held square is returned, since stepping there is a capture.
     """
-    return _step(p, _colour_map(obstacles), direction)
+    return _step(p, _holders(obstacles), direction)
 
 
-def _step(
-    p: Piece, colours: dict[tuple[int, int], Colour], direction: Direction
-) -> Optional[Coordinate]:
+def _step(p: Piece, holders: Holders, direction: Direction) -> Optional[Coordinate]:
     target = _SQUARES.get((p.square.x + direction[0], p.square.y + direction[1]))
-    if target is None or colours.get((target.x, target.y)) is p.colour:
+    if target is None:
         return None
-    return target
+    holder = holders.get((target.x, target.y))
+    return None if holder is not None and holder.colour is p.colour else target
 
 
 def possible_moves_direction(
@@ -127,12 +132,10 @@ def possible_moves_direction(
     """
     if direction == (0, 0):
         raise ValueError("ray direction must be non-zero")
-    return frozenset(_ray(p, _colour_map(obstacles), direction))
+    return frozenset(_ray(p, _holders(obstacles), direction))
 
 
-def _ray(
-    p: Piece, colours: dict[tuple[int, int], Colour], direction: Direction
-) -> list[Coordinate]:
+def _ray(p: Piece, holders: Holders, direction: Direction) -> list[Coordinate]:
     out = []
     x, y = p.square.x, p.square.y
     dx, dy = direction
@@ -142,12 +145,12 @@ def _ray(
         square = _SQUARES.get((x, y))
         if square is None:
             break
-        holder = colours.get((x, y))
-        if holder is p.colour:
+        holder = holders.get((x, y))
+        if holder is not None:
+            if holder.colour is not p.colour:
+                out.append(square)
             break
         out.append(square)
-        if holder is not None:
-            break
     return out
 
 
@@ -158,23 +161,23 @@ def type_based_moves(p: Piece, obstacles: ObstacleSet) -> frozenset[Coordinate]:
     steps forward onto an empty square but captures diagonally.  Special
     moves are not produced here.
     """
-    return frozenset(moves_with_colours(p, _colour_map(obstacles)))
+    return frozenset(moves_with_colours(p, _holders(obstacles)))
 
 
-def moves_with_colours(
-    p: Piece, colours: dict[tuple[int, int], Colour]
-) -> list[Coordinate]:
-    """type_based_moves against a prebuilt square->colour map.
+def moves_with_colours(p: Piece, holders: Holders) -> list[Coordinate]:
+    """type_based_moves against a prebuilt square -> holder map.
 
-    The board module shares one map across every piece of a position
-    instead of projecting an ObstacleSet per piece.
+    The board module passes a position's occupancy (square -> Piece),
+    built once and shared by both sides and every piece, instead of
+    projecting an ObstacleSet per piece; a holder's colour tells a capture
+    from a blocked square.
     """
     if p.type is PieceType.PAWN:
-        return _pawn_moves(p, colours)
+        return _pawn_moves(p, holders)
     if p.type is PieceType.KNIGHT:
-        return _offset_moves(p, colours, KNIGHT_OFFSETS)
+        return _offset_moves(p, holders, KNIGHT_OFFSETS)
     if p.type is PieceType.KING:
-        return _offset_moves(p, colours, ALL_DIRECTIONS)
+        return _offset_moves(p, holders, ALL_DIRECTIONS)
     if p.type is PieceType.ROOK:
         directions = ORTHOGONAL_DIRECTIONS
     elif p.type is PieceType.BISHOP:
@@ -183,34 +186,31 @@ def moves_with_colours(
         directions = ALL_DIRECTIONS
     moves: list[Coordinate] = []
     for direction in directions:
-        moves.extend(_ray(p, colours, direction))
+        moves.extend(_ray(p, holders, direction))
     return moves
 
 
 def _offset_moves(
-    p: Piece,
-    colours: dict[tuple[int, int], Colour],
-    offsets: tuple[Direction, ...],
+    p: Piece, holders: Holders, offsets: tuple[Direction, ...]
 ) -> list[Coordinate]:
     moves = []
     for direction in offsets:
-        target = _step(p, colours, direction)
+        target = _step(p, holders, direction)
         if target is not None:
             moves.append(target)
     return moves
 
 
-def _pawn_moves(
-    p: Piece, colours: dict[tuple[int, int], Colour]
-) -> list[Coordinate]:
+def _pawn_moves(p: Piece, holders: Holders) -> list[Coordinate]:
     dy = 1 if p.colour is Colour.WHITE else -1
     moves = []
     forward = _SQUARES.get((p.square.x, p.square.y + dy))
-    if forward is not None and (forward.x, forward.y) not in colours:
+    if forward is not None and (forward.x, forward.y) not in holders:
         moves.append(forward)
-    enemy = opposite_colour(p.colour)
     for dx in (-1, 1):
         diagonal = _SQUARES.get((p.square.x + dx, p.square.y + dy))
-        if diagonal is not None and colours.get((diagonal.x, diagonal.y)) is enemy:
-            moves.append(diagonal)
+        if diagonal is not None:
+            holder = holders.get((diagonal.x, diagonal.y))
+            if holder is not None and holder.colour is not p.colour:
+                moves.append(diagonal)
     return moves

@@ -22,6 +22,15 @@ def test_validate_accepts_a_clean_game(fools_mate_file, capsys):
     assert "engine result 0-1" in out
 
 
+def test_validate_reads_unspaced_move_numbers_and_escape_lines(tmp_path, capsys):
+    path = tmp_path / "compact.pgn"
+    path.write_text('%exported\n[Result "0-1"]\n\n1.f3 e5 2.g4 2...Qh4# 0-1\n')
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "game 1: ok - untagged, 4 plies, engine result 0-1" in out
+
+
 def test_validate_reports_an_illegal_san_with_its_ply(tmp_path, capsys):
     path = tmp_path / "bad.pgn"
     path.write_text("1. Ke3 *\n")

@@ -5,7 +5,8 @@ https://www.chessprogramming.org/Perft_Results; these positions exercise
 castling through attacked squares, promotions and en-passant pins, which
 the initial position barely reaches.  The deeper published values are
 left out to keep the run short.  The check evasions, pin lines and
-per-square legal lists of the context are compared with the oracle.
+per-square legal lists of the context, and the attack probe behind them,
+are compared with the oracle.
 """
 
 import pickle
@@ -19,6 +20,8 @@ from chessval.board import (
     _context,
     _divide,
     _legal_list,
+    _square_attacked,
+    attacked_squares,
     has_legal_move,
     in_check,
     legal_moves,
@@ -29,10 +32,10 @@ from chessval.board import (
 from chessval.fen import parse_fen
 from chessval.game import Game, game_move, new_game
 from chessval.pgn import _candidates
-from chessval.pieces import Colour, opposite_colour
+from chessval.pieces import Colour, Coordinate, opposite_colour
 
 from drivers import canonical_order
-from oracles import move_key, oracle_legal_moves, random_sparse_board
+from oracles import move_key, oracle_attacked, oracle_legal_moves, random_sparse_board
 
 KIWIPETE = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
 POSITION_3 = "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1"
@@ -124,7 +127,23 @@ def test_sparse_positions_in_check_or_with_a_pin_match_the_oracle():
         engine = {move_key(m) for m in legal_moves(board, colour)}
         assert engine == oracle_legal_moves(board, colour)
         checked += in_check(board.board_state, colour)
-        pinned += bool(_context(board, colour)[4])
+        pinned += bool(_context(board, colour).pins)
+
+
+def test_the_attack_probe_agrees_with_attacked_squares_and_the_oracle():
+    rng = random.Random(7)
+    for _ in range(1000):
+        board, _ = random_sparse_board(rng, max_extra=10)
+        grid = {(p.square.x, p.square.y): p for p in board.board_state}
+        for by in Colour:
+            listed = attacked_squares(board.board_state, by)
+            for x in range(1, 9):
+                for y in range(1, 9):
+                    if (x, y) in grid and grid[x, y].colour is by:
+                        continue
+                    probe = _square_attacked(grid, x, y, by)
+                    expected = oracle_attacked(grid, x, y, by)
+                    assert probe == (Coordinate(x, y) in listed) == expected, (x, y, by)
 
 
 def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):

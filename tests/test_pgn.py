@@ -145,6 +145,29 @@ def test_black_continuation_numbers_are_accepted():
     assert len(game.tokens) == 4
 
 
+@pytest.mark.parametrize(
+    "text, sans",
+    [
+        ("1.e4 e5 2.Nf3 *", ["e4", "e5", "Nf3"]),
+        ("1. e4 e5 2. Nf3 Nc6 3.Bb5 *", ["e4", "e5", "Nf3", "Nc6", "Bb5"]),
+        ("1.e4 1...e5 *", ["e4", "e5"]),
+    ],
+)
+def test_a_period_is_a_token_of_its_own(text, sans):
+    (game,) = parse_pgn(text)
+    assert [san for _, _, _, san in replay(game.tokens)] == sans
+
+
+def test_escape_lines_are_skipped():
+    text = '%escaped\n[Event "x"]\n%another one\r\n\n1. e4\n% mid-game\ne5 *\n'
+    (game,) = parse_pgn(text)
+    assert game.tag("Event") == "x"
+    assert len(game.tokens) == 2
+    with pytest.raises(PgnParseError, match="unrecognized token") as exc:
+        parse_pgn("1. e4 %e5 *")  # only a % in the first column starts one
+    assert (exc.value.line, exc.value.column) == (1, 7)
+
+
 def test_multiple_games_in_one_text():
     text = '[Result "1-0"]\n\n1. e4 1-0\n\n[Result "0-1"]\n\n1. d4 0-1\n'
     games = parse_pgn(text)
