@@ -19,16 +19,21 @@ from typing import Optional
 
 from .pieces import (
     ALL_DIRECTIONS,
+    KNIGHT_TARGETS,
+    PAWN_CAPTURE_RAYS,
+    RAYS,
+    SQUARES,
     Colour,
     Coordinate,
-    DIAGONAL_DIRECTIONS,
-    KNIGHT_OFFSETS,
-    ORTHOGONAL_DIRECTIONS,
+    Occupancy,
     Piece,
     PieceType,
-    coordinate_factory,
+    _occupancy,
     moves_with_colours,
     opposite_colour,
+    piece_row,
+    square_at,
+    square_index,
 )
 
 PAWN = PieceType.PAWN
@@ -64,13 +69,13 @@ class Move:
     to_: Piece
 
     def __post_init__(self) -> None:
-        if self.from_.colour is not self.to_.colour:
+        from_, to_ = self.from_, self.to_
+        if from_.colour is not to_.colour:
             raise ValueError("a move cannot change colour")
-        if self.from_.square == self.to_.square:
+        if from_.square.x == to_.square.x and from_.square.y == to_.square.y:
             raise ValueError("a move must change square")
-        if self.from_.type is not self.to_.type and not (
-            self.from_.type is PAWN
-            and self.to_.square.y == _last_rank(self.from_.colour)
+        if from_.type is not to_.type and not (
+            from_.type is PAWN and to_.square.y == _last_rank(from_.colour)
         ):
             raise ValueError("only a pawn reaching the last rank may change type")
 
@@ -125,51 +130,40 @@ def default_board() -> Board:
 
 # --- occupancy helpers ------------------------------------------------------
 
-Occupancy = dict[tuple[int, int], Piece]
 
-
-def _occupancy(state: BoardState) -> Occupancy:
-    return {(p.square.x, p.square.y): p for p in state}
-
-
-_SLIDER_PROBES = (
-    (ORTHOGONAL_DIRECTIONS, (ROOK, QUEEN)),
-    (DIAGONAL_DIRECTIONS, (BISHOP, QUEEN)),
-)
-
-# (dx, dy, type) per attacking colour: its piece of that type on
-# (x + dx, y + dy) attacks (x, y) in one step
-_STEP_CHECKS = {
-    colour: ((-1, pawn_dy, PAWN), (1, pawn_dy, PAWN))
-    + tuple((dx, dy, KNIGHT) for dx, dy in KNIGHT_OFFSETS)
-    + tuple((dx, dy, KING) for dx, dy in ALL_DIRECTIONS)
-    for colour, pawn_dy in ((Colour.WHITE, -1), (Colour.BLACK, 1))
+# Per attacking colour, one entry per ray direction: (index step, steps to
+# the edge per square, the types that attack along the ray, the types that
+# attack from its first square).  The first square adds the king and, on
+# the two diagonals a pawn of that colour captures along towards the
+# square, the pawn.
+_ATTACK_LINES = {
+    by: tuple(
+        (step, edge, sliders, sliders + (KING,) + ((PAWN,) if dx and dy == back else ()))
+        for (dx, dy), (step, edge) in zip(ALL_DIRECTIONS, RAYS)
+        for sliders in [(BISHOP, QUEEN) if dx and dy else (ROOK, QUEEN)]
+    )
+    for by, back in ((Colour.WHITE, -1), (Colour.BLACK, 1))
 }
 
 
-def _square_attacked(occ: Occupancy, x: int, y: int, by: Colour) -> bool:
-    """Whether colour `by` attacks square (x, y), probing outward from it.
+def _square_attacked(occ: Occupancy, s: int, by: Colour) -> bool:
+    """Whether colour `by` attacks square index s, probing outward from it.
 
     Equivalent to membership in attacked_squares for any square not held
     by one of `by`'s own pieces; kept separate because the per-candidate
     legality filter calls it millions of times in perft runs.
     """
-    occ_get = occ.get
-    for dx, dy, attacker in _STEP_CHECKS[by]:
-        p = occ_get((x + dx, y + dy))
-        if p is not None and p.type is attacker and p.colour is by:
+    for t in KNIGHT_TARGETS[s]:
+        p = occ[t]
+        if p is not None and p.type is KNIGHT and p.colour is by:
             return True
-    for directions, sliders in _SLIDER_PROBES:
-        for dx, dy in directions:
-            nx, ny = x + dx, y + dy
-            while 1 <= nx <= 8 and 1 <= ny <= 8:
-                p = occ_get((nx, ny))
-                if p is not None:
-                    if p.colour is by and p.type in sliders:
-                        return True
-                    break
-                nx += dx
-                ny += dy
+    for step, edge, sliders, near in _ATTACK_LINES[by]:
+        for t in range(s + step, s + step * (edge[s] + 1), step):
+            p = occ[t]
+            if p is not None:
+                if p.colour is by and p.type in (near if t == s + step else sliders):
+                    return True
+                break
     return False
 
 
@@ -178,27 +172,28 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
     patterns, except that pawns attack only their two forward diagonals
     (occupied or not) and never the square in front of them."""
     occ = _occupancy(state)
-    attacked: set[Coordinate] = set()
+    attacked: set[int] = set()
     for p in state:
         if p.colour is not by:
             continue
         if p.type is PAWN:
-            dy = 1 if by is Colour.WHITE else -1
-            for dx in (-1, 1):
-                diagonal = coordinate_factory(p.square.x + dx, p.square.y + dy)
-                if diagonal is not None:
-                    attacked.add(diagonal)
+            s = square_index(p.square)
+            attacked.update(s + step for step, edge in PAWN_CAPTURE_RAYS[by] if edge[s])
         else:
             attacked.update(moves_with_colours(p, occ))
-    return frozenset(attacked)
+    return frozenset(SQUARES[s] for s in attacked)
+
+
+def _king_of(state: BoardState, colour: Colour) -> Optional[Piece]:
+    return next((p for p in state if p.type is KING and p.colour is colour), None)
 
 
 def in_check(state: BoardState, colour: Colour) -> bool:
     """Whether `colour`'s king stands on a square its opponent attacks."""
-    king, checked = _king_context(_occupancy(state), colour)[:2]
+    king = _king_of(state, colour)
     if king is None:
         raise ValueError(f"no {colour.value} king on the board")
-    return checked
+    return _king_context(_occupancy(state), king)[0]
 
 
 # --- special moves ----------------------------------------------------------
@@ -215,18 +210,17 @@ def pawn_move_two(state: BoardState, pawn: Piece) -> frozenset[Move]:
     """The two-square advance, available only from the pawn's initial rank
     with both the skipped and the target square empty."""
     _require_piece(state, pawn, PAWN)
-    return frozenset(_double_push(_occupancy(state), pawn))
+    row = piece_row(PAWN, pawn.colour)
+    targets = _double_push(_occupancy(state), square_index(pawn.square), pawn.colour)
+    return frozenset(Move(pawn, row[t]) for t in targets)
 
 
-def _double_push(occ: Occupancy, pawn: Piece) -> list[Move]:
-    white = pawn.colour is Colour.WHITE
-    if pawn.square.y != (2 if white else 7):
+def _double_push(occ: Occupancy, s: int, colour: Colour) -> list[int]:
+    """The double push's target from square s: a list of at most one index."""
+    forward, start = (8, 2) if colour is Colour.WHITE else (-8, 7)
+    if SQUARES[s].y != start or occ[s + forward] or occ[s + 2 * forward]:
         return []
-    dy = 1 if white else -1
-    x, y = pawn.square.x, pawn.square.y
-    if (x, y + dy) in occ or (x, y + 2 * dy) in occ:
-        return []
-    return [Move(pawn, Piece(PAWN, Coordinate(x, y + 2 * dy), pawn.colour))]
+    return [s + 2 * forward]
 
 
 def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
@@ -234,25 +228,32 @@ def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
     double push lands beside this pawn; the capture moves onto the square
     the enemy pawn skipped."""
     _require_piece(board.board_state, pawn, PAWN)
-    return frozenset(_en_passant_moves(board.history, pawn))
+    return frozenset(_en_passant_moves(_context(board, pawn.colour), pawn))
 
 
-def _en_passant_moves(history: History, pawn: Piece) -> list[Move]:
+def _en_passant_moves(context, pawn: Piece) -> list[Move]:
+    t = context.passant.get(square_index(pawn.square))
+    return [] if t is None else [Move(pawn, piece_row(PAWN, pawn.colour)[t])]
+
+
+def _en_passant_targets(history: History, colour: Colour) -> dict[int, int]:
+    """Pawn square -> the square a `colour` pawn there captures onto en
+    passant: the square an enemy pawn's double push on the last ply
+    skipped, for the two squares beside where it landed."""
     if not history:
-        return []
+        return {}
     last = history[0]
+    origin, landing = last.from_.square, last.to_.square
     if (
         last.from_.type is not PAWN
-        or last.from_.colour is pawn.colour
-        or abs(last.to_.square.y - last.from_.square.y) != 2
-        or last.to_.square.y != pawn.square.y
-        or abs(last.to_.square.x - pawn.square.x) != 1
+        or last.from_.colour is colour
+        or abs(landing.y - origin.y) != 2
     ):
-        return []
-    skipped = Coordinate(
-        last.to_.square.x, (last.from_.square.y + last.to_.square.y) // 2
-    )
-    return [Move(pawn, Piece(PAWN, skipped, pawn.colour))]
+        return {}
+    skipped = square_at(landing.x, (origin.y + landing.y) // 2)
+    return {
+        square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1) if 1 <= x <= 8
+    }
 
 
 def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
@@ -262,14 +263,14 @@ def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
     return frozenset(_promotions(pawn, moves_with_colours(pawn, _occupancy(state))))
 
 
-def _promotions(pawn: Piece, targets) -> list[Move]:
+def _promotions(pawn: Piece, targets: list[int]) -> list[Move]:
     last = _last_rank(pawn.colour)
-    moves = []
-    for target in targets:
-        if target.y == last:
-            for new_type in PROMOTABLE_TYPES:
-                moves.append(Move(pawn, Piece(new_type, target, pawn.colour)))
-    return moves
+    return [
+        Move(pawn, piece_row(kind, pawn.colour)[t])
+        for t in targets
+        if SQUARES[t].y == last
+        for kind in PROMOTABLE_TYPES
+    ]
 
 
 # (corner file, crossed file, king destination file) per wing
@@ -296,11 +297,11 @@ def _castling_moves(context, history: History, king: Piece) -> list[Move]:
     enemy = opposite_colour(king.colour)
     moves = []
     for corner_x, crossed_x, dest_x in _CASTLING_WINGS:
-        rook = occ.get((corner_x, y))
+        rook = occ[square_at(corner_x, y)]
         if rook is None or rook.type is not ROOK or rook.colour is not king.colour:
             continue
         between = range(min(5, corner_x) + 1, max(5, corner_x))
-        if any((x, y) in occ for x in between):
+        if any(occ[square_at(x, y)] for x in between):
             continue
         touched = {(5, y), (corner_x, y)}
         if any(
@@ -309,11 +310,11 @@ def _castling_moves(context, history: History, king: Piece) -> list[Move]:
             for m in history
         ):
             continue
-        if _square_attacked(occ, crossed_x, y, enemy) or _square_attacked(
-            occ, dest_x, y, enemy
+        if _square_attacked(occ, square_at(crossed_x, y), enemy) or _square_attacked(
+            occ, square_at(dest_x, y), enemy
         ):
             continue
-        moves.append(Move(king, Piece(KING, Coordinate(dest_x, y), king.colour)))
+        moves.append(Move(king, piece_row(KING, king.colour)[square_at(dest_x, y)]))
     return moves
 
 
@@ -322,124 +323,96 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     promotion for pawns, castling for kings, nothing for the rest."""
     _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
-    targets = moves_with_colours(piece, context.occ)
-    return frozenset(_stateful_candidates(context, board.history, piece, targets))
-
-
-def _stateful_candidates(context, history, piece: Piece, targets) -> list[Move]:
-    if piece.type is PAWN:
-        return (
-            _double_push(context.occ, piece)
-            + _en_passant_moves(history, piece)
-            + _promotions(piece, targets)
-        )
     if piece.type is KING:
-        return _castling_moves(context, history, piece)
-    return []
+        return frozenset(_castling_moves(context, board.history, piece))
+    if piece.type is not PAWN:
+        return frozenset()
+    row = piece_row(PAWN, piece.colour)
+    pushes = _double_push(context.occ, square_index(piece.square), piece.colour)
+    return frozenset(
+        [Move(piece, row[t]) for t in pushes]
+        + _en_passant_moves(context, piece)
+        + _promotions(piece, moves_with_colours(piece, context.occ))
+    )
 
 
 # --- legality ---------------------------------------------------------------
 
 
-def _candidate_moves(context, history, piece: Piece) -> list[Move]:
-    """Simple moves lifted to Move values, plus the special moves."""
-    targets = moves_with_colours(piece, context.occ)
-    candidates = [
-        Move(piece, Piece(piece.type, target, piece.colour)) for target in targets
-    ]
-    candidates.extend(_stateful_candidates(context, history, piece, targets))
-    return candidates
-
-
-def _is_en_passant_shape(occ: Occupancy, mov: Move) -> bool:
-    return (
-        mov.from_.type is PAWN
-        and mov.from_.square.x != mov.to_.square.x
-        and (mov.to_.square.x, mov.to_.square.y) not in occ
-    )
-
-
-def _leaves_king_attacked(occ: Occupancy, mov: Move, king: Piece) -> bool:
-    """Apply an en-passant capture to a scratch copy of the occupancy and
-    probe the mover's king: the capture empties two squares of one rank,
+def _en_passant_exposes_king(occ: Occupancy, s: int, t: int, king: Piece) -> bool:
+    """Apply an en-passant capture from square s onto t to a scratch copy
+    of the occupancy and probe the mover's king: the capture empties two
+    squares of one rank (the captured pawn is on t's file and s's rank),
     which no pin line describes."""
-    fx, fy = mov.from_.square.x, mov.from_.square.y
-    tx, ty = mov.to_.square.x, mov.to_.square.y
-    scratch = dict(occ)
-    del scratch[(fx, fy)]
-    del scratch[(tx, fy)]
-    scratch[(tx, ty)] = mov.to_
+    scratch = occ.copy()
+    scratch[t] = scratch[s]
+    scratch[s] = scratch[square_at(SQUARES[t].x, SQUARES[s].y)] = None
     enemy = opposite_colour(king.colour)
-    return _square_attacked(scratch, king.square.x, king.square.y, enemy)
+    return _square_attacked(scratch, square_index(king.square), enemy)
 
 
-def _missed_promotion(mov: Move) -> bool:
-    return (
-        mov.from_.type is PAWN
-        and mov.to_.type is PAWN
-        and mov.to_.square.y == _last_rank(mov.from_.colour)
-    )
-
-
-def _king_context(occ: Occupancy, colour: Colour):
-    """The side's king, whether it is in check, its pin lines and its check
-    evasions.  A piece first on a king ray is pinned by an enemy slider next
-    on that ray; its pin line runs from the king up to and including the
-    pinner.  The evasions are the checker's square and the squares between
-    it and the king (none in double check), or None out of check."""
-    king = next((p for p in occ.values() if p.type is KING and p.colour is colour), None)
+def _king_context(occ: Occupancy, king: Optional[Piece]):
+    """Whether the king is in check, its pin lines and its check evasions,
+    as square indices.  A piece first on a king ray is pinned by an enemy
+    slider next on that ray; its pin line runs from the king up to and
+    including the pinner.  The evasions are the checker's square and the
+    squares between it and the king (none in double check), or None out of
+    check.  A missing king (synthetic positions) is never in check."""
     if king is None:
-        return None, False, {}, None
-    kx, ky = king.square.x, king.square.y
-    pins, checks = {}, []
-    for directions, sliders in _SLIDER_PROBES:
-        for dx, dy in directions:
-            x, y, shield = kx + dx, ky + dy, None
-            while 1 <= x <= 8 and 1 <= y <= 8:
-                p = occ.get((x, y))
-                if p is not None:
-                    if shield is None and p.colour is colour:
-                        shield = (x, y)
-                    else:
-                        if p.colour is not colour and p.type in sliders:
-                            line = frozenset(
-                                (kx + i * dx, ky + i * dy)
-                                for i in range(1, max(abs(x - kx), abs(y - ky)) + 1)
-                            )
-                            if shield is None:
-                                checks.append(line)
-                            else:
-                                pins[shield] = line
-                        break
-                x, y = x + dx, y + dy
+        return False, {}, None
+    colour = king.colour
     enemy = opposite_colour(colour)
-    for dx, dy, attacker in _STEP_CHECKS[enemy]:
-        p = occ.get((kx + dx, ky + dy))
-        if p is not None and p.type is attacker and p.colour is enemy:
-            checks.append(frozenset({(kx + dx, ky + dy)}))
+    k = square_index(king.square)
+    pins, checks = {}, []
+    for t in KNIGHT_TARGETS[k]:
+        p = occ[t]
+        if p is not None and p.type is KNIGHT and p.colour is enemy:
+            checks.append(frozenset((t,)))
+    for step, edge, sliders, near in _ATTACK_LINES[enemy]:
+        shield = None
+        for t in range(k + step, k + step * (edge[k] + 1), step):
+            p = occ[t]
+            if p is None:
+                continue
+            if shield is None and p.colour is colour:
+                shield = t
+                continue
+            if p.colour is enemy and p.type in (near if t == k + step else sliders):
+                line = frozenset(range(k + step, t + step, step))
+                if shield is None:
+                    checks.append(line)
+                else:
+                    pins[shield] = line
+            break
     if len(checks) > 1:
         checks = [frozenset()]  # double check: only the king may move
-    return king, bool(checks), pins, checks[0] if checks else None
+    return bool(checks), pins, checks[0] if checks else None
 
 
-_Context = namedtuple("_Context", "occ king checked pins evasions moves")
+_Context = namedtuple("_Context", "occ king checked pins evasions moves passant")
 
 
 def _context(board: Board, colour: Colour) -> _Context:
     """One side's legality context, filled on first use and kept on the
     board: the occupancy, the side's king, whether it is in check, its pin
-    lines, its check evasions and the legal moves _piece_moves keeps by
-    square.  The occupancy (square -> Piece, under key None) is the one
+    lines and check evasions (as square indices), the legal moves
+    _piece_moves keeps by square index, and the en-passant captures
+    (pawn square -> target square) the last ply allows.  The occupancy (a
+    64-slot list indexed (x - 1) + 8 * (y - 1), under key None) is the one
     square map of the position: both sides share it, and the geometry, the
-    attack probes and SAN read it.  Other modules read the fields by name;
-    only this one knows their order."""
+    attack probes, the appliers and SAN read it.  Other modules read the
+    fields by name; only this one knows their order."""
     contexts = board._contexts
     if contexts is None:
         contexts = {None: _occupancy(board.board_state)}
         object.__setattr__(board, "_contexts", contexts)
     if colour not in contexts:
         occ = contexts[None]
-        contexts[colour] = _Context(occ, *_king_context(occ, colour), {})
+        king = _king_of(board.board_state, colour)
+        contexts[colour] = _Context(
+            occ, king, *_king_context(occ, king), {},
+            _en_passant_targets(board.history, colour),
+        )
     return contexts[colour]
 
 
@@ -447,10 +420,10 @@ def _piece_moves(board: Board, context, piece: Piece) -> list[Move]:
     """The legal moves of a piece on the board, worked out once and kept on
     the board's context by square.  The list is shared: never mutate it."""
     by_square = context.moves
-    square = (piece.square.x, piece.square.y)
-    moves = by_square.get(square)
+    s = piece.square.x + 8 * piece.square.y - 9
+    moves = by_square.get(s)
     if moves is None:
-        moves = by_square[square] = _legal_for_piece(context, board.history, piece)
+        moves = by_square[s] = _legal_for_piece(context, board.history, piece)
     return moves
 
 
@@ -460,8 +433,10 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     keeps the pawn a pawn (promotion is mandatory)."""
     _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
-    legal = _piece_moves(board, context, piece)
-    return frozenset(_candidate_moves(context, board.history, piece)) - frozenset(legal)
+    row = piece_row(piece.type, piece.colour)
+    simple = {Move(piece, row[t]) for t in moves_with_colours(piece, context.occ)}
+    candidates = simple | stateful_possible_moves(board, piece)
+    return candidates - frozenset(_piece_moves(board, context, piece))
 
 
 def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
@@ -472,40 +447,43 @@ def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
 
 
 def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
-    """The piece's candidates minus the impossible ones.  A king step must
-    land where the enemy does not attack with the king lifted off (castling
-    was tested when generated); other moves must stay on the pin line and
-    land on an evasion square.  Only en passant, which also removes the
-    captured pawn, is tried on a scratch copy.  A missing king (synthetic
+    """The piece's legal moves, filtered as square indices and lifted to
+    Move values only at the end.  A king step must land where the enemy
+    does not attack with the king lifted off (castling is tested when
+    generated); other moves must stay on the pin line and land on an
+    evasion square.  Only en passant, which also removes the captured
+    pawn, is tried on a scratch copy.  A missing king (synthetic
     positions) is never attacked."""
-    occ, king, _, pins, evasions, _ = context
-    moves = _candidate_moves(context, history, piece)
-    if piece.type is PAWN:
-        moves = [m for m in moves if not _missed_promotion(m)]
-    if king is None:
-        return moves
-    if piece.type is KING:
-        lifted = dict(occ)
-        del lifted[(king.square.x, king.square.y)]
-        enemy = opposite_colour(king.colour)
-        return [
-            m for m in moves
-            if abs(m.to_.square.x - king.square.x) == 2
-            or not _square_attacked(lifted, m.to_.square.x, m.to_.square.y, enemy)
-        ]
-    allowed = pins.get((piece.square.x, piece.square.y))
-    if evasions is not None:
-        allowed = evasions if allowed is None else allowed & evasions
-    if allowed is None and not (piece.type is PAWN and _en_passant_moves(history, piece)):
-        return moves
-    return [
-        m for m in moves
-        if (
-            not _leaves_king_attacked(occ, m, king)
-            if _is_en_passant_shape(occ, m)
-            else allowed is None or (m.to_.square.x, m.to_.square.y) in allowed
-        )
-    ]
+    occ, king, _, pins, evasions, _, passant = context
+    kind, colour = piece.type, piece.colour
+    s = piece.square.x + 8 * piece.square.y - 9
+    targets = moves_with_colours(piece, occ)
+    if kind is PAWN:
+        targets += _double_push(occ, s, colour)
+    if king is not None:
+        if kind is KING:
+            lifted = occ.copy()
+            lifted[s] = None
+            enemy = opposite_colour(colour)
+            targets = [t for t in targets if not _square_attacked(lifted, t, enemy)]
+        else:
+            allowed = pins.get(s)
+            if evasions is not None:
+                allowed = evasions if allowed is None else allowed & evasions
+            if allowed is not None:
+                targets = [t for t in targets if t in allowed]
+    row = piece_row(kind, colour)
+    if kind is PAWN and abs(piece.square.y - _last_rank(colour)) == 1:
+        moves = _promotions(piece, targets)  # every target is on the last rank
+    else:
+        moves = [Move(piece, row[t]) for t in targets]
+    if kind is KING:
+        moves += _castling_moves(context, history, piece)
+    elif kind is PAWN and s in passant:
+        t = passant[s]
+        if king is None or not _en_passant_exposes_king(occ, s, t, king):
+            moves.append(Move(piece, row[t]))
+    return moves
 
 
 def _legal_list(board: Board, colour: Colour) -> list[Move]:
@@ -551,7 +529,11 @@ def iss_castling(board: Board, mov: Move) -> bool:
 def iss_en_passant(board: Board, mov: Move) -> bool:
     """Whether a (legal) move is an en-passant capture: a pawn stepping
     diagonally onto an empty square."""
-    return _is_en_passant_shape(_context(board, mov.from_.colour).occ, mov)
+    return (
+        mov.from_.type is PAWN
+        and mov.from_.square.x != mov.to_.square.x
+        and _context(board, mov.from_.colour).occ[square_index(mov.to_.square)] is None
+    )
 
 
 def move(board: Board, mov: Move) -> Board:
@@ -579,7 +561,7 @@ def move_other(board: Board, mov: Move) -> Board:
     """An ordinary move: drop whatever sat on the target square and the
     moving piece, then add the arriving piece.  Promotion needs no special
     handling because the arriving piece already carries its new type."""
-    dead = _context(board, mov.from_.colour).occ.get((mov.to_.square.x, mov.to_.square.y))
+    dead = _context(board, mov.from_.colour).occ[square_index(mov.to_.square)]
     return _successor(board, (board.board_state - {dead, mov.from_}) | {mov.to_}, mov)
 
 
@@ -588,11 +570,11 @@ def move_castling(board: Board, mov: Move) -> Board:
     square the king crossed."""
     y = mov.from_.square.y
     corner_x = 8 if mov.to_.square.x > mov.from_.square.x else 1
-    rook = _context(board, mov.from_.colour).occ.get((corner_x, y))
+    rook = _context(board, mov.from_.colour).occ[square_at(corner_x, y)]
     if rook is None or rook.type is not ROOK:
         raise IllegalMoveError(f"no rook to castle with on file {corner_x}")
-    crossed = Coordinate((mov.from_.square.x + mov.to_.square.x) // 2, y)
-    new_rook = Piece(ROOK, crossed, rook.colour)
+    crossed_x = (mov.from_.square.x + mov.to_.square.x) // 2
+    new_rook = piece_row(ROOK, rook.colour)[square_at(crossed_x, y)]
     new_state = (board.board_state - {mov.from_, rook}) | {mov.to_, new_rook}
     return _successor(board, new_state, mov)
 
@@ -600,10 +582,10 @@ def move_castling(board: Board, mov: Move) -> Board:
 def move_en_passant(board: Board, mov: Move) -> Board:
     """En passant: the pawn moves diagonally while the captured enemy pawn
     disappears from the square beside it."""
-    bypassed = Coordinate(mov.to_.square.x, mov.from_.square.y)
-    captured = _context(board, mov.from_.colour).occ.get((bypassed.x, bypassed.y))
+    bypassed = square_at(mov.to_.square.x, mov.from_.square.y)
+    captured = _context(board, mov.from_.colour).occ[bypassed]
     if captured is None:
-        raise IllegalMoveError(f"no pawn to capture en passant on {bypassed}")
+        raise IllegalMoveError(f"no pawn to capture en passant on {SQUARES[bypassed]}")
     return _successor(board, (board.board_state - {mov.from_, captured}) | {mov.to_}, mov)
 
 
@@ -662,7 +644,7 @@ def board_to_ascii(state: BoardState) -> str:
     for y in range(8, 0, -1):
         cells = []
         for x in range(1, 9):
-            p = occ.get((x, y))
+            p = occ[square_at(x, y)]
             if p is None:
                 cells.append(".")
             else:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 from .board import Board, IllegalMoveError, Move, _context, _piece_moves
 from .game import REMIS, Game, Winner, game_move, new_game
-from .pieces import Colour, Coordinate, PieceType
+from .pieces import Colour, Coordinate, PieceType, square_index
 
 FILE_TO_X = {c: i for i, c in enumerate("abcdefgh", start=1)}
 RANK_TO_Y = {c: i for i, c in enumerate("12345678", start=1)}
@@ -138,8 +138,8 @@ class SanError(ValueError):
 
 
 _RESULT_BY_MARKER = {r.value: r for r in GameResult}
-_MOVE_NUMBER_RE = re.compile(r"\d+\Z")
-_NAG_RE = re.compile(r"\$\d+\Z")
+_MOVE_NUMBER_RE = re.compile(r"[0-9]+\Z")
+_NAG_RE = re.compile(r"\$[0-9]+\Z")
 _TAG_RE = re.compile(r"\[\s*([A-Za-z0-9_]+)\s+\"((?:[^\"\\\n]|\\.)*)\"\s*\]")
 _CASTLE_RE = re.compile(r"(O-O(?:-O)?)([+#])?\Z")
 _SAN_RE = re.compile(
@@ -326,7 +326,7 @@ RESULT_BY_WINNER = {
 def _is_capture(board: Board, mov: Move) -> bool:
     if mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x:
         return True
-    return (mov.to_.square.x, mov.to_.square.y) in _context(board, mov.from_.colour).occ
+    return _context(board, mov.from_.colour).occ[square_index(mov.to_.square)] is not None
 
 
 def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:

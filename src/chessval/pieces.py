@@ -2,11 +2,16 @@
 
 Everything here is purely geometric: given a piece and the squares other
 pieces occupy (the obstacles), compute the squares it could step to.  The
-movement loops read one square -> holder map, where a holder is anything
-with a colour (a Piece or an Obstacle); the board module passes the
-occupancy both sides of a position share.  Moves that need game history
-(castling, en passant, the double push, promotion) live in the board
-module.
+movement loops work on square indices, (x - 1) + 8 * (y - 1) (square_at
+and square_index; SQUARES maps them back), over a 64-slot occupancy
+whose slots hold anything with a colour (a Piece or an Obstacle).  They
+read two precomputed tables: each square's knight targets, and per
+direction each square's distance to the edge (the rays, which also give
+the king's steps and the pawn's captures).  The board module passes the
+occupancy both sides of a position share and lifts the indices back to
+values only for the moves it returns.
+Moves that need game history (castling, en passant, the double push,
+promotion) live in the board module.
 """
 
 from __future__ import annotations
@@ -51,15 +56,30 @@ class Coordinate:
             raise ValueError(f"coordinate off the board: ({self.x}, {self.y})")
 
 
-# All 64 squares interned up front so the movement loops never rebuild them.
-_SQUARES: dict[tuple[int, int], Coordinate] = {
-    (x, y): Coordinate(x, y) for x in range(1, 9) for y in range(1, 9)
-}
+# All 64 squares interned up front, indexed (x - 1) + 8 * (y - 1).
+SQUARES: tuple[Coordinate, ...] = tuple(
+    Coordinate(i % 8 + 1, i // 8 + 1) for i in range(64)
+)
+
+
+def square_at(x: int, y: int) -> int:
+    """The slot of square (x, y) in a 64-slot occupancy: (x - 1) + 8 * (y - 1)."""
+    return x + 8 * y - 9
+
+
+def square_index(square: Coordinate) -> int:
+    """The slot of a square in a 64-slot occupancy."""
+    return square_at(square.x, square.y)
+
+
+_ON_BOARD = range(1, 9)
 
 
 def coordinate_factory(x: int, y: int) -> Optional[Coordinate]:
-    """The square (x, y), or None when either value falls outside 1-8."""
-    return _SQUARES.get((x, y))
+    """The square (x, y), or None unless both are whole numbers in 1-8."""
+    if x in _ON_BOARD and y in _ON_BOARD:
+        return SQUARES[square_at(int(x), int(y))]
+    return None
 
 
 @dataclass(frozen=True)
@@ -67,6 +87,20 @@ class Piece:
     type: PieceType
     square: Coordinate
     colour: Colour
+
+
+_ROWS: dict[PieceType, dict[Colour, tuple[Piece, ...]]] = {}
+
+
+def piece_row(kind: PieceType, colour: Colour) -> tuple[Piece, ...]:
+    """The Pieces of one type and colour on every square, indexed like
+    SQUARES; built for both colours on first use and kept."""
+    rows = _ROWS.get(kind)
+    if rows is None:
+        rows = _ROWS[kind] = {
+            c: tuple(Piece(kind, s, c) for s in SQUARES) for c in Colour
+        }
+    return rows[colour]
 
 
 @dataclass(frozen=True)
@@ -95,11 +129,53 @@ def pieces_to_obstacles(pieces: Iterable[Piece]) -> ObstacleSet:
     return frozenset(Obstacle(p.square, p.colour) for p in pieces)
 
 
-Holders = dict[tuple[int, int], Piece | Obstacle]
+# A 64-slot occupancy indexed like SQUARES; a slot holds None or anything
+# with a colour (a Piece or an Obstacle).
+Occupancy = list
 
 
-def _holders(obstacles: Iterable[Obstacle]) -> Holders:
-    return {(o.square.x, o.square.y): o for o in obstacles}
+def _occupancy(holders: Iterable[Piece | Obstacle]) -> Occupancy:
+    occ = [None] * 64
+    for h in holders:
+        occ[h.square.x + 8 * h.square.y - 9] = h
+    return occ
+
+
+# Per square, the squares a knight jumps to.
+KNIGHT_TARGETS: tuple[bytes, ...] = tuple(
+    bytes([
+        x + dx + 8 * (y + dy)
+        for dx, dy in KNIGHT_OFFSETS
+        if 0 <= x + dx < 8 and 0 <= y + dy < 8
+    ])
+    for y in range(8)
+    for x in range(8)
+)
+
+# One (index step, steps to the edge per square) pair per direction of
+# ALL_DIRECTIONS, orthogonal first: the ray from s runs over
+# range(s + step, s + step * (edge[s] + 1), step), and s + step is on the
+# board when edge[s] is not 0.
+RAYS: tuple[tuple[int, bytes], ...] = tuple(
+    (
+        dx + 8 * dy,
+        bytes([
+            min(7 - x if dx > 0 else x if dx else 7,
+                7 - y if dy > 0 else y if dy else 7)
+            for y in range(8)
+            for x in range(8)
+        ]),
+    )
+    for dx, dy in ALL_DIRECTIONS
+)
+_SLIDER_RAYS = {
+    PieceType.ROOK: RAYS[:4], PieceType.BISHOP: RAYS[4:], PieceType.QUEEN: RAYS
+}
+# Per colour, the two diagonal rays a pawn captures along.
+PAWN_CAPTURE_RAYS = {
+    colour: tuple(ray for (dx, dy), ray in zip(ALL_DIRECTIONS, RAYS) if dx and dy == forward)
+    for colour, forward in ((Colour.WHITE, 1), (Colour.BLACK, -1))
+}
 
 
 def possible_move_direction(
@@ -110,15 +186,10 @@ def possible_move_direction(
     None when the step leaves the board or lands on a friendly piece; an
     enemy-held square is returned, since stepping there is a capture.
     """
-    return _step(p, _holders(obstacles), direction)
-
-
-def _step(p: Piece, holders: Holders, direction: Direction) -> Optional[Coordinate]:
-    target = _SQUARES.get((p.square.x + direction[0], p.square.y + direction[1]))
-    if target is None:
+    target = coordinate_factory(p.square.x + direction[0], p.square.y + direction[1])
+    if any(o.square == target and o.colour is p.colour for o in obstacles):
         return None
-    holder = holders.get((target.x, target.y))
-    return None if holder is not None and holder.colour is p.colour else target
+    return target
 
 
 def possible_moves_direction(
@@ -132,26 +203,20 @@ def possible_moves_direction(
     """
     if direction == (0, 0):
         raise ValueError("ray direction must be non-zero")
-    return frozenset(_ray(p, _holders(obstacles), direction))
-
-
-def _ray(p: Piece, holders: Holders, direction: Direction) -> list[Coordinate]:
+    holders = {o.square: o.colour for o in obstacles}
     out = []
     x, y = p.square.x, p.square.y
-    dx, dy = direction
     for _ in range(7):
-        x += dx
-        y += dy
-        square = _SQUARES.get((x, y))
+        x, y = x + direction[0], y + direction[1]
+        square = coordinate_factory(x, y)
         if square is None:
             break
-        holder = holders.get((x, y))
-        if holder is not None:
-            if holder.colour is not p.colour:
+        if square in holders:
+            if holders[square] is not p.colour:
                 out.append(square)
             break
         out.append(square)
-    return out
+    return frozenset(out)
 
 
 def type_based_moves(p: Piece, obstacles: ObstacleSet) -> frozenset[Coordinate]:
@@ -161,56 +226,41 @@ def type_based_moves(p: Piece, obstacles: ObstacleSet) -> frozenset[Coordinate]:
     steps forward onto an empty square but captures diagonally.  Special
     moves are not produced here.
     """
-    return frozenset(moves_with_colours(p, _holders(obstacles)))
+    return frozenset(SQUARES[s] for s in moves_with_colours(p, _occupancy(obstacles)))
 
 
-def moves_with_colours(p: Piece, holders: Holders) -> list[Coordinate]:
-    """type_based_moves against a prebuilt square -> holder map.
+def moves_with_colours(p: Piece, occ: Occupancy) -> list[int]:
+    """type_based_moves as square indices, against a 64-slot occupancy.
 
-    The board module passes a position's occupancy (square -> Piece),
-    built once and shared by both sides and every piece, instead of
-    projecting an ObstacleSet per piece; a holder's colour tells a capture
-    from a blocked square.
+    The board module passes a position's occupancy (slot -> Piece), built
+    once and shared by both sides and every piece, instead of projecting
+    an ObstacleSet per piece; a holder's colour tells a capture from a
+    blocked square.
     """
-    if p.type is PieceType.PAWN:
-        return _pawn_moves(p, holders)
-    if p.type is PieceType.KNIGHT:
-        return _offset_moves(p, holders, KNIGHT_OFFSETS)
-    if p.type is PieceType.KING:
-        return _offset_moves(p, holders, ALL_DIRECTIONS)
-    if p.type is PieceType.ROOK:
-        directions = ORTHOGONAL_DIRECTIONS
-    elif p.type is PieceType.BISHOP:
-        directions = DIAGONAL_DIRECTIONS
-    else:  # queen
-        directions = ALL_DIRECTIONS
-    moves: list[Coordinate] = []
-    for direction in directions:
-        moves.extend(_ray(p, holders, direction))
-    return moves
-
-
-def _offset_moves(
-    p: Piece, holders: Holders, offsets: tuple[Direction, ...]
-) -> list[Coordinate]:
+    s = p.square.x + 8 * p.square.y - 9
+    colour = p.colour
+    kind = p.type
+    if kind is PieceType.PAWN:
+        forward = s + 8 if colour is Colour.WHITE else s - 8
+        moves = [forward] if 0 <= forward < 64 and occ[forward] is None else []
+        for step, edge in PAWN_CAPTURE_RAYS[colour]:
+            if edge[s] and occ[s + step] is not None and occ[s + step].colour is not colour:
+                moves.append(s + step)
+        return moves
+    if kind is PieceType.KNIGHT:
+        return [t for t in KNIGHT_TARGETS[s] if occ[t] is None or occ[t].colour is not colour]
     moves = []
-    for direction in offsets:
-        target = _step(p, holders, direction)
-        if target is not None:
-            moves.append(target)
-    return moves
-
-
-def _pawn_moves(p: Piece, holders: Holders) -> list[Coordinate]:
-    dy = 1 if p.colour is Colour.WHITE else -1
-    moves = []
-    forward = _SQUARES.get((p.square.x, p.square.y + dy))
-    if forward is not None and (forward.x, forward.y) not in holders:
-        moves.append(forward)
-    for dx in (-1, 1):
-        diagonal = _SQUARES.get((p.square.x + dx, p.square.y + dy))
-        if diagonal is not None:
-            holder = holders.get((diagonal.x, diagonal.y))
-            if holder is not None and holder.colour is not p.colour:
-                moves.append(diagonal)
+    if kind is PieceType.KING:
+        for step, edge in RAYS:
+            if edge[s] and (occ[s + step] is None or occ[s + step].colour is not colour):
+                moves.append(s + step)
+        return moves
+    for step, edge in _SLIDER_RAYS[kind]:
+        for t in range(s + step, s + step * (edge[s] + 1), step):
+            holder = occ[t]
+            if holder is not None:
+                if holder.colour is not colour:
+                    moves.append(t)
+                break
+            moves.append(t)
     return moves

@@ -31,6 +31,17 @@ def test_validate_reads_unspaced_move_numbers_and_escape_lines(tmp_path, capsys)
     assert "game 1: ok - untagged, 4 plies, engine result 0-1" in out
 
 
+def test_validate_rejects_non_ascii_move_numbers_in_one_line(tmp_path, capsys):
+    path = tmp_path / "arabic.pgn"
+    path.write_text("\u0661. e4 \u0662. *\n", encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "unrecognized token at line 1, column 1" in captured.err
+
+
 def test_validate_reports_an_illegal_san_with_its_ply(tmp_path, capsys):
     path = tmp_path / "bad.pgn"
     path.write_text("1. Ke3 *\n")

@@ -4,9 +4,10 @@ The counts are the published values from
 https://www.chessprogramming.org/Perft_Results; these positions exercise
 castling through attacked squares, promotions and en-passant pins, which
 the initial position barely reaches.  The deeper published values are
-left out to keep the run short.  The check evasions, pin lines and
-per-square legal lists of the context, and the attack probe behind them,
-are compared with the oracle.
+left out to keep the run short; tools/deep_perft.py checks them.  The
+check evasions, pin lines and per-square legal lists of the context, the
+attack probe behind them and the table-driven piece targets are compared
+with the oracle.
 """
 
 import pickle
@@ -20,6 +21,7 @@ from chessval.board import (
     _context,
     _divide,
     _legal_list,
+    _occupancy,
     _square_attacked,
     attacked_squares,
     has_legal_move,
@@ -32,16 +34,27 @@ from chessval.board import (
 from chessval.fen import parse_fen
 from chessval.game import Game, game_move, new_game
 from chessval.pgn import _candidates
-from chessval.pieces import Colour, Coordinate, opposite_colour
+from chessval.pieces import (
+    SQUARES,
+    Colour,
+    Coordinate,
+    PieceType,
+    moves_with_colours,
+    opposite_colour,
+    pieces_to_obstacles,
+    square_at,
+    type_based_moves,
+)
 
 from drivers import canonical_order
-from oracles import move_key, oracle_attacked, oracle_legal_moves, random_sparse_board
-
-KIWIPETE = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
-POSITION_3 = "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1"
-POSITION_4 = "r3k2r/Pppp1ppp/1b3nbN/nP6/BBP1P3/q4N2/Pp1P2PP/R2Q1RK1 w kq - 0 1"
-POSITION_4_MIRROR = "r2q1rk1/pP1p2pp/Q4n2/bbp1p3/Np6/1B3NBn/pPPP1PPP/R3K2R b KQ - 0 1"
-POSITION_5 = "rnbq1k1r/pp1Pbppp/2p5/8/2B5/8/PPP1NnPP/RNBQK2R w KQ - 1 8"
+from oracles import (
+    _pseudo_legal,
+    move_key,
+    oracle_attacked,
+    oracle_legal_moves,
+    random_sparse_board,
+)
+from positions import KIWIPETE, POSITION_3, POSITION_4, POSITION_4_MIRROR, POSITION_5
 
 PUBLISHED = [
     (KIWIPETE, [48, 2039, 97862]),
@@ -135,15 +148,46 @@ def test_the_attack_probe_agrees_with_attacked_squares_and_the_oracle():
     for _ in range(1000):
         board, _ = random_sparse_board(rng, max_extra=10)
         grid = {(p.square.x, p.square.y): p for p in board.board_state}
+        occ = _occupancy(board.board_state)
         for by in Colour:
             listed = attacked_squares(board.board_state, by)
             for x in range(1, 9):
                 for y in range(1, 9):
                     if (x, y) in grid and grid[x, y].colour is by:
                         continue
-                    probe = _square_attacked(grid, x, y, by)
+                    probe = _square_attacked(occ, square_at(x, y), by)
                     expected = oracle_attacked(grid, x, y, by)
                     assert probe == (Coordinate(x, y) in listed) == expected, (x, y, by)
+
+
+def _oracle_targets(grid, piece):
+    """The oracle's basic-pattern squares for a piece: its pseudo-legal
+    targets on an empty history, less the double push and castling."""
+    fx, fy = piece.square.x, piece.square.y
+    return {
+        Coordinate(tx, ty)
+        for tx in range(1, 9)
+        for ty in range(1, 9)
+        if (tx, ty) != (fx, fy)
+        and _pseudo_legal(grid, (), piece, fx, fy, tx, ty)
+        and not (piece.type is PieceType.PAWN and abs(ty - fy) == 2)
+        and not (piece.type is PieceType.KING and abs(tx - fx) == 2)
+    }
+
+
+def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
+    rng = random.Random(8)
+    for _ in range(300):
+        board, _ = random_sparse_board(rng, max_extra=12)
+        occ = _occupancy(board.board_state)
+        obstacles = pieces_to_obstacles(board.board_state)
+        grid = {(p.square.x, p.square.y): p for p in board.board_state}
+        for piece in board.board_state:
+            targets = moves_with_colours(piece, occ)
+            assert len(targets) == len(set(targets))
+            lifted = {SQUARES[s] for s in targets}
+            assert lifted == type_based_moves(piece, obstacles)
+            assert lifted == _oracle_targets(grid, piece), piece
 
 
 def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):

@@ -168,6 +168,24 @@ def test_escape_lines_are_skipped():
     assert (exc.value.line, exc.value.column) == (1, 7)
 
 
+@pytest.mark.parametrize(
+    "text, column, lexeme",
+    [
+        ("\u0661. e4 \u0662. *", 1, "\u0661"),  # Arabic-Indic move numbers
+        ("1. e4 \u0662. e5 *", 7, "\u0662"),
+        ("1. e4 $\u0661\u0662 *", 7, "$\u0661\u0662"),  # a NAG in Arabic-Indic digits
+        ("1. e4 $\u00b2 *", 7, "$\u00b2"),  # superscript two
+    ],
+)
+def test_move_numbers_and_nags_are_ascii_digits(text, column, lexeme):
+    with pytest.raises(PgnParseError, match="unrecognized token") as exc:
+        parse_pgn(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert repr(lexeme) in str(exc.value)
+    (game,) = parse_pgn("1. e4 $12 e5 *")
+    assert len(game.tokens) == 2
+
+
 def test_multiple_games_in_one_text():
     text = '[Result "1-0"]\n\n1. e4 1-0\n\n[Result "0-1"]\n\n1. d4 0-1\n'
     games = parse_pgn(text)

@@ -5,6 +5,11 @@ from hypothesis import given, strategies as st
 
 from chessval.pieces import (
     ALL_DIRECTIONS,
+    KNIGHT_OFFSETS,
+    KNIGHT_TARGETS,
+    PAWN_CAPTURE_RAYS,
+    RAYS,
+    SQUARES,
     Colour,
     Coordinate,
     Obstacle,
@@ -15,6 +20,8 @@ from chessval.pieces import (
     pieces_to_obstacles,
     possible_move_direction,
     possible_moves_direction,
+    square_at,
+    square_index,
     type_based_moves,
 )
 
@@ -62,7 +69,14 @@ def test_coordinate_factory_in_range():
     assert coordinate_factory(8, 8) == C(8, 8)
 
 
-@pytest.mark.parametrize("x, y", [(0, 5), (8, 9), (-3, 4), (9, 1), (4, 0)])
+def test_coordinate_factory_takes_whole_valued_numbers():
+    assert coordinate_factory(2.0, 1) is coordinate_factory(2, 1)
+    assert coordinate_factory(True, 8.0) is coordinate_factory(1, 8)
+
+
+@pytest.mark.parametrize(
+    "x, y", [(0, 5), (8, 9), (-3, 4), (9, 1), (4, 0), (2.5, 1), ("a", 1), (1, None)]
+)
 def test_coordinate_factory_out_of_range_is_none(x, y):
     assert coordinate_factory(x, y) is None
 
@@ -259,3 +273,28 @@ def test_movement_is_symmetric_under_board_mirroring(p, os):
     )
     expected = {_mirror_coord(c) for c in type_based_moves(p, os)}
     assert type_based_moves(mirrored_piece, mirrored_os) == expected
+
+
+def _walk(square, dx, dy, limit):
+    """Square indices from `square` stepping (dx, dy), by coordinates."""
+    out = []
+    x, y = square.x + dx, square.y + dy
+    while len(out) < limit and 1 <= x <= 8 and 1 <= y <= 8:
+        out.append(x + 8 * y - 9)
+        x, y = x + dx, y + dy
+    return out
+
+
+def test_the_step_and_ray_tables_match_a_coordinate_walk():
+    assert len(SQUARES) == 64
+    for s, square in enumerate(SQUARES):
+        assert square_index(square) == square_at(square.x, square.y) == s
+        assert coordinate_factory(square.x, square.y) is square
+        for (step, edge), (dx, dy) in zip(RAYS, ALL_DIRECTIONS, strict=True):
+            ray = range(s + step, s + step * (edge[s] + 1), step)
+            assert list(ray) == _walk(square, dx, dy, 7)
+        jumps = [t for dx, dy in KNIGHT_OFFSETS for t in _walk(square, dx, dy, 1)]
+        assert sorted(KNIGHT_TARGETS[s]) == sorted(jumps)
+    for colour, dy in ((W, 1), (B, -1)):
+        steps = sorted(step for step, _ in PAWN_CAPTURE_RAYS[colour])
+        assert steps == sorted(dx + 8 * dy for dx in (-1, 1))
