@@ -8,7 +8,7 @@ accepted and ignored.
 
 from __future__ import annotations
 
-from .board import Board, Move, in_check
+from .board import _PIECE_LETTERS, Board, Move, in_check
 from .game import Game
 from .pgn import FILE_TO_X, RANK_TO_Y
 from .pieces import Colour, Coordinate, Piece, PieceType, opposite_colour
@@ -18,14 +18,7 @@ class FenError(ValueError):
     """Input that is not a readable FEN position."""
 
 
-_LETTER_TO_TYPE = {
-    "p": PieceType.PAWN,
-    "n": PieceType.KNIGHT,
-    "b": PieceType.BISHOP,
-    "r": PieceType.ROOK,
-    "q": PieceType.QUEEN,
-    "k": PieceType.KING,
-}
+_LETTER_TO_TYPE = {letter: t for t, letter in _PIECE_LETTERS.items()}
 
 # castling-rights letter -> (colour, rook corner file)
 _RIGHTS = {

@@ -6,12 +6,16 @@ annotation glyphs and result markers; of the import format, unspaced
 move numbers (1.e4) and % escape lines.  Recursive variations and set-up
 positions (FEN tags) are rejected rather than skipped so corpus errors
 cannot pass silently.
+
+The lexer is two patterns: one skips trivia (whitespace, comments and
+escape lines), the other reads a word.  A line and column are computed
+only when an error is raised.  Moves are written by spelling their
+minimal SanToken with san_text, the one SAN speller.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -79,23 +83,23 @@ class SanToken:
 
 def san_text(token: SanToken) -> str:
     """The canonical SAN spelling of a token."""
+    mark = token.check_mark.value
     if token.kind is SanKind.KINGSIDE_CASTLE:
-        return "O-O" + token.check_mark.value
+        return "O-O" + mark
     if token.kind is SanKind.QUEENSIDE_CASTLE:
-        return "O-O-O" + token.check_mark.value
-    parts = [PIECE_LETTERS[token.piece_type]]
-    if token.origin_file is not None:
-        parts.append(X_TO_FILE[token.origin_file])
-    if token.origin_rank is not None:
-        parts.append(str(token.origin_rank))
-    if token.is_capture:
-        parts.append("x")
-    assert token.target is not None
-    parts.append(X_TO_FILE[token.target.x] + str(token.target.y))
-    if token.promotion is not None:
-        parts.append("=" + PIECE_LETTERS[token.promotion])
-    parts.append(token.check_mark.value)
-    return "".join(parts)
+        return "O-O-O" + mark
+    target = token.target
+    assert target is not None
+    return (
+        PIECE_LETTERS[token.piece_type]
+        + ("" if token.origin_file is None else X_TO_FILE[token.origin_file])
+        + ("" if token.origin_rank is None else str(token.origin_rank))
+        + ("x" if token.is_capture else "")
+        + X_TO_FILE[target.x]
+        + str(target.y)
+        + ("" if token.promotion is None else "=" + PIECE_LETTERS[token.promotion])
+        + mark
+    )
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,9 @@ class PgnGame:
 
     def __post_init__(self) -> None:
         for name, value in self.tags:
+            # Exactly what _TAG_RE reads back, so written tags re-parse.
+            if not _TAG_NAME_RE.fullmatch(name) or "\n" in value:
+                raise ValueError(f"tag {name!r} cannot be written as a tag pair")
             if name == "Result" and value != self.result.value:
                 raise ValueError(
                     f"Result tag {value!r} contradicts game result "
@@ -138,67 +145,27 @@ class SanError(ValueError):
 
 
 _RESULT_BY_MARKER = {r.value: r for r in GameResult}
-_MOVE_NUMBER_RE = re.compile(r"[0-9]+\Z")
-_NAG_RE = re.compile(r"\$[0-9]+\Z")
-_TAG_RE = re.compile(r"\[\s*([A-Za-z0-9_]+)\s+\"((?:[^\"\\\n]|\\.)*)\"\s*\]")
+# Move numbers and numeric annotation glyphs, both dropped.
+_NUMBER_OR_NAG_RE = re.compile(r"\$?[0-9]+")
+_TAG_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_TAG_RE = re.compile(
+    rf"\[\s*({_TAG_NAME_RE.pattern})\s+\"((?:[^\"\\\n]|\\.)*)\"\s*\]"
+)
 _CASTLE_RE = re.compile(r"(O-O(?:-O)?)([+#])?\Z")
 _SAN_RE = re.compile(
     r"([KQRBN])?([a-h])?([1-8])?(x)?([a-h][1-8])(?:=([QRBN]))?([+#])?\Z"
 )
-_TOKEN_BREAKS = set(" \t\r\n\v\f{};()[.")
+# Whitespace (\s is str.isspace), closed brace comments, semicolon comments
+# and % escape lines (a % in a line's first column); an unclosed { stops it.
+_TRIVIA_RE = re.compile(r"(?:\s+|\{[^}]*\}|;[^\n]*\n?|(?<![^\n])%[^\n]*\n?)*")
+# A movetext word runs up to the next ASCII break character.
+_WORD_RE = re.compile(r"[^ \t\r\n\v\f{};()\[.]*")
 
 
-class _Scanner:
-    """Cursor over PGN text that can report line/column positions."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
-
-    def location(self, pos: Optional[int] = None) -> tuple[int, int]:
-        pos = self.pos if pos is None else pos
-        line = bisect_right(self._line_starts, pos)
-        return line, pos - self._line_starts[line - 1] + 1
-
-    def error(self, message: str, pos: Optional[int] = None, lexeme: str = "") -> PgnParseError:
-        line, column = self.location(pos)
-        return PgnParseError(message, line, column, lexeme)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_trivia(self) -> None:
-        """Advance past whitespace, brace comments, line comments and escape
-        lines (a % in a line's first column)."""
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif ch == "{":
-                end = text.find("}", self.pos + 1)
-                if end < 0:
-                    raise self.error("unterminated comment", lexeme="{")
-                self.pos = end + 1
-            elif ch == ";" or (ch == "%" and text[self.pos - 1 : self.pos] in ("", "\n")):
-                end = text.find("\n", self.pos + 1)
-                self.pos = len(text) if end < 0 else end + 1
-            else:
-                return
-
-    def next_word(self) -> str:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and text[self.pos] not in _TOKEN_BREAKS:
-            self.pos += 1
-        return text[start:self.pos]
+def _error(text: str, pos: int, message: str, lexeme: str = "") -> PgnParseError:
+    """A parse error located at text[pos], by 1-based line and column."""
+    line = text.count("\n", 0, pos) + 1
+    return PgnParseError(message, line, pos - text.rfind("\n", 0, pos), lexeme)
 
 
 def _unescape(value: str) -> str:
@@ -209,22 +176,19 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _parse_tag_pair(scanner: _Scanner) -> tuple[str, str]:
-    match = _TAG_RE.match(scanner.text, scanner.pos)
+def _parse_tag_pair(text: str, pos: int) -> tuple[str, str, int]:
+    """The tag pair at text[pos]: its name, its value and where it ends."""
+    match = _TAG_RE.match(text, pos)
     if match is None:
-        line_end = scanner.text.find("\n", scanner.pos)
-        if line_end < 0:
-            line_end = len(scanner.text)
-        snippet = scanner.text[scanner.pos:line_end][:40]
-        raise scanner.error("malformed tag pair", lexeme=snippet)
+        snippet = text[pos : pos + 40].partition("\n")[0]
+        raise _error(text, pos, "malformed tag pair", snippet)
     name, value = match.group(1), _unescape(match.group(2))
     if name == "FEN" or (name == "SetUp" and value != "0"):
-        raise scanner.error("unsupported set-up tag", lexeme=name)
-    scanner.pos = match.end()
-    return name, value
+        raise _error(text, pos, "unsupported set-up tag", name)
+    return name, value, match.end()
 
 
-def _parse_san_word(word: str, scanner: _Scanner, start: int) -> SanToken:
+def _parse_san_word(word: str, text: str, start: int) -> SanToken:
     plain = word.rstrip("!?")
     castle = _CASTLE_RE.match(plain)
     if castle is not None:
@@ -237,10 +201,10 @@ def _parse_san_word(word: str, scanner: _Scanner, start: int) -> SanToken:
         return SanToken(kind=kind, piece_type=PieceType.KING, check_mark=mark)
     match = _SAN_RE.match(plain)
     if match is None:
-        raise scanner.error("unrecognized token", pos=start, lexeme=word)
+        raise _error(text, start, "unrecognized token", word)
     letter, file_hint, rank_hint, capture, target, promotion, mark = match.groups()
     if promotion is not None and letter is not None:
-        raise scanner.error("only pawn moves can promote", pos=start, lexeme=word)
+        raise _error(text, start, "only pawn moves can promote", word)
     return SanToken(
         kind=SanKind.NORMAL,
         piece_type=_LETTER_TO_PIECE[letter] if letter else PieceType.PAWN,
@@ -253,6 +217,15 @@ def _parse_san_word(word: str, scanner: _Scanner, start: int) -> SanToken:
     )
 
 
+_PUNCTUATION_ERRORS = {
+    "{": "unterminated comment",
+    "}": "unrecognized token",
+    "(": "recursive variations are not supported",
+    ")": "unmatched variation close",
+    "[": "tag pair before the game's result marker",
+}
+
+
 def parse_pgn(text: str) -> list[PgnGame]:
     """Parse PGN text into its games.
 
@@ -263,52 +236,42 @@ def parse_pgn(text: str) -> list[PgnGame]:
     recursive variations, set-up positions and malformed input raise
     PgnParseError with the position of the offending lexeme.
     """
-    scanner = _Scanner(text)
     games: list[PgnGame] = []
-    scanner.skip_trivia()
-    while not scanner.at_end():
+    pos = _TRIVIA_RE.match(text).end()
+    while pos < len(text):
         tags: list[tuple[str, str]] = []
-        while scanner.peek() == "[":
-            tags.append(_parse_tag_pair(scanner))
-            scanner.skip_trivia()
+        while text.startswith("[", pos):
+            name, value, pos = _parse_tag_pair(text, pos)
+            tags.append((name, value))
+            pos = _TRIVIA_RE.match(text, pos).end()
         tokens: list[SanToken] = []
         result: Optional[GameResult] = None
         while result is None:
-            scanner.skip_trivia()
-            if scanner.at_end():
-                raise scanner.error("game is missing its result marker")
-            start = scanner.pos
-            ch = scanner.peek()
-            if ch == "(":
-                raise scanner.error(
-                    "recursive variations are not supported", lexeme="("
-                )
-            if ch == ")":
-                raise scanner.error("unmatched variation close", lexeme=")")
-            if ch == "[":
-                raise scanner.error(
-                    "tag pair before the game's result marker", lexeme="["
-                )
+            pos = _TRIVIA_RE.match(text, pos).end()
+            if pos >= len(text):
+                raise _error(text, pos, "game is missing its result marker")
+            ch = text[pos]
+            if ch in _PUNCTUATION_ERRORS:
+                raise _error(text, pos, _PUNCTUATION_ERRORS[ch], ch)
             if ch == ".":
-                scanner.pos += 1
+                pos += 1
                 continue
-            word = scanner.next_word()
-            if not word:
-                raise scanner.error("unrecognized token", lexeme=ch)
+            start, pos = pos, _WORD_RE.match(text, pos).end()
+            word = text[start:pos]
             if word in _RESULT_BY_MARKER:
                 result = _RESULT_BY_MARKER[word]
-            elif _MOVE_NUMBER_RE.fullmatch(word) or _NAG_RE.fullmatch(word):
-                continue
-            else:
-                tokens.append(_parse_san_word(word, scanner, start))
+            elif not _NUMBER_OR_NAG_RE.fullmatch(word):
+                tokens.append(_parse_san_word(word, text, start))
         for name, value in tags:
             if name == "Result" and value != result.value:
-                raise scanner.error(
+                raise _error(
+                    text,
+                    pos,
                     f"result marker {result.value!r} does not match the "
-                    f"Result tag {value!r}"
+                    f"Result tag {value!r}",
                 )
         games.append(PgnGame(tuple(tags), tuple(tokens), result))
-        scanner.skip_trivia()
+        pos = _TRIVIA_RE.match(text, pos).end()
     return games
 
 
@@ -352,7 +315,7 @@ def _step(game: Game, mov: Move, rivals: list[Move]) -> tuple:
         mark = CheckMark.CHECK if checked else CheckMark.NONE
     else:
         mark = CheckMark.MATE if winner is game.turn else CheckMark.NONE
-    return after, winner, mark, _san_body(mov, game, rivals) + mark.value
+    return after, winner, mark, san_text(_san_token(mov, game, rivals, mark))
 
 
 def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, str]:
@@ -375,16 +338,15 @@ def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, str]:
         and (token.origin_rank is None or m.from_.square.y == token.origin_rank)
         and (token.kind is SanKind.NORMAL or abs(m.to_.square.x - m.from_.square.x) == 2)
     ]
-    text = san_text(token)
     if not matches:
-        raise SanError(f"no legal move matches {text!r}")
+        raise SanError(f"no legal move matches {san_text(token)!r}")
     if len(matches) > 1:
-        raise SanError(f"ambiguous SAN {text!r}: {len(matches)} moves match")
+        raise SanError(f"ambiguous SAN {san_text(token)!r}: {len(matches)} moves match")
     after, winner, mark, san = _step(game, matches[0], rivals)
     if token.check_mark is CheckMark.CHECK and mark is CheckMark.NONE:
-        raise SanError(f"{text!r} claims check but gives none")
+        raise SanError(f"{san_text(token)!r} claims check but gives none")
     if token.check_mark is CheckMark.MATE and mark is not CheckMark.MATE:
-        raise SanError(f"{text!r} claims mate but does not mate")
+        raise SanError(f"{san_text(token)!r} claims mate but does not mate")
     return matches[0], after, winner, san
 
 
@@ -419,29 +381,29 @@ def replay(tokens: Iterable[SanToken]) -> Iterator[tuple[Move, Game, Winner, str
 # --- serialization ----------------------------------------------------------
 
 
-def _san_body(mov: Move, game: Game, rivals: list[Move]) -> str:
-    """SAN for a legal move, without its check or mate mark; rivals are the
-    legal moves of its piece type onto its target square."""
-    origin = mov.from_.square
-    if mov.from_.type is PieceType.KING and abs(mov.to_.square.x - origin.x) == 2:
-        return "O-O" if mov.to_.square.x > origin.x else "O-O-O"
-    target = X_TO_FILE[mov.to_.square.x] + str(mov.to_.square.y)
-    capture = "x" if _is_capture(game.board, mov) else ""
+def _san_token(mov: Move, game: Game, rivals: list[Move], mark: CheckMark) -> SanToken:
+    """The minimal SAN token of a legal move; rivals are the legal moves of
+    its piece type onto its target square."""
+    origin, target = mov.from_.square, mov.to_.square
+    if mov.from_.type is PieceType.KING and abs(target.x - origin.x) == 2:
+        kind = SanKind.KINGSIDE_CASTLE if target.x > origin.x else SanKind.QUEENSIDE_CASTLE
+        return SanToken(kind=kind, piece_type=PieceType.KING, check_mark=mark)
+    capture = _is_capture(game.board, mov)
+    file = rank = None
     if mov.from_.type is PieceType.PAWN:
-        promo = (
-            "" if mov.to_.type is PieceType.PAWN else "=" + PIECE_LETTERS[mov.to_.type]
-        )
-        return (X_TO_FILE[origin.x] if capture else "") + capture + target + promo
-    others = [m.from_.square for m in rivals if m.from_.square != origin]
-    if not others:
-        hint = ""
-    elif all(square.x != origin.x for square in others):
-        hint = X_TO_FILE[origin.x]
-    elif all(square.y != origin.y for square in others):
-        hint = str(origin.y)
+        file = origin.x if capture else None
     else:
-        hint = X_TO_FILE[origin.x] + str(origin.y)
-    return PIECE_LETTERS[mov.from_.type] + hint + capture + target
+        others = [m.from_.square for m in rivals if m.from_.square != origin]
+        if any(square.x == origin.x for square in others):
+            rank = origin.y
+            if any(square.y == origin.y for square in others):
+                file = origin.x
+        elif others:
+            file = origin.x
+    promotion = mov.to_.type if mov.to_.type is not mov.from_.type else None
+    return SanToken(
+        SanKind.NORMAL, mov.from_.type, target, capture, promotion, file, rank, mark
+    )
 
 
 def move_to_pgn_string(mov: Move, game: Game) -> str:

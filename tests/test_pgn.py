@@ -1,5 +1,6 @@
 """PGN parsing, SAN resolution and serialization tests."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,33 @@ def test_escape_lines_are_skipped():
     with pytest.raises(PgnParseError, match="unrecognized token") as exc:
         parse_pgn("1. e4 %e5 *")  # only a % in the first column starts one
     assert (exc.value.line, exc.value.column) == (1, 7)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1.\u00a0e4 \x85e5 *",  # Unicode whitespace before a token is skipped
+        "1. e4\r\n%escaped\r\ne5 *",  # an escape line right after a CRLF
+        "1. e4 e5 * ; a comment that ends the text",
+    ],
+)
+def test_trivia_between_tokens_is_skipped(text):
+    (game,) = parse_pgn(text)
+    assert len(game.tokens) == 2
+
+
+@pytest.mark.parametrize(
+    "text, line, column, lexeme",
+    [
+        ("1. e4\u00a0e5 *", 1, 4, "e4\xa0e5"),  # a word breaks on ASCII only
+        ("1. e4 } e5 *", 1, 7, "}"),
+        ("1. e4\r\n2. Z9 *", 2, 4, "Z9"),
+    ],
+)
+def test_unrecognized_tokens_are_located(text, line, column, lexeme):
+    with pytest.raises(PgnParseError, match="unrecognized token") as exc:
+        parse_pgn(text)
+    assert (exc.value.line, exc.value.column, exc.value.lexeme) == (line, column, lexeme)
 
 
 @pytest.mark.parametrize(
@@ -463,6 +491,12 @@ def test_serialized_corpus_games_reproduce_the_corpus_text():
 def test_serialize_rejects_a_contradicting_result_tag():
     with pytest.raises(ValueError, match="contradicts"):
         serialize_game([("Result", "1-0")], [], GameResult.DRAW)
+
+
+@pytest.mark.parametrize("name, value", [("Bad Name", "x"), ("", "x"), ("Event", "a\nb")])
+def test_serialize_rejects_a_tag_its_parser_cannot_read(name, value):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        serialize_game([(name, value)], [])
 
 
 def test_tag_values_escape_on_output():
