@@ -55,18 +55,19 @@ def _last_rank(colour: Colour) -> int:
     return 8 if colour is Colour.WHITE else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """A move as a from-piece/to-piece pair.
 
     The destination is a full Piece rather than a bare square so that
     promotion (a pawn arriving with a new type) needs no extra field.
     Castling is the king's two-file jump; en passant a pawn's diagonal
-    step onto an empty square.
+    step onto an empty square.  The hash is computed once, when built.
     """
 
     from_: Piece
     to_: Piece
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         from_, to_ = self.from_, self.to_
@@ -78,6 +79,35 @@ class Move:
             from_.type is PAWN and to_.square.y == _last_rank(from_.colour)
         ):
             raise ValueError("only a pawn reaching the last rank may change type")
+        object.__setattr__(self, "_hash", hash((from_, to_)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # pickle the pieces: the hash holds only in this process
+        return Move, (self.from_, self.to_)
+
+
+class _MoveRow(dict):
+    """One piece's moves by target square index, each built on first use by
+    the public constructor.  _MOVES keeps a row per (moving type, arriving
+    type, colour, from-square index), made on first use: imports build none."""
+
+    __slots__ = ("piece", "arriving")
+
+    def __missing__(self, t: int) -> Move:
+        return self.setdefault(t, Move(self.piece, self.arriving[t]))
+
+
+_MOVES: dict[tuple, _MoveRow] = {}
+
+
+def _move_row(kind: PieceType, arriving: PieceType, colour: Colour, s: int) -> _MoveRow:
+    row = _MOVES.get((kind, arriving, colour, s))
+    if row is None:
+        row = _MOVES[kind, arriving, colour, s] = _MoveRow()
+        row.piece, row.arriving = piece_row(kind, colour)[s], piece_row(arriving, colour)
+    return row
 
 
 BoardState = frozenset[Piece]
@@ -210,9 +240,9 @@ def pawn_move_two(state: BoardState, pawn: Piece) -> frozenset[Move]:
     """The two-square advance, available only from the pawn's initial rank
     with both the skipped and the target square empty."""
     _require_piece(state, pawn, PAWN)
-    row = piece_row(PAWN, pawn.colour)
-    targets = _double_push(_occupancy(state), square_index(pawn.square), pawn.colour)
-    return frozenset(Move(pawn, row[t]) for t in targets)
+    s = square_index(pawn.square)
+    row = _move_row(PAWN, PAWN, pawn.colour, s)
+    return frozenset(row[t] for t in _double_push(_occupancy(state), s, pawn.colour))
 
 
 def _double_push(occ: Occupancy, s: int, colour: Colour) -> list[int]:
@@ -232,8 +262,9 @@ def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
 
 
 def _en_passant_moves(context, pawn: Piece) -> list[Move]:
-    t = context.passant.get(square_index(pawn.square))
-    return [] if t is None else [Move(pawn, piece_row(PAWN, pawn.colour)[t])]
+    s = square_index(pawn.square)
+    t = context.passant.get(s)
+    return [] if t is None else [_move_row(PAWN, PAWN, pawn.colour, s)[t]]
 
 
 def _en_passant_targets(history: History, colour: Colour) -> dict[int, int]:
@@ -264,9 +295,9 @@ def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
 
 
 def _promotions(pawn: Piece, targets: list[int]) -> list[Move]:
-    last = _last_rank(pawn.colour)
+    last, s = _last_rank(pawn.colour), square_index(pawn.square)
     return [
-        Move(pawn, piece_row(kind, pawn.colour)[t])
+        _move_row(PAWN, kind, pawn.colour, s)[t]
         for t in targets
         if SQUARES[t].y == last
         for kind in PROMOTABLE_TYPES
@@ -314,7 +345,7 @@ def _castling_moves(context, history: History, king: Piece) -> list[Move]:
             occ, square_at(dest_x, y), enemy
         ):
             continue
-        moves.append(Move(king, piece_row(KING, king.colour)[square_at(dest_x, y)]))
+        moves.append(_move_row(KING, KING, king.colour, square_at(5, y))[square_at(dest_x, y)])
     return moves
 
 
@@ -327,12 +358,9 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
         return frozenset(_castling_moves(context, board.history, piece))
     if piece.type is not PAWN:
         return frozenset()
-    row = piece_row(PAWN, piece.colour)
-    pushes = _double_push(context.occ, square_index(piece.square), piece.colour)
-    return frozenset(
-        [Move(piece, row[t]) for t in pushes]
-        + _en_passant_moves(context, piece)
-        + _promotions(piece, moves_with_colours(piece, context.occ))
+    return pawn_move_two(board.board_state, piece).union(
+        _en_passant_moves(context, piece),
+        _promotions(piece, moves_with_colours(piece, context.occ)),
     )
 
 
@@ -433,8 +461,8 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     keeps the pawn a pawn (promotion is mandatory)."""
     _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
-    row = piece_row(piece.type, piece.colour)
-    simple = {Move(piece, row[t]) for t in moves_with_colours(piece, context.occ)}
+    row = _move_row(piece.type, piece.type, piece.colour, square_index(piece.square))
+    simple = {row[t] for t in moves_with_colours(piece, context.occ)}
     candidates = simple | stateful_possible_moves(board, piece)
     return candidates - frozenset(_piece_moves(board, context, piece))
 
@@ -472,17 +500,17 @@ def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
                 allowed = evasions if allowed is None else allowed & evasions
             if allowed is not None:
                 targets = [t for t in targets if t in allowed]
-    row = piece_row(kind, colour)
+    row = _move_row(kind, kind, colour, s)
     if kind is PAWN and abs(piece.square.y - _last_rank(colour)) == 1:
         moves = _promotions(piece, targets)  # every target is on the last rank
     else:
-        moves = [Move(piece, row[t]) for t in targets]
+        moves = [row[t] for t in targets]
     if kind is KING:
         moves += _castling_moves(context, history, piece)
     elif kind is PAWN and s in passant:
         t = passant[s]
         if king is None or not _en_passant_exposes_king(occ, s, t, king):
-            moves.append(Move(piece, row[t]))
+            moves.append(row[t])
     return moves
 
 

@@ -113,6 +113,8 @@ class PgnGame:
             # Exactly what _TAG_RE reads back, so written tags re-parse.
             if not _TAG_NAME_RE.fullmatch(name) or "\n" in value:
                 raise ValueError(f"tag {name!r} cannot be written as a tag pair")
+            if _sets_up(name, value):
+                raise ValueError(f"set-up tag {name!r} is not supported")
             if name == "Result" and value != self.result.value:
                 raise ValueError(
                     f"Result tag {value!r} contradicts game result "
@@ -176,6 +178,10 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _sets_up(name: str, value: str) -> bool:
+    return name == "FEN" or (name == "SetUp" and value != "0")
+
+
 def _parse_tag_pair(text: str, pos: int) -> tuple[str, str, int]:
     """The tag pair at text[pos]: its name, its value and where it ends."""
     match = _TAG_RE.match(text, pos)
@@ -183,7 +189,7 @@ def _parse_tag_pair(text: str, pos: int) -> tuple[str, str, int]:
         snippet = text[pos : pos + 40].partition("\n")[0]
         raise _error(text, pos, "malformed tag pair", snippet)
     name, value = match.group(1), _unescape(match.group(2))
-    if name == "FEN" or (name == "SetUp" and value != "0"):
+    if _sets_up(name, value):
         raise _error(text, pos, "unsupported set-up tag", name)
     return name, value, match.end()
 

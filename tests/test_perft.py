@@ -7,17 +7,22 @@ the initial position barely reaches.  The deeper published values are
 left out to keep the run short; tools/deep_perft.py checks them.  The
 check evasions, pin lines and per-square legal lists of the context, the
 attack probe behind them and the table-driven piece targets are compared
-with the oracle.
+with the oracle.  The interned move table is checked to be a pure cache,
+and a pickled move to be hashed afresh where it is unpickled.
 """
 
+import multiprocessing
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
 from chessval import board as board_module
 from chessval.board import (
     Board,
+    Move,
     _context,
     _divide,
     _legal_list,
@@ -239,3 +244,59 @@ def test_divide_with_a_pool_equals_the_serial_divide():
     pooled = _divide(game.board, game.turn, 2, jobs=2)
     assert len(serial) == 48 and sum(count for _, count in serial) == 2039
     assert dict(pooled) == dict(serial)
+
+
+def test_the_move_table_starts_empty_on_import():
+    path = [p for p in sys.path if p]
+    code = f"import sys; sys.path[:0] = {path!r}; import chessval.board as b; print(len(b._MOVES))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "0"
+
+
+def test_the_move_table_is_a_pure_cache(monkeypatch):
+    for board, colour in _sample_positions():
+        moves = _legal_list(board, colour)
+        for mov, again in zip(moves, _legal_list(board, colour), strict=True):
+            fresh = Move(mov.from_, mov.to_)
+            assert mov == fresh and hash(mov) == hash(fresh) and repr(mov) == repr(fresh)
+            assert again is mov
+        filled = legal_moves(board, colour)
+        with monkeypatch.context() as patch:
+            patch.setattr(board_module, "_MOVES", {})
+            assert legal_moves(Board(board.board_state, board.history), colour) == filled
+
+
+def test_a_promotion_target_yields_the_four_interned_moves():
+    game = parse_fen("4k3/P7/8/8/8/8/8/4K3 w - - 0 1")
+    a7, a8 = square_at(1, 7), square_at(1, 8)
+    moves = [m for m in _legal_list(game.board, game.turn) if m.from_.type is PieceType.PAWN]
+    interned = [
+        board_module._MOVES[PieceType.PAWN, kind, Colour.WHITE, a7][a8]
+        for kind in (PieceType.QUEEN, PieceType.ROOK, PieceType.BISHOP, PieceType.KNIGHT)
+    ]
+    assert len(moves) == 4 and {id(m) for m in moves} == {id(m) for m in interned}
+
+
+def _rehashed_where_unpickled(payload: bytes) -> list[bool]:
+    """Run in a spawned process: unpickle a move and a board with history
+    and compare them with moves built in this process."""
+    mov, board, colour = pickle.loads(payload)
+    checks = []
+    for m in (mov, *board.history):
+        fresh = Move(m.from_, m.to_)
+        checks += [hash(m) == hash(fresh), m in frozenset({fresh})]
+    legal = legal_moves(board, colour)
+    return checks + [mov in legal, Move(mov.from_, mov.to_) in legal]
+
+
+def test_a_pickled_move_is_hashed_afresh_in_a_spawned_process():
+    # spawn, not fork: a forked child keeps the parent's object ids, so the
+    # identity-based Colour and PieceType hashes would still agree there.
+    game = new_game()
+    for _ in range(4):
+        game, _ = game_move(game, canonical_order(legal_moves(game.board, game.turn))[0])
+    mov = canonical_order(legal_moves(game.board, game.turn))[0]
+    payload = pickle.dumps((mov, game.board, game.turn))
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        checks = pool.apply(_rehashed_where_unpickled, (payload,))
+    assert len(checks) == 2 * 5 + 2 and all(checks)

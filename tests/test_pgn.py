@@ -499,6 +499,23 @@ def test_serialize_rejects_a_tag_its_parser_cannot_read(name, value):
         serialize_game([(name, value)], [])
 
 
+@pytest.mark.parametrize(
+    "name, value", [("FEN", "8/8/8/8/8/8/8/8 w - - 0 1"), ("SetUp", "1")]
+)
+def test_serialize_rejects_a_set_up_tag_as_its_parser_does(name, value):
+    with pytest.raises(PgnParseError, match="unsupported set-up tag"):
+        parse_pgn(f'[{name} "{value}"]\n\n*')
+    with pytest.raises(ValueError, match=f"set-up tag {re.escape(repr(name))}"):
+        serialize_game([(name, value)], [])
+
+
+def test_a_set_up_tag_of_zero_is_written_and_read_back():
+    text = serialize_game([("SetUp", "0")], FOOLS_MATE_MOVES[:2])
+    (game,) = parse_pgn(text)
+    assert game.tag("SetUp") == "0"
+    assert canonical_text(game) == text
+
+
 def test_tag_values_escape_on_output():
     text = serialize_game([("Event", 'say "hi" \\')], [], GameResult.UNKNOWN)
     assert '[Event "say \\"hi\\" \\\\"]' in text
