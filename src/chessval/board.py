@@ -21,8 +21,11 @@ from .pieces import (
     ALL_DIRECTIONS,
     KNIGHT_TARGETS,
     PAWN_CAPTURE_RAYS,
+    PAWN_PATHS,
     RAYS,
+    SLIDER_PATHS,
     SQUARES,
+    STEP_TARGETS,
     Colour,
     Coordinate,
     Occupancy,
@@ -241,16 +244,11 @@ def pawn_move_two(state: BoardState, pawn: Piece) -> frozenset[Move]:
     with both the skipped and the target square empty."""
     _require_piece(state, pawn, PAWN)
     s = square_index(pawn.square)
-    row = _move_row(PAWN, PAWN, pawn.colour, s)
-    return frozenset(row[t] for t in _double_push(_occupancy(state), s, pawn.colour))
-
-
-def _double_push(occ: Occupancy, s: int, colour: Colour) -> list[int]:
-    """The double push's target from square s: a list of at most one index."""
-    forward, start = (8, 2) if colour is Colour.WHITE else (-8, 7)
-    if SQUARES[s].y != start or occ[s + forward] or occ[s + 2 * forward]:
-        return []
-    return [s + 2 * forward]
+    pushes = PAWN_PATHS[pawn.colour][s][0]
+    occ = _occupancy(state)
+    if len(pushes) < 2 or occ[pushes[0]] or occ[pushes[1]]:
+        return frozenset()
+    return frozenset((_move_row(PAWN, PAWN, pawn.colour, s)[pushes[1]],))
 
 
 def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
@@ -426,17 +424,21 @@ def _context(board: Board, colour: Colour) -> _Context:
     lines and check evasions (as square indices), the legal moves
     _piece_moves keeps by square index, and the en-passant captures
     (pawn square -> target square) the last ply allows.  The occupancy (a
-    64-slot list indexed (x - 1) + 8 * (y - 1), under key None) is the one
-    square map of the position: both sides share it, and the geometry, the
-    attack probes, the appliers and SAN read it.  Other modules read the
-    fields by name; only this one knows their order."""
+    64-slot list indexed (x - 1) + 8 * (y - 1)) is the one square map of
+    the position: both sides share it, and the geometry, the attack probes,
+    the appliers and SAN read it.  It is kept under key None with the kings
+    by colour; a board an applier builds inherits both from its parent,
+    and only other boards build them from the piece set.  Other modules
+    read the fields by name; only this one knows their order."""
     contexts = board._contexts
     if contexts is None:
-        contexts = {None: _occupancy(board.board_state)}
+        state = board.board_state
+        kings = {p.colour: p for p in state if p.type is KING}
+        contexts = {None: (_occupancy(state), kings)}
         object.__setattr__(board, "_contexts", contexts)
     if colour not in contexts:
-        occ = contexts[None]
-        king = _king_of(board.board_state, colour)
+        occ, kings = contexts[None]
+        king = kings.get(colour)
         contexts[colour] = _Context(
             occ, king, *_king_context(occ, king), {},
             _en_passant_targets(board.history, colour),
@@ -462,9 +464,9 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
     row = _move_row(piece.type, piece.type, piece.colour, square_index(piece.square))
-    simple = {row[t] for t in moves_with_colours(piece, context.occ)}
+    simple = frozenset(row[t] for t in moves_with_colours(piece, context.occ))
     candidates = simple | stateful_possible_moves(board, piece)
-    return candidates - frozenset(_piece_moves(board, context, piece))
+    return candidates.difference(_piece_moves(board, context, piece))
 
 
 def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
@@ -475,20 +477,40 @@ def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
 
 
 def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
-    """The piece's legal moves, filtered as square indices and lifted to
-    Move values only at the end.  A king step must land where the enemy
-    does not attack with the king lifted off (castling is tested when
-    generated); other moves must stay on the pin line and land on an
+    """The piece's legal moves.  Its targets are walked over the occupancy
+    as square indices along the per-kind tables of the pieces module (the
+    geometry of moves_with_colours, plus the double push), filtered, and
+    only the kept ones lifted to Move values.  A king step must land where
+    the enemy does not attack with the king lifted off (castling is tested
+    when generated); other moves must stay on the pin line and land on an
     evasion square.  Only en passant, which also removes the captured
     pawn, is tried on a scratch copy.  A missing king (synthetic
     positions) is never attacked."""
     occ, king, _, pins, evasions, _, passant = context
     kind, colour = piece.type, piece.colour
     s = piece.square.x + 8 * piece.square.y - 9
-    targets = moves_with_colours(piece, occ)
+    targets = []
     if kind is PAWN:
-        targets += _double_push(occ, s, colour)
-    if king is not None:
+        pushes, captures, promotes = PAWN_PATHS[colour][s]
+        for t in pushes:
+            if occ[t] is not None:
+                break
+            targets.append(t)
+        for t in captures:
+            if occ[t] is not None and occ[t].colour is not colour:
+                targets.append(t)
+    elif kind is KNIGHT or kind is KING:
+        targets = [t for t in STEP_TARGETS[kind][s] if occ[t] is None or occ[t].colour is not colour]
+    else:
+        for ray in SLIDER_PATHS[kind][s]:
+            for t in ray:
+                holder = occ[t]
+                if holder is not None:
+                    if holder.colour is not colour:
+                        targets.append(t)
+                    break
+                targets.append(t)
+    if king is not None and targets:
         if kind is KING:
             lifted = occ.copy()
             lifted[s] = None
@@ -500,17 +522,19 @@ def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
                 allowed = evasions if allowed is None else allowed & evasions
             if allowed is not None:
                 targets = [t for t in targets if t in allowed]
-    row = _move_row(kind, kind, colour, s)
-    if kind is PAWN and abs(piece.square.y - _last_rank(colour)) == 1:
+    if not targets:
+        moves = []
+    elif kind is PAWN and promotes:
         moves = _promotions(piece, targets)  # every target is on the last rank
     else:
+        row = _move_row(kind, kind, colour, s)
         moves = [row[t] for t in targets]
     if kind is KING:
         moves += _castling_moves(context, history, piece)
     elif kind is PAWN and s in passant:
         t = passant[s]
         if king is None or not _en_passant_exposes_king(occ, s, t, king):
-            moves.append(row[t])
+            moves.append(_move_row(PAWN, PAWN, colour, s)[t])
     return moves
 
 
@@ -598,13 +622,14 @@ def move_castling(board: Board, mov: Move) -> Board:
     square the king crossed."""
     y = mov.from_.square.y
     corner_x = 8 if mov.to_.square.x > mov.from_.square.x else 1
-    rook = _context(board, mov.from_.colour).occ[square_at(corner_x, y)]
+    corner = square_at(corner_x, y)
+    rook = _context(board, mov.from_.colour).occ[corner]
     if rook is None or rook.type is not ROOK:
         raise IllegalMoveError(f"no rook to castle with on file {corner_x}")
-    crossed_x = (mov.from_.square.x + mov.to_.square.x) // 2
-    new_rook = piece_row(ROOK, rook.colour)[square_at(crossed_x, y)]
+    crossed = square_at((mov.from_.square.x + mov.to_.square.x) // 2, y)
+    new_rook = piece_row(ROOK, rook.colour)[crossed]
     new_state = (board.board_state - {mov.from_, rook}) | {mov.to_, new_rook}
-    return _successor(board, new_state, mov)
+    return _successor(board, new_state, mov, (corner, None), (crossed, new_rook))
 
 
 def move_en_passant(board: Board, mov: Move) -> Board:
@@ -614,16 +639,31 @@ def move_en_passant(board: Board, mov: Move) -> Board:
     captured = _context(board, mov.from_.colour).occ[bypassed]
     if captured is None:
         raise IllegalMoveError(f"no pawn to capture en passant on {SQUARES[bypassed]}")
-    return _successor(board, (board.board_state - {mov.from_, captured}) | {mov.to_}, mov)
+    new_state = (board.board_state - {mov.from_, captured}) | {mov.to_}
+    return _successor(board, new_state, mov, (bypassed, None))
 
 
-def _successor(board: Board, new_state: BoardState, mov: Move) -> Board:
+def _successor(board: Board, new_state: BoardState, mov: Move, *changes) -> Board:
     """The board after an applied move, built without Board's checks: a
-    move on a valid board cannot break them."""
+    move on a valid board cannot break them.  It inherits the square map
+    of the parent, whose context the applier has just read: the occupancy,
+    with the mover moved and the further (square index, new holder or
+    None) `changes` made, and the kings."""
+    occ, kings = board._contexts[None]
+    occ = occ.copy()
+    t = square_index(mov.to_.square)
+    dead = occ[t]
+    occ[square_index(mov.from_.square)], occ[t] = None, mov.to_
+    for s, holder in changes:
+        occ[s] = holder
+    if dead is not None and dead.type is KING:  # a synthetic board's king taken
+        kings = {**kings, dead.colour: None}
+    if mov.to_.type is KING:
+        kings = {**kings, mov.to_.colour: mov.to_}
     after = object.__new__(Board)
     object.__setattr__(after, "board_state", new_state)
     object.__setattr__(after, "history", (mov,) + board.history)
-    object.__setattr__(after, "_contexts", None)
+    object.__setattr__(after, "_contexts", {None: (occ, kings)})
     return after
 
 

@@ -4,14 +4,13 @@ Everything here is purely geometric: given a piece and the squares other
 pieces occupy (the obstacles), compute the squares it could step to.  The
 movement loops work on square indices, (x - 1) + 8 * (y - 1) (square_at
 and square_index; SQUARES maps them back), over a 64-slot occupancy
-whose slots hold anything with a colour (a Piece or an Obstacle).  They
-read two precomputed tables: each square's knight targets, and per
-direction each square's distance to the edge (the rays, which also give
-the king's steps and the pawn's captures).  The board module passes the
-occupancy both sides of a position share and lifts the indices back to
-values only for the moves it returns.
-Moves that need game history (castling, en passant, the double push,
-promotion) live in the board module.
+whose slots hold anything with a colour (a Piece or an Obstacle).  The
+knight targets and per direction each square's distance to the edge
+(the rays) are built at import; from them, per-kind target tables are
+filled on first use, which the board module's move generator walks over
+the occupancy both sides of a position share.  Moves that need game
+history (castling, en passant, the double push, promotion) live in the
+board module.
 """
 
 from __future__ import annotations
@@ -178,6 +177,56 @@ PAWN_CAPTURE_RAYS = {
 }
 
 
+class _Table(dict):
+    """Per-square entries by piece type or colour, each built by
+    `build(key)` on first use and kept: an import builds none."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.build(key))
+
+
+def _pawn_paths(colour: Colour) -> tuple:
+    """Per square, a pawn's (push path, capture targets, promotes): the
+    push path is the square ahead, then from the initial rank the double
+    push's target; the pawn promotes when the square ahead is the last."""
+    step, edge = RAYS[0] if colour is Colour.WHITE else RAYS[1]
+    start = 1 if colour is Colour.WHITE else 6  # the initial rank, counted from 0
+    entries = []
+    for s in range(64):
+        pushes = [s + step] if edge[s] else []
+        if s // 8 == start:
+            pushes.append(s + 2 * step)
+        captures = bytes(s + c for c, c_edge in PAWN_CAPTURE_RAYS[colour] if c_edge[s])
+        entries.append((bytes(pushes), captures, edge[s] == 1))
+    return tuple(entries)
+
+
+# Per colour, the pawn's entry on each square.
+PAWN_PATHS = _Table(_pawn_paths)
+# Per type (knight, king), the squares each square steps to.
+STEP_TARGETS = _Table(
+    lambda kind: KNIGHT_TARGETS if kind is PieceType.KNIGHT
+    else tuple(bytes(s + step for step, edge in RAYS if edge[s]) for s in range(64))
+)
+# Per slider type, each square's non-empty rays as the squares along them,
+# nearest first.
+SLIDER_PATHS = _Table(
+    lambda kind: tuple(
+        tuple(
+            bytes(range(s + step, s + step * (edge[s] + 1), step))
+            for step, edge in _SLIDER_RAYS[kind]
+            if edge[s]
+        )
+        for s in range(64)
+    )
+)
+
+
 def possible_move_direction(
     p: Piece, obstacles: ObstacleSet, direction: Direction
 ) -> Optional[Coordinate]:
@@ -230,33 +279,22 @@ def type_based_moves(p: Piece, obstacles: ObstacleSet) -> frozenset[Coordinate]:
 
 
 def moves_with_colours(p: Piece, occ: Occupancy) -> list[int]:
-    """type_based_moves as square indices, against a 64-slot occupancy.
-
-    The board module passes a position's occupancy (slot -> Piece), built
-    once and shared by both sides and every piece, instead of projecting
-    an ObstacleSet per piece; a holder's colour tells a capture from a
-    blocked square.
-    """
+    """type_based_moves as square indices, against a 64-slot occupancy; a
+    holder's colour tells a capture from a blocked square.  The board's
+    move generator walks the same tables inline; this is the geometry of
+    the obstacle API and the reference that generator is tested against."""
     s = p.square.x + 8 * p.square.y - 9
     colour = p.colour
     kind = p.type
     if kind is PieceType.PAWN:
-        forward = s + 8 if colour is Colour.WHITE else s - 8
-        moves = [forward] if 0 <= forward < 64 and occ[forward] is None else []
-        for step, edge in PAWN_CAPTURE_RAYS[colour]:
-            if edge[s] and occ[s + step] is not None and occ[s + step].colour is not colour:
-                moves.append(s + step)
-        return moves
-    if kind is PieceType.KNIGHT:
-        return [t for t in KNIGHT_TARGETS[s] if occ[t] is None or occ[t].colour is not colour]
+        pushes, captures, _ = PAWN_PATHS[colour][s]
+        moves = [pushes[0]] if pushes and occ[pushes[0]] is None else []
+        return moves + [t for t in captures if occ[t] is not None and occ[t].colour is not colour]
+    if kind is PieceType.KNIGHT or kind is PieceType.KING:
+        return [t for t in STEP_TARGETS[kind][s] if occ[t] is None or occ[t].colour is not colour]
     moves = []
-    if kind is PieceType.KING:
-        for step, edge in RAYS:
-            if edge[s] and (occ[s + step] is None or occ[s + step].colour is not colour):
-                moves.append(s + step)
-        return moves
-    for step, edge in _SLIDER_RAYS[kind]:
-        for t in range(s + step, s + step * (edge[s] + 1), step):
+    for ray in SLIDER_PATHS[kind][s]:
+        for t in ray:
             holder = occ[t]
             if holder is not None:
                 if holder.colour is not colour:

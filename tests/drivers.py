@@ -7,18 +7,28 @@ from chessval.game import game_move, new_game
 from chessval.pieces import Colour, PieceType
 
 
-def canonical_order(moves):
-    """Frozenset iteration order is hash-dependent; sort for seeded play."""
-    return sorted(
-        moves,
-        key=lambda m: (
+class _SortKeys(dict):
+    """Each move's sort key, worked out on its first sort and kept: the
+    engine interns the moves it generates, so this holds about as many
+    keys as there are distinct moves."""
+
+    def __missing__(self, m):
+        key = self[m] = (
             m.from_.square.x,
             m.from_.square.y,
             m.to_.square.x,
             m.to_.square.y,
             m.to_.type.value,
-        ),
-    )
+        )
+        return key
+
+
+_SORT_KEYS = _SortKeys()
+
+
+def canonical_order(moves):
+    """Frozenset iteration order is hash-dependent; sort for seeded play."""
+    return sorted(moves, key=_SORT_KEYS.__getitem__)
 
 
 def play_random_game(seed: int, max_plies: int = 200):

@@ -1,5 +1,5 @@
 """The tricky perft positions of https://www.chessprogramming.org/Perft_Results
-as FEN, shared by tests/test_perft.py and tools/deep_perft.py."""
+as FEN, read by tests/test_perft.py."""
 
 KIWIPETE = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
 POSITION_3 = "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1"

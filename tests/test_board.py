@@ -27,6 +27,7 @@ from chessval.board import (
     stateful_impossible_moves,
     stateful_possible_moves,
 )
+from chessval.fen import parse_fen
 from chessval.pieces import Colour, Coordinate, Piece, PieceType, opposite_colour
 
 W, B = Colour.WHITE, Colour.BLACK
@@ -350,6 +351,24 @@ def test_nothing_is_impossible_at_the_start():
     for piece in board.board_state:
         if piece.colour is W:
             assert stateful_impossible_moves(board, piece) == frozenset()
+
+
+def test_every_public_move_function_returns_a_frozenset():
+    board = parse_fen("4k3/1P6/8/3pP3/8/8/P7/R3K2R w KQ d6 0 1").board
+    state = board.board_state
+    pawn, passer, promoter, king = P(PAWN, 1, 2), P(PAWN, 5, 5), P(PAWN, 2, 7), P(KING, 5, 1)
+    results = [
+        pawn_move_two(state, pawn),
+        en_passant(board, passer),
+        pawn_promotion(state, promoter),
+        castling_possible(board, king),
+        stateful_possible_moves(board, pawn),
+        stateful_impossible_moves(board, promoter),
+        possible_moves(board, passer),
+        legal_moves(board, W),
+    ]
+    for result in results:
+        assert type(result) is frozenset and result
 
 
 def test_initial_knight_moves():

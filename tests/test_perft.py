@@ -1,14 +1,16 @@
 """Perft on the standard tricky positions, and the legality context.
 
 The counts are the published values from
-https://www.chessprogramming.org/Perft_Results; these positions exercise
-castling through attacked squares, promotions and en-passant pins, which
-the initial position barely reaches.  The deeper published values are
-left out to keep the run short; tools/deep_perft.py checks them.  The
-check evasions, pin lines and per-square legal lists of the context, the
-attack probe behind them and the table-driven piece targets are compared
-with the oracle.  The interned move table is checked to be a pure cache,
-and a pickled move to be hashed afresh where it is unpickled.
+https://www.chessprogramming.org/Perft_Results, the deepest ones (Kiwipete
+and positions 4 and 5 to depth 4, position 3 to depth 5) included; these
+positions exercise castling through attacked squares, promotions and
+en-passant pins, which the initial position barely reaches.  The check
+evasions, pin lines and per-square legal lists of the context, the attack
+probe behind them and the table-driven piece targets are compared with
+the oracle, and the square map a child board inherits with the one built
+from its pieces.  The interned move table and the geometry tables are
+checked to start empty and to be pure caches, and a pickled move to be
+hashed afresh where it is unpickled.
 """
 
 import multiprocessing
@@ -23,14 +25,20 @@ from chessval import board as board_module
 from chessval.board import (
     Board,
     Move,
+    _apply,
     _context,
+    _Context,
     _divide,
+    _king_of,
+    _legal_for_piece,
     _legal_list,
     _occupancy,
     _square_attacked,
     attacked_squares,
     has_legal_move,
     in_check,
+    iss_castling,
+    iss_en_passant,
     legal_moves,
     move,
     perft,
@@ -62,11 +70,11 @@ from oracles import (
 from positions import KIWIPETE, POSITION_3, POSITION_4, POSITION_4_MIRROR, POSITION_5
 
 PUBLISHED = [
-    (KIWIPETE, [48, 2039, 97862]),
-    (POSITION_3, [14, 191, 2812, 43238]),
-    (POSITION_4, [6, 264, 9467]),
-    (POSITION_4_MIRROR, [6, 264, 9467]),
-    (POSITION_5, [44, 1486, 62379]),
+    (KIWIPETE, [48, 2039, 97862, 4085603]),
+    (POSITION_3, [14, 191, 2812, 43238, 674624]),
+    (POSITION_4, [6, 264, 9467, 422333]),
+    (POSITION_4_MIRROR, [6, 264, 9467, 422333]),
+    (POSITION_5, [44, 1486, 62379, 2103487]),
 ]
 
 
@@ -95,6 +103,48 @@ def _sample_positions():
             yield game.board, game.turn
             mov = rng.choice(canonical_order(legal_moves(game.board, game.turn)))
             game, winner = game_move(game, mov)
+
+
+def _move_kinds(board, mov):
+    """The kinds of mov that patch more than its own two squares or move a
+    king: castling (by the king's destination file), en passant, promotion
+    by push or by capture, a rook taken on its corner, any king move."""
+    origin, target = mov.from_.square, mov.to_.square
+    dead = _context(board, mov.from_.colour).occ[square_at(target.x, target.y)]
+    kinds = {
+        ("castling", target.x): iss_castling(board, mov),
+        "en passant": iss_en_passant(board, mov),
+        "promotion by push": mov.to_.type is not mov.from_.type and target.x == origin.x,
+        "promotion by capture": mov.to_.type is not mov.from_.type and target.x != origin.x,
+        "rook taken on its corner": dead is not None and dead.type is PieceType.ROOK
+        and target.x in (1, 8) and target.y in (1, 8),
+        "king move": mov.from_.type is PieceType.KING,
+    }
+    return {kind for kind, holds in kinds.items() if holds}
+
+
+def test_a_child_inherits_the_square_map_its_pieces_give():
+    def check(board, colour, depth):
+        for mov in _legal_list(board, colour):
+            seen.update(_move_kinds(board, mov))
+            child = _apply(board, mov)
+            occ, kings = child._contexts[None]
+            assert occ == _occupancy(child.board_state), mov
+            for c in Colour:
+                assert kings.get(c) == _king_of(child.board_state, c), mov
+            if depth > 1:
+                check(child, opposite_colour(colour), depth - 1)
+
+    seen = set()
+    for fen, _ in PUBLISHED:
+        game = parse_fen(fen)
+        check(game.board, game.turn, 2)
+    for board, colour in _sample_positions():
+        check(board, colour, 1)
+    assert seen >= {
+        ("castling", 7), ("castling", 3), "en passant", "promotion by push",
+        "promotion by capture", "rook taken on its corner", "king move",
+    }
 
 
 def test_the_legal_move_list_never_holds_a_move_twice():
@@ -187,12 +237,26 @@ def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
         occ = _occupancy(board.board_state)
         obstacles = pieces_to_obstacles(board.board_state)
         grid = {(p.square.x, p.square.y): p for p in board.board_state}
+        unfiltered = _Context(
+            occ=occ, king=None, checked=False, pins={}, evasions=None, moves={}, passant={}
+        )
         for piece in board.board_state:
             targets = moves_with_colours(piece, occ)
             assert len(targets) == len(set(targets))
             lifted = {SQUARES[s] for s in targets}
             assert lifted == type_based_moves(piece, obstacles)
             assert lifted == _oracle_targets(grid, piece), piece
+            walked = {
+                m.to_.square
+                for m in _legal_for_piece(unfiltered, (), piece)
+                if not iss_castling(board, m)
+            }
+            if piece.type is PieceType.PAWN:
+                x, y = piece.square.x, piece.square.y
+                forward = 2 if piece.colour is Colour.WHITE else -2
+                if 1 <= y + forward <= 8 and _pseudo_legal(grid, (), piece, x, y, x, y + forward):
+                    lifted.add(Coordinate(x, y + forward))
+            assert walked == lifted, piece
 
 
 def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
@@ -248,9 +312,12 @@ def test_divide_with_a_pool_equals_the_serial_divide():
 
 def test_the_move_table_starts_empty_on_import():
     path = [p for p in sys.path if p]
-    code = f"import sys; sys.path[:0] = {path!r}; import chessval.board as b; print(len(b._MOVES))"
+    code = (
+        f"import sys; sys.path[:0] = {path!r}; import chessval.board as b, chessval.pieces as p; "
+        "print([len(t) for t in (b._MOVES, p.PAWN_PATHS, p.STEP_TARGETS, p.SLIDER_PATHS)])"
+    )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "0"
+    assert run.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def test_the_move_table_is_a_pure_cache(monkeypatch):
