@@ -256,22 +256,17 @@ def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
     double push lands beside this pawn; the capture moves onto the square
     the enemy pawn skipped."""
     _require_piece(board.board_state, pawn, PAWN)
-    return frozenset(_en_passant_moves(_context(board, pawn.colour), pawn))
-
-
-def _en_passant_moves(context, pawn: Piece) -> list[Move]:
     s = square_index(pawn.square)
-    t = context.passant.get(s)
-    return [] if t is None else [_move_row(PAWN, PAWN, pawn.colour, s)[t]]
+    t = _context(board, pawn.colour).passant.get(s)
+    return frozenset(() if t is None else (_move_row(PAWN, PAWN, pawn.colour, s)[t],))
 
 
-def _en_passant_targets(history: History, colour: Colour) -> dict[int, int]:
+def _en_passant_targets(last: Optional[Move], colour: Colour) -> dict[int, int]:
     """Pawn square -> the square a `colour` pawn there captures onto en
-    passant: the square an enemy pawn's double push on the last ply
-    skipped, for the two squares beside where it landed."""
-    if not history:
+    passant: the square an enemy pawn's double push on the last ply (None
+    before the first) skipped, for the two squares beside where it landed."""
+    if last is None:
         return {}
-    last = history[0]
     origin, landing = last.from_.square, last.to_.square
     if (
         last.from_.type is not PAWN
@@ -302,8 +297,16 @@ def _promotions(pawn: Piece, targets: list[int]) -> list[Move]:
     ]
 
 
-# (corner file, crossed file, king destination file) per wing
-_CASTLING_WINGS = ((8, 6, 7), (1, 4, 3))
+# Per colour, its king's home square and per wing the castling-rights bit
+# and, as square indices (a1 = 0, h1 = 7, h8 = 63), the corner, the squares
+# between king and rook, the square the king crosses and its destination.
+_CASTLING_WINGS = {
+    Colour.WHITE: (4, ((1, 7, (5, 6), 5, 6), (2, 0, (1, 2, 3), 3, 2))),
+    Colour.BLACK: (60, ((4, 63, (61, 62), 61, 62), (8, 56, (57, 58, 59), 59, 58))),
+}
+# Per square index, the rights a move leaving or entering it keeps: a king's
+# home square ends both of its side's rights, a corner its wing's.
+_RIGHTS_KEPT = bytes(15 & ~{4: 3, 7: 1, 0: 2, 60: 12, 63: 4, 56: 8}.get(s, 0) for s in range(64))
 
 
 def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
@@ -315,50 +318,41 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     check, and neither the crossed square nor the destination is attacked.
     """
     _require_piece(board.board_state, king, KING)
-    return frozenset(_castling_moves(_context(board, king.colour), board.history, king))
+    row = _move_row(KING, KING, king.colour, square_index(king.square))
+    return frozenset(row[t] for t in _castling_moves(_context(board, king.colour), king))
 
 
-def _castling_moves(context, history: History, king: Piece) -> list[Move]:
-    occ = context.occ
-    y = 1 if king.colour is Colour.WHITE else 8
-    if context.checked or king.square.x != 5 or king.square.y != y:
+def _castling_moves(context, king: Piece) -> list[int]:
+    """castling_possible's king destinations as square indices.  Whether a
+    move ever left or entered the king's or the rook's square is read from
+    the castling-rights bit the square map carries, not from the history."""
+    occ, colour = context.occ, king.colour
+    home, wings = _CASTLING_WINGS[colour]
+    if context.checked or king.square.x + 8 * king.square.y - 9 != home:
         return []
-    enemy = opposite_colour(king.colour)
-    moves = []
-    for corner_x, crossed_x, dest_x in _CASTLING_WINGS:
-        rook = occ[square_at(corner_x, y)]
-        if rook is None or rook.type is not ROOK or rook.colour is not king.colour:
-            continue
-        between = range(min(5, corner_x) + 1, max(5, corner_x))
-        if any(occ[square_at(x, y)] for x in between):
-            continue
-        touched = {(5, y), (corner_x, y)}
-        if any(
-            (m.from_.square.x, m.from_.square.y) in touched
-            or (m.to_.square.x, m.to_.square.y) in touched
-            for m in history
-        ):
-            continue
-        if _square_attacked(occ, square_at(crossed_x, y), enemy) or _square_attacked(
-            occ, square_at(dest_x, y), enemy
-        ):
-            continue
-        moves.append(_move_row(KING, KING, king.colour, square_at(5, y))[square_at(dest_x, y)])
-    return moves
+    enemy = opposite_colour(colour)
+    return [
+        dest
+        for bit, corner, between, crossed, dest in wings
+        if context.rights & bit
+        and (rook := occ[corner]) is not None and rook.type is ROOK and rook.colour is colour
+        and not any(occ[t] for t in between)
+        and not _square_attacked(occ, crossed, enemy)
+        and not _square_attacked(occ, dest, enemy)
+    ]
 
 
 def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """The special moves available to a piece: double push, en passant and
     promotion for pawns, castling for kings, nothing for the rest."""
     _require_piece(board.board_state, piece)
-    context = _context(board, piece.colour)
     if piece.type is KING:
-        return frozenset(_castling_moves(context, board.history, piece))
+        return castling_possible(board, piece)
     if piece.type is not PAWN:
         return frozenset()
     return pawn_move_two(board.board_state, piece).union(
-        _en_passant_moves(context, piece),
-        _promotions(piece, moves_with_colours(piece, context.occ)),
+        en_passant(board, piece),
+        _promotions(piece, moves_with_colours(piece, _context(board, piece.colour).occ)),
     )
 
 
@@ -415,7 +409,7 @@ def _king_context(occ: Occupancy, king: Optional[Piece]):
     return bool(checks), pins, checks[0] if checks else None
 
 
-_Context = namedtuple("_Context", "occ king checked pins evasions moves passant")
+_Context = namedtuple("_Context", "occ king checked pins evasions moves passant rights")
 
 
 def _context(board: Board, colour: Colour) -> _Context:
@@ -423,27 +417,36 @@ def _context(board: Board, colour: Colour) -> _Context:
     board: the occupancy, the side's king, whether it is in check, its pin
     lines and check evasions (as square indices), the legal moves
     _piece_moves keeps by square index, and the en-passant captures
-    (pawn square -> target square) the last ply allows.  The occupancy (a
-    64-slot list indexed (x - 1) + 8 * (y - 1)) is the one square map of
-    the position: both sides share it, and the geometry, the attack probes,
-    the appliers and SAN read it.  It is kept under key None with the kings
-    by colour; a board an applier builds inherits both from its parent,
-    and only other boards build them from the piece set.  Other modules
-    read the fields by name; only this one knows their order."""
+    (pawn square -> target square) the last ply allows, and the castling
+    rights.  The occupancy (a 64-slot list indexed (x - 1) + 8 * (y - 1))
+    is the one square map of the position: both sides share it, and the
+    geometry, the attack probes, the appliers and SAN read it.  It is kept
+    under key None with the kings by colour and a 4-bit castling-rights
+    mask; a board an applier builds inherits all three (_child_map), and
+    only other boards build them from the pieces and the history.  Other
+    modules read the fields by name; only this one knows their order."""
     contexts = board._contexts
     if contexts is None:
         state = board.board_state
         kings = {p.colour: p for p in state if p.type is KING}
-        contexts = {None: (_occupancy(state), kings)}
+        rights = 15
+        for m in board.history:
+            rights &= _RIGHTS_KEPT[square_index(m.from_.square)]
+            rights &= _RIGHTS_KEPT[square_index(m.to_.square)]
+        contexts = {None: (_occupancy(state), kings, rights)}
         object.__setattr__(board, "_contexts", contexts)
     if colour not in contexts:
-        occ, kings = contexts[None]
-        king = kings.get(colour)
-        contexts[colour] = _Context(
-            occ, king, *_king_context(occ, king), {},
-            _en_passant_targets(board.history, colour),
-        )
+        last = board.history[0] if board.history else None
+        contexts[colour] = _side_context(contexts[None], last, colour)
     return contexts[colour]
+
+
+def _side_context(square_map, last: Optional[Move], colour: Colour) -> _Context:
+    """One side's legality context over a square map, after `last`."""
+    occ, kings, rights = square_map
+    king = kings.get(colour)
+    passant = _en_passant_targets(last, colour)
+    return _Context(occ, king, *_king_context(occ, king), {}, passant, rights)
 
 
 def _piece_moves(board: Board, context, piece: Piece) -> list[Move]:
@@ -453,7 +456,7 @@ def _piece_moves(board: Board, context, piece: Piece) -> list[Move]:
     s = piece.square.x + 8 * piece.square.y - 9
     moves = by_square.get(s)
     if moves is None:
-        moves = by_square[s] = _legal_for_piece(context, board.history, piece)
+        moves = by_square[s] = _legal_for_piece(context, piece)
     return moves
 
 
@@ -476,17 +479,17 @@ def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     return frozenset(_piece_moves(board, _context(board, piece.colour), piece))
 
 
-def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
-    """The piece's legal moves.  Its targets are walked over the occupancy
-    as square indices along the per-kind tables of the pieces module (the
-    geometry of moves_with_colours, plus the double push), filtered, and
-    only the kept ones lifted to Move values.  A king step must land where
-    the enemy does not attack with the king lifted off (castling is tested
-    when generated); other moves must stay on the pin line and land on an
-    evasion square.  Only en passant, which also removes the captured
-    pawn, is tried on a scratch copy.  A missing king (synthetic
-    positions) is never attacked."""
-    occ, king, _, pins, evasions, _, passant = context
+def _legal_for_piece(context, piece: Piece, count: bool = False):
+    """The piece's legal moves, or with `count` their number.  Its targets
+    are walked over the occupancy as square indices along the per-kind
+    tables of the pieces module (the geometry of moves_with_colours, plus
+    the double push), filtered, and only the kept ones lifted to Move
+    values (a counted promotion target is four).  A king step must land
+    where the enemy does not attack with the king lifted off (castling is
+    tested when generated); other moves must stay on the pin line and land
+    on an evasion square.  Only en passant, which also removes the captured
+    pawn, is tried on a scratch copy.  A missing king is never attacked."""
+    occ, king, _, pins, evasions, _, passant, _ = context
     kind, colour = piece.type, piece.colour
     s = piece.square.x + 8 * piece.square.y - 9
     targets = []
@@ -522,31 +525,31 @@ def _legal_for_piece(context, history, piece: Piece) -> list[Move]:
                 allowed = evasions if allowed is None else allowed & evasions
             if allowed is not None:
                 targets = [t for t in targets if t in allowed]
-    if not targets:
-        moves = []
-    elif kind is PAWN and promotes:
-        moves = _promotions(piece, targets)  # every target is on the last rank
-    else:
-        row = _move_row(kind, kind, colour, s)
-        moves = [row[t] for t in targets]
     if kind is KING:
-        moves += _castling_moves(context, history, piece)
+        targets += _castling_moves(context, piece)
     elif kind is PAWN and s in passant:
         t = passant[s]
         if king is None or not _en_passant_exposes_king(occ, s, t, king):
-            moves.append(_move_row(PAWN, PAWN, colour, s)[t])
-    return moves
+            targets.append(t)
+    if count:
+        return 4 * len(targets) if kind is PAWN and promotes else len(targets)
+    if not targets:
+        return []
+    if kind is PAWN and promotes:
+        return _promotions(piece, targets)  # every target is on the last rank
+    row = _move_row(kind, kind, colour, s)
+    return [row[t] for t in targets]
 
 
 def _legal_list(board: Board, colour: Colour) -> list[Move]:
     """legal_moves as a list, which never holds a move twice, worked out
-    afresh: perft visits each node once, so it keeps nothing on the context."""
+    afresh: _divide lists each root once, so it keeps nothing on the context."""
     context = _context(board, colour)
     return [
         m
         for piece in board.board_state
         if piece.colour is colour
-        for m in _legal_for_piece(context, board.history, piece)
+        for m in _legal_for_piece(context, piece)
     ]
 
 
@@ -613,57 +616,77 @@ def move_other(board: Board, mov: Move) -> Board:
     """An ordinary move: drop whatever sat on the target square and the
     moving piece, then add the arriving piece.  Promotion needs no special
     handling because the arriving piece already carries its new type."""
-    dead = _context(board, mov.from_.colour).occ[square_index(mov.to_.square)]
+    target = mov.to_.square
+    dead = _context(board, mov.from_.colour).occ[target.x + 8 * target.y - 9]
     return _successor(board, (board.board_state - {dead, mov.from_}) | {mov.to_}, mov)
 
 
 def move_castling(board: Board, mov: Move) -> Board:
     """Castling: the king jumps two files and the corner rook lands on the
     square the king crossed."""
-    y = mov.from_.square.y
-    corner_x = 8 if mov.to_.square.x > mov.from_.square.x else 1
-    corner = square_at(corner_x, y)
-    rook = _context(board, mov.from_.colour).occ[corner]
+    occ = _context(board, mov.from_.colour).occ
+    changes = (corner, _), (_, new_rook) = _changes(occ, mov)
+    rook = occ[corner]
     if rook is None or rook.type is not ROOK:
-        raise IllegalMoveError(f"no rook to castle with on file {corner_x}")
-    crossed = square_at((mov.from_.square.x + mov.to_.square.x) // 2, y)
-    new_rook = piece_row(ROOK, rook.colour)[crossed]
+        raise IllegalMoveError(f"no rook to castle with on file {SQUARES[corner].x}")
     new_state = (board.board_state - {mov.from_, rook}) | {mov.to_, new_rook}
-    return _successor(board, new_state, mov, (corner, None), (crossed, new_rook))
+    return _successor(board, new_state, mov, changes)
 
 
 def move_en_passant(board: Board, mov: Move) -> Board:
     """En passant: the pawn moves diagonally while the captured enemy pawn
     disappears from the square beside it."""
-    bypassed = square_at(mov.to_.square.x, mov.from_.square.y)
-    captured = _context(board, mov.from_.colour).occ[bypassed]
+    occ = _context(board, mov.from_.colour).occ
+    changes = ((bypassed, _),) = _changes(occ, mov)
+    captured = occ[bypassed]
     if captured is None:
         raise IllegalMoveError(f"no pawn to capture en passant on {SQUARES[bypassed]}")
     new_state = (board.board_state - {mov.from_, captured}) | {mov.to_}
-    return _successor(board, new_state, mov, (bypassed, None))
+    return _successor(board, new_state, mov, changes)
 
 
-def _successor(board: Board, new_state: BoardState, mov: Move, *changes) -> Board:
-    """The board after an applied move, built without Board's checks: a
-    move on a valid board cannot break them.  It inherits the square map
-    of the parent, whose context the applier has just read: the occupancy,
-    with the mover moved and the further (square index, new holder or
-    None) `changes` made, and the kings."""
-    occ, kings = board._contexts[None]
+def _changes(occ: Occupancy, mov: Move) -> tuple:
+    """The (square index, new holder or None) changes a move makes beyond
+    its own two squares, read against the occupancy before it: castling's
+    rook (a king jumping two files) and en passant's victim (a pawn
+    changing file onto an empty square).  Appliers and perft share it."""
+    origin, target, kind = mov.from_.square, mov.to_.square, mov.from_.type
+    if kind is KING and abs(target.x - origin.x) == 2:
+        corner = square_at(8 if target.x > origin.x else 1, origin.y)
+        crossed = square_at((origin.x + target.x) // 2, origin.y)
+        return (corner, None), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])
+    if kind is PAWN and target.x != origin.x and occ[square_index(target)] is None:
+        return ((square_at(target.x, origin.y), None),)
+    return ()
+
+
+def _child_map(square_map, mov: Move, changes: tuple):
+    """The square map after a move: the occupancy with the mover moved and
+    `changes` made, the kings updated, and the castling rights less those
+    of the move's two squares."""
+    occ, kings, rights = square_map
     occ = occ.copy()
-    t = square_index(mov.to_.square)
+    origin, target = mov.from_.square, mov.to_.square
+    f, t = origin.x + 8 * origin.y - 9, target.x + 8 * target.y - 9
     dead = occ[t]
-    occ[square_index(mov.from_.square)], occ[t] = None, mov.to_
+    occ[f], occ[t] = None, mov.to_
     for s, holder in changes:
         occ[s] = holder
     if dead is not None and dead.type is KING:  # a synthetic board's king taken
         kings = {**kings, dead.colour: None}
     if mov.to_.type is KING:
         kings = {**kings, mov.to_.colour: mov.to_}
+    return occ, kings, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]
+
+
+def _successor(board: Board, new_state: BoardState, mov: Move, changes: tuple = ()) -> Board:
+    """The board after an applied move, built without Board's checks: a
+    move on a valid board cannot break them.  It inherits the square map
+    of the parent, whose context the applier has just read."""
     after = object.__new__(Board)
     object.__setattr__(after, "board_state", new_state)
     object.__setattr__(after, "history", (mov,) + board.history)
-    object.__setattr__(after, "_contexts", {None: (occ, kings)})
+    object.__setattr__(after, "_contexts", {None: _child_map(board._contexts[None], mov, changes)})
     return after
 
 
@@ -673,17 +696,34 @@ def _successor(board: Board, new_state: BoardState, mov: Move, *changes) -> Boar
 def perft(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> int:
     """Count the legal move sequences of exactly `depth` plies.
 
-    The standard move-generator correctness oracle.  With jobs > 1 the
-    subtrees under each root move run in separate processes; the total is
-    a sum, so it does not depend on evaluation order.
+    The standard move-generator correctness oracle.  Serially it recurses
+    on square maps alone (_perft), building no Board below the root, and
+    counts the last ply without lifting its moves to Move values.  With
+    jobs > 1 the subtrees under each root move run in separate processes;
+    the total is a sum, so it does not depend on evaluation order.
     """
     if depth < 0:
         raise ValueError("perft depth must be non-negative")
     if depth == 0:
         return 1
+    if jobs > 1 and depth > 1:
+        return sum(count for _, count in _divide(board, to_move, depth, jobs))
+    _context(board, to_move)  # fills the square map
+    return _perft(board._contexts[None], board.history[0] if board.history else None, to_move, depth)
+
+
+def _perft(square_map, last: Optional[Move], colour: Colour, depth: int) -> int:
+    """perft(depth >= 1) of a square map's position after move `last` (None
+    before the first) with `colour` to move; a depth-1 node only counts."""
+    context = _side_context(square_map, last, colour)
+    pieces = [p for p in context.occ if p is not None and p.colour is colour]
     if depth == 1:
-        return len(_legal_list(board, to_move))
-    return sum(count for _, count in _divide(board, to_move, depth, jobs))
+        return sum([_legal_for_piece(context, piece, True) for piece in pieces])
+    occ, enemy, total = context.occ, opposite_colour(colour), 0
+    for piece in pieces:
+        for m in _legal_for_piece(context, piece):
+            total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1)
+    return total
 
 
 def _divide(board: Board, to_move: Colour, depth: int, jobs: int) -> list:

@@ -123,15 +123,24 @@ def _move_kinds(board, mov):
     return {kind for kind, holds in kinds.items() if holds}
 
 
+def _rights_from_history(board):
+    """The castling-rights mask a board built afresh from the same pieces
+    and history computes."""
+    fresh = Board(board.board_state, board.history)
+    _context(fresh, Colour.WHITE)
+    return fresh._contexts[None][2]
+
+
 def test_a_child_inherits_the_square_map_its_pieces_give():
     def check(board, colour, depth):
         for mov in _legal_list(board, colour):
             seen.update(_move_kinds(board, mov))
             child = _apply(board, mov)
-            occ, kings = child._contexts[None]
+            occ, kings, rights = child._contexts[None]
             assert occ == _occupancy(child.board_state), mov
             for c in Colour:
                 assert kings.get(c) == _king_of(child.board_state, c), mov
+            assert rights == _rights_from_history(child), mov
             if depth > 1:
                 check(child, opposite_colour(colour), depth - 1)
 
@@ -144,6 +153,31 @@ def test_a_child_inherits_the_square_map_its_pieces_give():
     assert seen >= {
         ("castling", 7), ("castling", 3), "en passant", "promotion by push",
         "promotion by capture", "rook taken on its corner", "king move",
+    }
+
+
+def test_counting_the_last_ply_agrees_with_lifting_it():
+    def check(board, colour, depth):
+        children = [(mov, _apply(board, mov)) for mov in _legal_list(board, colour)]
+        assert perft(board, colour, 1) == len(children)
+        enemy = opposite_colour(colour)
+        assert perft(board, colour, 2) == sum(
+            len(_legal_list(child, enemy)) for _, child in children
+        )
+        for mov, child in children:
+            seen.update(_move_kinds(board, mov))
+            if depth > 1:
+                check(child, enemy, depth - 1)
+
+    seen = set()
+    for fen, _ in PUBLISHED:
+        game = parse_fen(fen)
+        check(game.board, game.turn, 2)
+    for board, colour in _sample_positions():
+        check(board, colour, 1)
+    assert seen >= {
+        ("castling", 7), ("castling", 3), "en passant", "promotion by push",
+        "promotion by capture", "rook taken on its corner",
     }
 
 
@@ -238,7 +272,8 @@ def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
         obstacles = pieces_to_obstacles(board.board_state)
         grid = {(p.square.x, p.square.y): p for p in board.board_state}
         unfiltered = _Context(
-            occ=occ, king=None, checked=False, pins={}, evasions=None, moves={}, passant={}
+            occ=occ, king=None, checked=False, pins={}, evasions=None, moves={}, passant={},
+            rights=15,
         )
         for piece in board.board_state:
             targets = moves_with_colours(piece, occ)
@@ -248,7 +283,7 @@ def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
             assert lifted == _oracle_targets(grid, piece), piece
             walked = {
                 m.to_.square
-                for m in _legal_for_piece(unfiltered, (), piece)
+                for m in _legal_for_piece(unfiltered, piece)
                 if not iss_castling(board, m)
             }
             if piece.type is PieceType.PAWN:
@@ -263,9 +298,9 @@ def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
     computed = []
     legal_for_piece = board_module._legal_for_piece
 
-    def counting(context, history, piece):
+    def counting(context, piece):
         computed.append((piece.colour, piece.square))
-        return legal_for_piece(context, history, piece)
+        return legal_for_piece(context, piece)
 
     monkeypatch.setattr(board_module, "_legal_for_piece", counting)
     for board, colour in _sample_positions():

@@ -81,17 +81,36 @@ MUTANTS = [
     ("en-passant-neighbours-off-the-board", "board.py",
      "square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1) if 1 <= x <= 8",
      "square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1)"),
-    # the square map a child inherits
+    # the square map a child inherits, and the move-kind dispatch behind it
     ("rook-not-patched-on-castling", "board.py",
-     "return _successor(board, new_state, mov, (corner, None), (crossed, new_rook))",
-     "return _successor(board, new_state, mov, (crossed, new_rook))"),
+     "return (corner, None), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])",
+     "return (corner, occ[corner]), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])"),
     ("en-passant-victim-not-patched", "board.py",
-     "return _successor(board, new_state, mov, (bypassed, None))",
-     "return _successor(board, new_state, mov)"),
+     "return ((square_at(target.x, origin.y), None),)",
+     "return ((square_at(target.x, origin.y), occ[square_at(target.x, origin.y)]),)"),
     ("king-not-updated-on-a-king-move", "board.py",
      "if mov.to_.type is KING:", "if mov.to_.type is None:"),
     ("origin-not-cleared", "board.py",
-     "occ[square_index(mov.from_.square)], occ[t] = None, mov.to_", "occ[t] = mov.to_"),
+     "occ[f], occ[t] = None, mov.to_", "occ[t] = mov.to_"),
+    ("rights-not-cleared-by-the-to-square", "board.py",
+     "return occ, kings, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]",
+     "return occ, kings, rights & _RIGHTS_KEPT[f]"),
+    ("rights-not-cleared-by-the-from-square", "board.py",
+     "return occ, kings, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]",
+     "return occ, kings, rights & _RIGHTS_KEPT[t]"),
+    ("rights-not-read-from-the-history", "board.py",
+     "for m in board.history:", "for m in board.history[:0]:"),
+    ("castling-without-the-rights-test", "board.py",
+     "if context.rights & bit", "if context.rights | bit"),
+    # perft's square-map recursion and its counted last ply
+    ("promotion-counted-once", "board.py",
+     "return 4 * len(targets) if kind is PAWN and promotes else len(targets)",
+     "return len(targets)"),
+    ("en-passant-not-counted", "board.py",
+     "elif kind is PAWN and s in passant:", "elif kind is PAWN and s in passant and not count:"),
+    ("en-passant-window-from-a-stale-ply", "board.py",
+     "total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1)",
+     "total += _perft(_child_map(square_map, m, _changes(occ, m)), last, enemy, depth - 1)"),
     # the interned moves
     ("cached-hash-pickled", "board.py",
      "def __reduce__(self):", "def _reduce(self):"),
