@@ -420,9 +420,9 @@ def _context(board: Board, colour: Colour) -> _Context:
     (pawn square -> target square) the last ply allows, and the castling
     rights.  The occupancy (a 64-slot list indexed (x - 1) + 8 * (y - 1))
     is the one square map of the position: both sides share it, and the
-    geometry, the attack probes, the appliers and SAN read it.  It is kept
+    geometry, the attack probes, the applier and SAN read it.  It is kept
     under key None with the kings by colour and a 4-bit castling-rights
-    mask; a board an applier builds inherits all three (_child_map), and
+    mask; a board _apply builds inherits all three (_child_map), and
     only other boards build them from the pieces and the history.  Other
     modules read the fields by name; only this one knows their order."""
     contexts = board._contexts
@@ -541,18 +541,6 @@ def _legal_for_piece(context, piece: Piece, count: bool = False):
     return [row[t] for t in targets]
 
 
-def _legal_list(board: Board, colour: Colour) -> list[Move]:
-    """legal_moves as a list, which never holds a move twice, worked out
-    afresh: _divide lists each root once, so it keeps nothing on the context."""
-    context = _context(board, colour)
-    return [
-        m
-        for piece in board.board_state
-        if piece.colour is colour
-        for m in _legal_for_piece(context, piece)
-    ]
-
-
 def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:
     """Every legal move for one side; the union of possible_moves over its
     pieces."""
@@ -604,52 +592,60 @@ def move(board: Board, mov: Move) -> Board:
 
 
 def _apply(board: Board, mov: Move) -> Board:
-    """Dispatch an already-validated move to its application rule."""
-    if mov.from_.type is KING and iss_castling(board, mov):
-        return move_castling(board, mov)
-    if mov.from_.type is PAWN and iss_en_passant(board, mov):
-        return move_en_passant(board, mov)
-    return move_other(board, mov)
+    """The board after an already-validated move, built without Board's
+    checks: a move on a valid board cannot break them.  The one _changes
+    result gives the child's piece set, history and square map, which it
+    inherits from its parent's (_child_map)."""
+    occ = _context(board, mov.from_.colour).occ
+    changes = _changes(occ, mov)
+    target = mov.to_.square
+    gone, arrived = {occ[target.x + 8 * target.y - 9], mov.from_}, {mov.to_}
+    for s, holder in changes:
+        gone.add(occ[s])
+        if holder is not None:
+            arrived.add(holder)
+    after = object.__new__(Board)
+    object.__setattr__(after, "board_state", (board.board_state - gone) | arrived)
+    object.__setattr__(after, "history", (mov,) + board.history)
+    object.__setattr__(after, "_contexts", {None: _child_map(board._contexts[None], mov, changes)})
+    return after
 
 
 def move_other(board: Board, mov: Move) -> Board:
     """An ordinary move: drop whatever sat on the target square and the
     moving piece, then add the arriving piece.  Promotion needs no special
     handling because the arriving piece already carries its new type."""
-    target = mov.to_.square
-    dead = _context(board, mov.from_.colour).occ[target.x + 8 * target.y - 9]
-    return _successor(board, (board.board_state - {dead, mov.from_}) | {mov.to_}, mov)
+    if _changes(_context(board, mov.from_.colour).occ, mov):
+        raise IllegalMoveError(f"not an ordinary move: {mov}")
+    return _apply(board, mov)
 
 
 def move_castling(board: Board, mov: Move) -> Board:
     """Castling: the king jumps two files and the corner rook lands on the
     square the king crossed."""
     occ = _context(board, mov.from_.colour).occ
-    changes = (corner, _), (_, new_rook) = _changes(occ, mov)
-    rook = occ[corner]
-    if rook is None or rook.type is not ROOK:
-        raise IllegalMoveError(f"no rook to castle with on file {SQUARES[corner].x}")
-    new_state = (board.board_state - {mov.from_, rook}) | {mov.to_, new_rook}
-    return _successor(board, new_state, mov, changes)
+    changes = _changes(occ, mov)
+    if len(changes) != 2 or occ[changes[0][0]] is None or occ[changes[0][0]].type is not ROOK:
+        raise IllegalMoveError(f"not a castling with a rook on its corner: {mov}")
+    return _apply(board, mov)
 
 
 def move_en_passant(board: Board, mov: Move) -> Board:
     """En passant: the pawn moves diagonally while the captured enemy pawn
     disappears from the square beside it."""
     occ = _context(board, mov.from_.colour).occ
-    changes = ((bypassed, _),) = _changes(occ, mov)
-    captured = occ[bypassed]
-    if captured is None:
-        raise IllegalMoveError(f"no pawn to capture en passant on {SQUARES[bypassed]}")
-    new_state = (board.board_state - {mov.from_, captured}) | {mov.to_}
-    return _successor(board, new_state, mov, changes)
+    changes = _changes(occ, mov)
+    if len(changes) != 1 or occ[changes[0][0]] is None:
+        raise IllegalMoveError(f"not an en-passant capture beside a pawn: {mov}")
+    return _apply(board, mov)
 
 
 def _changes(occ: Occupancy, mov: Move) -> tuple:
     """The (square index, new holder or None) changes a move makes beyond
     its own two squares, read against the occupancy before it: castling's
     rook (a king jumping two files) and en passant's victim (a pawn
-    changing file onto an empty square).  Appliers and perft share it."""
+    changing file onto an empty square).  The applier and perft share it:
+    it is the only move-kind dispatch."""
     origin, target, kind = mov.from_.square, mov.to_.square, mov.from_.type
     if kind is KING and abs(target.x - origin.x) == 2:
         corner = square_at(8 if target.x > origin.x else 1, origin.y)
@@ -679,37 +675,23 @@ def _child_map(square_map, mov: Move, changes: tuple):
     return occ, kings, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]
 
 
-def _successor(board: Board, new_state: BoardState, mov: Move, changes: tuple = ()) -> Board:
-    """The board after an applied move, built without Board's checks: a
-    move on a valid board cannot break them.  It inherits the square map
-    of the parent, whose context the applier has just read."""
-    after = object.__new__(Board)
-    object.__setattr__(after, "board_state", new_state)
-    object.__setattr__(after, "history", (mov,) + board.history)
-    object.__setattr__(after, "_contexts", {None: _child_map(board._contexts[None], mov, changes)})
-    return after
-
-
 # --- verification oracle ----------------------------------------------------
 
 
 def perft(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> int:
     """Count the legal move sequences of exactly `depth` plies.
 
-    The standard move-generator correctness oracle.  Serially it recurses
-    on square maps alone (_perft), building no Board below the root, and
-    counts the last ply without lifting its moves to Move values.  With
-    jobs > 1 the subtrees under each root move run in separate processes;
-    the total is a sum, so it does not depend on evaluation order.
+    The standard move-generator correctness oracle: from depth 1 on, the
+    sum of _divide's counts, which recurse on square maps (_perft), build
+    no Board below the root and count the last ply without lifting it to
+    Move values.  With jobs > 1 the root moves' subtrees run in separate
+    processes; a sum does not depend on evaluation order.
     """
     if depth < 0:
         raise ValueError("perft depth must be non-negative")
     if depth == 0:
         return 1
-    if jobs > 1 and depth > 1:
-        return sum(count for _, count in _divide(board, to_move, depth, jobs))
-    _context(board, to_move)  # fills the square map
-    return _perft(board._contexts[None], board.history[0] if board.history else None, to_move, depth)
+    return sum(count for _, count in _divide(board, to_move, depth, jobs))
 
 
 def _perft(square_map, last: Optional[Move], colour: Colour, depth: int) -> int:
@@ -726,15 +708,21 @@ def _perft(square_map, last: Optional[Move], colour: Colour, depth: int) -> int:
     return total
 
 
-def _divide(board: Board, to_move: Colour, depth: int, jobs: int) -> list:
-    """(move, perft count of depth - 1 after it) for each legal move; with
-    jobs > 1 the subtrees run in one pool of that many processes."""
-    moves = _legal_list(board, to_move)
-    tasks = [(_apply(board, m), opposite_colour(to_move), depth - 1) for m in moves]
+def _divide(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> list:
+    """(move, perft count of depth - 1 after it) for each legal move (depth
+    >= 1): _perft on each root move's child square map, which with jobs > 1
+    a pool of that many processes receives."""
+    context = _context(board, to_move)
+    occ, square_map, enemy = context.occ, board._contexts[None], opposite_colour(to_move)
+    pieces = [p for p in occ if p is not None and p.colour is to_move]
+    moves = [m for piece in pieces for m in _legal_for_piece(context, piece)]
+    if depth == 1:
+        return [(m, 1) for m in moves]
+    tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1) for m in moves]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            return list(zip(moves, pool.starmap(perft, tasks)))
-    return [(m, perft(*task)) for m, task in zip(moves, tasks)]
+            return list(zip(moves, pool.starmap(_perft, tasks)))
+    return [(m, _perft(*task)) for m, task in zip(moves, tasks)]
 
 
 # --- display ----------------------------------------------------------------

@@ -202,8 +202,7 @@ def cmd_perft(
             print(f"{_coordinate_text(root)}: {count}", file=out)
         print(f"total: {sum(count for _, count in counts)}", file=out)
     else:
-        total = perft(game.board, game.turn, depth, jobs=jobs)
-        print(total, file=out)
+        print(perft(game.board, game.turn, depth, jobs=jobs), file=out)
     return OK_EXIT
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .board import Board, IllegalMoveError, Move, _context, _piece_moves
+from .board import Board, IllegalMoveError, Move, _context, _piece_moves, iss_castling
 from .game import REMIS, Game, Winner, game_move, new_game
-from .pieces import Colour, Coordinate, PieceType, square_index
+from .pieces import SQUARES, Colour, Coordinate, PieceType, square_index
 
 FILE_TO_X = {c: i for i, c in enumerate("abcdefgh", start=1)}
 RANK_TO_Y = {c: i for i, c in enumerate("12345678", start=1)}
@@ -300,14 +300,14 @@ def _is_capture(board: Board, mov: Move) -> bool:
 
 def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:
     """The legal moves of the mover's pieces of one type that land on target."""
-    board = game.board
+    board, square = game.board, SQUARES[square_index(target)]  # generated moves hold these
     context = _context(board, game.turn)
     return [
         m
         for piece in board.board_state
         if piece.colour is game.turn and piece.type is piece_type
         for m in _piece_moves(board, context, piece)
-        if m.to_.square == target
+        if m.to_.square is square
     ]
 
 
@@ -342,7 +342,7 @@ def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, str]:
         and m.to_.type is (token.promotion or m.from_.type)
         and (token.origin_file is None or m.from_.square.x == token.origin_file)
         and (token.origin_rank is None or m.from_.square.y == token.origin_rank)
-        and (token.kind is SanKind.NORMAL or abs(m.to_.square.x - m.from_.square.x) == 2)
+        and (token.kind is SanKind.NORMAL or iss_castling(game.board, m))
     ]
     if not matches:
         raise SanError(f"no legal move matches {san_text(token)!r}")
@@ -391,7 +391,7 @@ def _san_token(mov: Move, game: Game, rivals: list[Move], mark: CheckMark) -> Sa
     """The minimal SAN token of a legal move; rivals are the legal moves of
     its piece type onto its target square."""
     origin, target = mov.from_.square, mov.to_.square
-    if mov.from_.type is PieceType.KING and abs(target.x - origin.x) == 2:
+    if iss_castling(game.board, mov):
         kind = SanKind.KINGSIDE_CASTLE if target.x > origin.x else SanKind.QUEENSIDE_CASTLE
         return SanToken(kind=kind, piece_type=PieceType.KING, check_mark=mark)
     capture = _is_capture(game.board, mov)

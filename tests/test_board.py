@@ -526,6 +526,34 @@ def test_en_passant_removes_the_bypassed_pawn():
     assert after.history[0] == capture
 
 
+@pytest.mark.parametrize(
+    "rule, kind",
+    [
+        (move_castling, "king step"),
+        (move_castling, "en passant"),
+        (move_castling, "castling without its rook"),
+        (move_en_passant, "king step"),
+        (move_en_passant, "castling"),
+        (move_en_passant, "en passant without a victim"),
+        (move_other, "castling"),
+        (move_other, "en passant"),
+    ],
+)
+def test_a_named_rule_rejects_a_move_of_another_kind(rule, kind):
+    king, pawn = P(KING, 5, 1), P(PAWN, 5, 5)
+    double_push = M(P(PAWN, 4, 7, B), 4, 5)
+    board = Board({king, P(ROOK, 8, 1), pawn, double_push.to_}, (double_push,))
+    moves = {
+        "king step": M(king, 5, 2),
+        "castling": M(king, 7, 1),
+        "castling without its rook": M(king, 3, 1),
+        "en passant": M(pawn, 4, 6),
+        "en passant without a victim": M(pawn, 6, 6),
+    }
+    with pytest.raises(IllegalMoveError):
+        rule(board, moves[kind])
+
+
 def test_move_dispatches_en_passant_through_the_gate():
     board = play(
         default_board(),

@@ -8,7 +8,10 @@ en-passant pins, which the initial position barely reaches.  The check
 evasions, pin lines and per-square legal lists of the context, the attack
 probe behind them and the table-driven piece targets are compared with
 the oracle, and the square map a child board inherits with the one built
-from its pieces.  The interned move table and the geometry tables are
+from its pieces.  Perft with a pool, which hands its workers square maps,
+is checked against the serial count where the map carries a partial
+castling-rights mask, an en-passant window or a played history.  The
+interned move table and the geometry tables are
 checked to start empty and to be pure caches, and a pickled move to be
 hashed afresh where it is unpickled.
 """
@@ -31,7 +34,6 @@ from chessval.board import (
     _divide,
     _king_of,
     _legal_for_piece,
-    _legal_list,
     _occupancy,
     _square_attacked,
     attacked_squares,
@@ -133,7 +135,7 @@ def _rights_from_history(board):
 
 def test_a_child_inherits_the_square_map_its_pieces_give():
     def check(board, colour, depth):
-        for mov in _legal_list(board, colour):
+        for mov, _ in _divide(board, colour, 1):
             seen.update(_move_kinds(board, mov))
             child = _apply(board, mov)
             occ, kings, rights = child._contexts[None]
@@ -158,11 +160,11 @@ def test_a_child_inherits_the_square_map_its_pieces_give():
 
 def test_counting_the_last_ply_agrees_with_lifting_it():
     def check(board, colour, depth):
-        children = [(mov, _apply(board, mov)) for mov in _legal_list(board, colour)]
+        children = [(mov, _apply(board, mov)) for mov, _ in _divide(board, colour, 1)]
         assert perft(board, colour, 1) == len(children)
         enemy = opposite_colour(colour)
         assert perft(board, colour, 2) == sum(
-            len(_legal_list(child, enemy)) for _, child in children
+            len(_divide(child, enemy, 1)) for _, child in children
         )
         for mov, child in children:
             seen.update(_move_kinds(board, mov))
@@ -183,7 +185,7 @@ def test_counting_the_last_ply_agrees_with_lifting_it():
 
 def test_the_legal_move_list_never_holds_a_move_twice():
     for board, colour in _sample_positions():
-        moves = _legal_list(board, colour)
+        moves = [m for m, _ in _divide(board, colour, 1)]
         assert len(moves) == len(set(moves))
 
 
@@ -345,6 +347,30 @@ def test_divide_with_a_pool_equals_the_serial_divide():
     assert dict(pooled) == dict(serial)
 
 
+def _played(plies):
+    game = new_game()
+    for _ in range(plies):
+        game, _ = game_move(game, canonical_order(legal_moves(game.board, game.turn))[0])
+    return game
+
+
+@pytest.mark.parametrize(
+    "game, nodes",
+    [
+        (parse_fen("r3k2r/8/8/8/8/8/8/R3K2R w Kq - 0 1"), 12647),  # a partial rights mask
+        (parse_fen("8/8/8/KPp4r/8/8/8/7k w - c6 0 1"), 259),  # an en-passant window
+        (_played(4), 7812),
+    ],
+    ids=["partial-rights", "en-passant-window", "four-plies-played"],
+)
+def test_the_pool_receives_each_root_move_s_square_map(game, nodes):
+    # the rights mask and the last move must reach the workers with the map
+    assert perft(game.board, game.turn, 3, jobs=2) == perft(game.board, game.turn, 3) == nodes
+    assert dict(_divide(game.board, game.turn, 3, jobs=2)) == dict(
+        _divide(game.board, game.turn, 3)
+    )
+
+
 def test_the_move_table_starts_empty_on_import():
     path = [p for p in sys.path if p]
     code = (
@@ -357,8 +383,8 @@ def test_the_move_table_starts_empty_on_import():
 
 def test_the_move_table_is_a_pure_cache(monkeypatch):
     for board, colour in _sample_positions():
-        moves = _legal_list(board, colour)
-        for mov, again in zip(moves, _legal_list(board, colour), strict=True):
+        moves = [m for m, _ in _divide(board, colour, 1)]
+        for mov, again in zip(moves, [m for m, _ in _divide(board, colour, 1)], strict=True):
             fresh = Move(mov.from_, mov.to_)
             assert mov == fresh and hash(mov) == hash(fresh) and repr(mov) == repr(fresh)
             assert again is mov
@@ -371,7 +397,7 @@ def test_the_move_table_is_a_pure_cache(monkeypatch):
 def test_a_promotion_target_yields_the_four_interned_moves():
     game = parse_fen("4k3/P7/8/8/8/8/8/4K3 w - - 0 1")
     a7, a8 = square_at(1, 7), square_at(1, 8)
-    moves = [m for m in _legal_list(game.board, game.turn) if m.from_.type is PieceType.PAWN]
+    moves = [m for m, _ in _divide(game.board, game.turn, 1) if m.from_.type is PieceType.PAWN]
     interned = [
         board_module._MOVES[PieceType.PAWN, kind, Colour.WHITE, a7][a8]
         for kind in (PieceType.QUEEN, PieceType.ROOK, PieceType.BISHOP, PieceType.KNIGHT)
@@ -394,9 +420,7 @@ def _rehashed_where_unpickled(payload: bytes) -> list[bool]:
 def test_a_pickled_move_is_hashed_afresh_in_a_spawned_process():
     # spawn, not fork: a forked child keeps the parent's object ids, so the
     # identity-based Colour and PieceType hashes would still agree there.
-    game = new_game()
-    for _ in range(4):
-        game, _ = game_move(game, canonical_order(legal_moves(game.board, game.turn))[0])
+    game = _played(4)
     mov = canonical_order(legal_moves(game.board, game.turn))[0]
     payload = pickle.dumps((mov, game.board, game.turn))
     with multiprocessing.get_context("spawn").Pool(1) as pool:

@@ -74,7 +74,8 @@ MUTANTS = [
      "entries.append((bytes(pushes), captures, edge[s] == 2))"),
     # the generator's inline walk
     ("slider-ray-not-stopping-after-a-capture", "board.py",
-     "if holder is not None:", "if holder is not None and holder.colour is colour:"),
+     "                if holder is not None:",
+     "                if holder is not None and holder.colour is colour:"),
     ("pawn-captures-onto-an-empty-square", "board.py",
      "if occ[t] is not None and occ[t].colour is not colour:",
      "if occ[t] is None or occ[t].colour is not colour:"),
@@ -102,7 +103,19 @@ MUTANTS = [
      "for m in board.history:", "for m in board.history[:0]:"),
     ("castling-without-the-rights-test", "board.py",
      "if context.rights & bit", "if context.rights | bit"),
-    # perft's square-map recursion and its counted last ply
+    # the one applier's piece set, and the named rules' pre-conditions
+    ("castled-rook-never-joins-the-piece-set", "board.py",
+     "arrived.add(holder)", "arrived.add(mov.to_)"),
+    ("en-passant-victim-stays-in-the-piece-set", "board.py",
+     "gone.add(occ[s])", "gone.add(occ[s] if len(changes) == 2 else None)"),
+    ("move-other-pre-condition-dropped", "board.py",
+     "if _changes(_context(board, mov.from_.colour).occ, mov):", "if False:"),
+    ("move-castling-pre-condition-dropped", "board.py",
+     "if len(changes) != 2 or occ[changes[0][0]] is None or occ[changes[0][0]].type is not ROOK:",
+     "if False:"),
+    ("move-en-passant-pre-condition-dropped", "board.py",
+     "if len(changes) != 1 or occ[changes[0][0]] is None:", "if False:"),
+    # perft's square-map recursion, its counted last ply and the root maps _divide hands on
     ("promotion-counted-once", "board.py",
      "return 4 * len(targets) if kind is PAWN and promotes else len(targets)",
      "return len(targets)"),
@@ -111,6 +124,10 @@ MUTANTS = [
     ("en-passant-window-from-a-stale-ply", "board.py",
      "total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1)",
      "total += _perft(_child_map(square_map, m, _changes(occ, m)), last, enemy, depth - 1)"),
+    ("divide-hands-its-workers-the-parent's-last-move", "board.py",
+     "tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1) for m in moves]",
+     "tasks = [(_child_map(square_map, m, _changes(occ, m)),"
+     " board.history[0] if board.history else None, enemy, depth - 1) for m in moves]"),
     # the interned moves
     ("cached-hash-pickled", "board.py",
      "def __reduce__(self):", "def _reduce(self):"),
