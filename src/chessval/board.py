@@ -64,8 +64,8 @@ class Move:
 
     The destination is a full Piece rather than a bare square so that
     promotion (a pawn arriving with a new type) needs no extra field.
-    Castling is the king's two-file jump; en passant a pawn's diagonal
-    step onto an empty square.  The hash is computed once, when built.
+    Castling is a king move listed in _CASTLINGS; en passant a pawn's
+    diagonal step onto an empty square.  The hash is computed once, when built.
     """
 
     from_: Piece
@@ -297,16 +297,22 @@ def _promotions(pawn: Piece, targets: list[int]) -> list[Move]:
     ]
 
 
-# Per colour, its king's home square and per wing the castling-rights bit
-# and, as square indices (a1 = 0, h1 = 7, h8 = 63), the corner, the squares
-# between king and rook, the square the king crosses and its destination.
-_CASTLING_WINGS = {
-    Colour.WHITE: (4, ((1, 7, (5, 6), 5, 6), (2, 0, (1, 2, 3), 3, 2))),
-    Colour.BLACK: (60, ((4, 63, (61, 62), 61, 62), (8, 56, (57, 58, 59), 59, 58))),
+# The one table of castling's squares, as square indices (a1 = 0, h1 = 7,
+# h8 = 63), keyed by the king's (home, destination): the colour, the
+# castling-rights bit, the rook's corner, the squares between king and rook,
+# and the square the king crosses, where the rook lands.  In KQkq order.
+_CASTLINGS = {
+    (4, 6): (Colour.WHITE, 1, 7, (5, 6), 5),
+    (4, 2): (Colour.WHITE, 2, 0, (1, 2, 3), 3),
+    (60, 62): (Colour.BLACK, 4, 63, (61, 62), 61),
+    (60, 58): (Colour.BLACK, 8, 56, (57, 58, 59), 59),
 }
 # Per square index, the rights a move leaving or entering it keeps: a king's
 # home square ends both of its side's rights, a corner its wing's.
-_RIGHTS_KEPT = bytes(15 & ~{4: 3, 7: 1, 0: 2, 60: 12, 63: 4, 56: 8}.get(s, 0) for s in range(64))
+_RIGHTS_KEPT = bytes(
+    15 & ~sum(bit for (home, _), (_, bit, corner, _, _) in _CASTLINGS.items() if s in (home, corner))
+    for s in range(64)
+)
 
 
 def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
@@ -323,18 +329,18 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
 
 
 def _castling_moves(context, king: Piece) -> list[int]:
-    """castling_possible's king destinations as square indices.  Whether a
-    move ever left or entered the king's or the rook's square is read from
-    the castling-rights bit the square map carries, not from the history."""
-    occ, colour = context.occ, king.colour
-    home, wings = _CASTLING_WINGS[colour]
-    if context.checked or king.square.x + 8 * king.square.y - 9 != home:
+    """castling_possible's destinations as square indices: the _CASTLINGS
+    entries of the king's square and colour whose bit the square map's
+    rights mask holds.  A king in check or off its rights returns at once."""
+    occ, colour, rights = context.occ, king.colour, context.rights
+    s = king.square.x + 8 * king.square.y - 9
+    if context.checked or not rights & ~_RIGHTS_KEPT[s]:
         return []
     enemy = opposite_colour(colour)
     return [
         dest
-        for bit, corner, between, crossed, dest in wings
-        if context.rights & bit
+        for (home, dest), (side, bit, corner, between, crossed) in _CASTLINGS.items()
+        if home == s and side is colour and rights & bit
         and (rook := occ[corner]) is not None and rook.type is ROOK and rook.colour is colour
         and not any(occ[t] for t in between)
         and not _square_attacked(occ, crossed, enemy)
@@ -357,18 +363,6 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
 
 
 # --- legality ---------------------------------------------------------------
-
-
-def _en_passant_exposes_king(occ: Occupancy, s: int, t: int, king: Piece) -> bool:
-    """Apply an en-passant capture from square s onto t to a scratch copy
-    of the occupancy and probe the mover's king: the capture empties two
-    squares of one rank (the captured pawn is on t's file and s's rank),
-    which no pin line describes."""
-    scratch = occ.copy()
-    scratch[t] = scratch[s]
-    scratch[s] = scratch[square_at(SQUARES[t].x, SQUARES[s].y)] = None
-    enemy = opposite_colour(king.colour)
-    return _square_attacked(scratch, square_index(king.square), enemy)
 
 
 def _king_context(occ: Occupancy, king: Optional[Piece]):
@@ -488,7 +482,8 @@ def _legal_for_piece(context, piece: Piece, count: bool = False):
     where the enemy does not attack with the king lifted off (castling is
     tested when generated); other moves must stay on the pin line and land
     on an evasion square.  Only en passant, which also removes the captured
-    pawn, is tried on a scratch copy.  A missing king is never attacked."""
+    pawn, is probed on the occupancy the applier's own patch leaves
+    (_changes, _child_map).  A missing king is never attacked."""
     occ, king, _, pins, evasions, _, passant, _ = context
     kind, colour = piece.type, piece.colour
     s = piece.square.x + 8 * piece.square.y - 9
@@ -528,9 +523,11 @@ def _legal_for_piece(context, piece: Piece, count: bool = False):
     if kind is KING:
         targets += _castling_moves(context, piece)
     elif kind is PAWN and s in passant:
-        t = passant[s]
-        if king is None or not _en_passant_exposes_king(occ, s, t, king):
-            targets.append(t)
+        capture = _move_row(PAWN, PAWN, colour, s)[passant[s]]
+        after = _child_map((occ, {}, 0), capture, _changes(occ, capture))[0]
+        enemy = opposite_colour(colour)
+        if king is None or not _square_attacked(after, square_index(king.square), enemy):
+            targets.append(passant[s])
     if count:
         return 4 * len(targets) if kind is PAWN and promotes else len(targets)
     if not targets:
@@ -565,18 +562,18 @@ def has_legal_move(board: Board, colour: Colour) -> bool:
 
 
 def iss_castling(board: Board, mov: Move) -> bool:
-    """Whether a (legal) move is a castling: a king jumping two files."""
-    return mov.from_.type is KING and abs(mov.to_.square.x - mov.from_.square.x) == 2
+    """Whether a (legal) move is a castling: a king move whose (from, to)
+    squares are a king's home and destination in _CASTLINGS.  A two-file
+    king jump off the home square is an ordinary move."""
+    return mov.from_.type is KING and (
+        square_index(mov.from_.square), square_index(mov.to_.square)
+    ) in _CASTLINGS
 
 
 def iss_en_passant(board: Board, mov: Move) -> bool:
-    """Whether a (legal) move is an en-passant capture: a pawn stepping
-    diagonally onto an empty square."""
-    return (
-        mov.from_.type is PAWN
-        and mov.from_.square.x != mov.to_.square.x
-        and _context(board, mov.from_.colour).occ[square_index(mov.to_.square)] is None
-    )
+    """Whether a (legal) move is an en-passant capture: one whose only
+    change beyond its own two squares (_changes) is a victim taken."""
+    return len(_changes(_context(board, mov.from_.colour).occ, mov)) == 1
 
 
 def move(board: Board, mov: Move) -> Board:
@@ -621,12 +618,13 @@ def move_other(board: Board, mov: Move) -> Board:
 
 
 def move_castling(board: Board, mov: Move) -> Board:
-    """Castling: the king jumps two files and the corner rook lands on the
-    square the king crossed."""
+    """Castling (_CASTLINGS): the king leaves its home square, and its own
+    rook leaves the wing's corner for the square the king crossed."""
     occ = _context(board, mov.from_.colour).occ
     changes = _changes(occ, mov)
-    if len(changes) != 2 or occ[changes[0][0]] is None or occ[changes[0][0]].type is not ROOK:
-        raise IllegalMoveError(f"not a castling with a rook on its corner: {mov}")
+    rook = occ[changes[0][0]] if len(changes) == 2 else None
+    if rook is None or rook.type is not ROOK or rook.colour is not mov.from_.colour:
+        raise IllegalMoveError(f"not a castling with its rook on the corner: {mov}")
     return _apply(board, mov)
 
 
@@ -643,15 +641,17 @@ def move_en_passant(board: Board, mov: Move) -> Board:
 def _changes(occ: Occupancy, mov: Move) -> tuple:
     """The (square index, new holder or None) changes a move makes beyond
     its own two squares, read against the occupancy before it: castling's
-    rook (a king jumping two files) and en passant's victim (a pawn
-    changing file onto an empty square).  The applier and perft share it:
-    it is the only move-kind dispatch."""
+    rook (a king move from a home to a destination in _CASTLINGS) and en
+    passant's victim (a pawn changing file onto an empty square; its square
+    is worked out only here).  It is the only move-kind dispatch: the
+    applier, perft, iss_en_passant and the en-passant probe all read it."""
     origin, target, kind = mov.from_.square, mov.to_.square, mov.from_.type
-    if kind is KING and abs(target.x - origin.x) == 2:
-        corner = square_at(8 if target.x > origin.x else 1, origin.y)
-        crossed = square_at((origin.x + target.x) // 2, origin.y)
-        return (corner, None), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])
-    if kind is PAWN and target.x != origin.x and occ[square_index(target)] is None:
+    if kind is KING:
+        wing = _CASTLINGS.get((origin.x + 8 * origin.y - 9, target.x + 8 * target.y - 9))
+        if wing is not None:
+            _, _, corner, _, crossed = wing
+            return (corner, None), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])
+    elif kind is PAWN and target.x != origin.x and occ[square_index(target)] is None:
         return ((square_at(target.x, origin.y), None),)
     return ()
 

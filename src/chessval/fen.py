@@ -2,16 +2,19 @@
 
 Only piece placement and the side to move are required.  Castling and
 en-passant fields are honoured when present by synthesizing a history
-that makes the history-derived rules agree with them; move counters are
-accepted and ignored.
+that makes the history-derived rules agree with them: the double push
+the en-passant square names, then, in KQkq order, for each wing whose
+letter is absent a rook move off that wing's corner, read from the
+board's castling table (board._CASTLINGS).  Move counters are accepted
+and ignored.
 """
 
 from __future__ import annotations
 
-from .board import _PIECE_LETTERS, Board, Move, in_check
+from .board import _CASTLINGS, _PIECE_LETTERS, Board, Move, in_check
 from .game import Game
 from .pgn import FILE_TO_X, RANK_TO_Y
-from .pieces import Colour, Coordinate, Piece, PieceType, opposite_colour
+from .pieces import SQUARES, Colour, Coordinate, Piece, PieceType, opposite_colour
 
 
 class FenError(ValueError):
@@ -20,13 +23,8 @@ class FenError(ValueError):
 
 _LETTER_TO_TYPE = {letter: t for t, letter in _PIECE_LETTERS.items()}
 
-# castling-rights letter -> (colour, rook corner file)
-_RIGHTS = {
-    "K": (Colour.WHITE, 8),
-    "Q": (Colour.WHITE, 1),
-    "k": (Colour.BLACK, 8),
-    "q": (Colour.BLACK, 1),
-}
+# castling-rights letter -> its bit in the castling-rights mask
+_RIGHTS = {"K": 1, "Q": 2, "k": 4, "q": 8}
 
 
 def _parse_placement(placement: str) -> set[Piece]:
@@ -51,17 +49,6 @@ def _parse_placement(placement: str) -> set[Piece]:
         if x != 9:
             raise FenError(f"rank {y} does not span 8 files")
     return pieces
-
-
-def _rights_killer(colour: Colour, corner_x: int) -> Move:
-    """A synthetic history entry touching a rook corner, which revokes the
-    corresponding castling right under the history-derived rule."""
-    y = 1 if colour is Colour.WHITE else 8
-    step = 1 if colour is Colour.WHITE else -1
-    return Move(
-        Piece(PieceType.ROOK, Coordinate(corner_x, y), colour),
-        Piece(PieceType.ROOK, Coordinate(corner_x, y + step), colour),
-    )
 
 
 def _en_passant_push(square: str, to_move: Colour, pieces: set[Piece]) -> Move:
@@ -115,14 +102,14 @@ def parse_fen(text: str) -> Game:
 
     if len(fields) >= 3:
         rights = fields[2]
-        if rights != "-":
-            for ch in rights:
-                if ch not in _RIGHTS:
-                    raise FenError(f"bad castling rights {rights!r}")
-        granted = set(rights.replace("-", ""))
-        for letter, (colour, corner_x) in _RIGHTS.items():
-            if letter not in granted:
-                history.append(_rights_killer(colour, corner_x))
+        if rights != "-" and not set(rights) <= _RIGHTS.keys():
+            raise FenError(f"bad castling rights {rights!r}")
+        granted = sum(_RIGHTS[letter] for letter in set(rights) - {"-"})
+        for colour, bit, corner, _, _ in _CASTLINGS.values():
+            if not granted & bit:  # a rook move off the corner revokes the wing
+                off = corner + 8 if colour is Colour.WHITE else corner - 8
+                rook, moved = (Piece(PieceType.ROOK, SQUARES[s], colour) for s in (corner, off))
+                history.append(Move(rook, moved))
 
     for counter in fields[4:6]:
         if not (counter.isascii() and counter.isdigit()):

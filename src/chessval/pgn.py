@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .board import Board, IllegalMoveError, Move, _context, _piece_moves, iss_castling
+from .board import _CASTLINGS, Board, IllegalMoveError, Move, _context, _piece_moves, iss_castling
 from .game import REMIS, Game, Winner, game_move, new_game
 from .pieces import SQUARES, Colour, Coordinate, PieceType, square_index
 
@@ -328,11 +328,11 @@ def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, str]:
     """Resolve a token and play it: the move, the game after it, its winner
     and the move's minimal SAN; see resolve_san for the errors."""
     piece_type, target = token.piece_type, token.target
-    if token.kind is not SanKind.NORMAL:
-        piece_type = PieceType.KING
-        target = Coordinate(
-            7 if token.kind is SanKind.KINGSIDE_CASTLE else 3,
-            1 if game.turn is Colour.WHITE else 8,
+    if token.kind is not SanKind.NORMAL:  # the king's destination on the token's wing
+        kingside = token.kind is SanKind.KINGSIDE_CASTLE
+        piece_type, target = PieceType.KING, next(
+            SQUARES[dest] for (home, dest), wing in _CASTLINGS.items()
+            if wing[0] is game.turn and (dest > home) is kingside
         )
     rivals = _candidates(game, piece_type, target)
     matches = [
@@ -342,7 +342,7 @@ def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, str]:
         and m.to_.type is (token.promotion or m.from_.type)
         and (token.origin_file is None or m.from_.square.x == token.origin_file)
         and (token.origin_rank is None or m.from_.square.y == token.origin_rank)
-        and (token.kind is SanKind.NORMAL or iss_castling(game.board, m))
+        and iss_castling(game.board, m) is (token.kind is not SanKind.NORMAL)
     ]
     if not matches:
         raise SanError(f"no legal move matches {san_text(token)!r}")

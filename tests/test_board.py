@@ -418,6 +418,14 @@ def test_iss_castling_on_a_two_file_king_jump():
     assert not iss_castling(board, M(king, 6, 2))
 
 
+def test_a_two_file_king_jump_off_the_home_square_is_an_ordinary_move():
+    king, rook, black_king = P(KING, 5, 2), P(ROOK, 8, 2), P(KING, 5, 8, B)
+    board = Board({king, rook, black_king})
+    jump = M(king, 7, 2)  # no generator makes it; built by hand
+    assert not iss_castling(board, jump)
+    assert move_other(board, jump).board_state == {P(KING, 7, 2), rook, black_king}
+
+
 def test_iss_en_passant_on_a_diagonal_pawn_move_to_an_empty_square():
     pawn = P(PAWN, 5, 5)
     double_push = M(P(PAWN, 4, 7, B), 4, 5)
@@ -532,6 +540,7 @@ def test_en_passant_removes_the_bypassed_pawn():
         (move_castling, "king step"),
         (move_castling, "en passant"),
         (move_castling, "castling without its rook"),
+        (move_castling, "castling with an enemy rook on the corner"),
         (move_en_passant, "king step"),
         (move_en_passant, "castling"),
         (move_en_passant, "en passant without a victim"),
@@ -549,7 +558,10 @@ def test_a_named_rule_rejects_a_move_of_another_kind(rule, kind):
         "castling without its rook": M(king, 3, 1),
         "en passant": M(pawn, 4, 6),
         "en passant without a victim": M(pawn, 6, 6),
+        "castling with an enemy rook on the corner": M(king, 7, 1),
     }
+    if kind == "castling with an enemy rook on the corner":
+        board = Board({king, P(ROOK, 8, 1, B), P(KING, 5, 8, B)})
     with pytest.raises(IllegalMoveError):
         rule(board, moves[kind])
 

@@ -53,6 +53,15 @@ def test_validate_reports_an_illegal_san_with_its_ply(tmp_path, capsys):
     assert "Ke3" in out
 
 
+def test_validate_rejects_a_king_token_for_a_castling(tmp_path, capsys):
+    path = tmp_path / "kg1.pgn"
+    path.write_text("1. e4 e5 2. Nf3 Nc6 3. Bc4 Bc5 4. Kg1 *\n")
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "error at ply 7 ('Kg1'): no legal move matches 'Kg1'" in out
+
+
 def test_validate_unreadable_path_is_an_io_failure(tmp_path, capsys):
     code = main(["validate", str(tmp_path / "missing.pgn")])
     err = capsys.readouterr().err

@@ -1,8 +1,17 @@
 """FEN reading: placement, side, castling and en-passant synthesis."""
 
+import itertools
+
 import pytest
 
-from chessval.board import castling_possible, default_board, en_passant, legal_moves, perft
+from chessval.board import (
+    _context,
+    castling_possible,
+    default_board,
+    en_passant,
+    legal_moves,
+    perft,
+)
 from chessval.fen import FenError, parse_fen
 from chessval.pieces import Colour, Coordinate, Piece, PieceType
 
@@ -39,6 +48,22 @@ def test_castling_rights_revoked_when_absent():
     game = parse_fen("4k3/8/8/8/8/8/8/4K2R w - - 0 1")
     king = Piece(PieceType.KING, Coordinate(5, 1), W)
     assert castling_possible(game.board, king) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "granted",
+    ["".join(itertools.compress("KQkq", keep)) for keep in itertools.product((1, 0), repeat=4)],
+)
+def test_every_subset_of_castling_rights_grants_exactly_its_wings(granted):
+    game = parse_fen(f"r3k2r/8/8/8/8/8/8/R3K2R w {granted or '-'} - 0 1")
+    for colour, y, kingside, queenside in ((W, 1, "K", "Q"), (B, 8, "k", "q")):
+        king = Piece(PieceType.KING, Coordinate(5, y), colour)
+        wings = {m.to_.square for m in castling_possible(game.board, king)}
+        assert wings == {
+            Coordinate(x, y) for x, letter in ((7, kingside), (3, queenside)) if letter in granted
+        }
+    bits = {"K": 1, "Q": 2, "k": 4, "q": 8}  # the square map's castling-rights mask
+    assert _context(game.board, W).rights == sum(bits[letter] for letter in granted)
 
 
 def test_en_passant_field_opens_the_capture():

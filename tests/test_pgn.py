@@ -330,6 +330,16 @@ def test_resolve_castling():
     assert king_move == M(P(KING, 5, 1), 7, 1)
 
 
+def test_a_plain_king_token_does_not_match_a_castling():
+    opening = "1. e4 e5 2. Nf3 Nc6 3. Bc4 Bc5 4. {} *"
+    castled = parse_pgn(opening.format("O-O"))[0].tokens
+    assert [san for _, _, _, san in replay(castled)][-1] == "O-O"
+    plies = replay(parse_pgn(opening.format("Kg1"))[0].tokens)
+    with pytest.raises(SanError, match="no legal move matches 'Kg1'"):
+        for _ in range(7):
+            next(plies)
+
+
 def test_resolve_promotion_picks_the_promoted_type():
     board = Board({P(PAWN, 5, 7), P(KING, 1, 1), P(KING, 8, 8, B)})
     game = Game(board, W)

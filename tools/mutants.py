@@ -102,7 +102,14 @@ MUTANTS = [
     ("rights-not-read-from-the-history", "board.py",
      "for m in board.history:", "for m in board.history[:0]:"),
     ("castling-without-the-rights-test", "board.py",
-     "if context.rights & bit", "if context.rights | bit"),
+     "if home == s and side is colour and rights & bit", "if home == s and side is colour"),
+    ("rights-mask-ignores-corners", "board.py",
+     "if s in (home, corner))", "if s == home)"),
+    ("fen-revokes-the-wrong-corner", "fen.py",
+     "for s in (corner, off))", "for s in (corner ^ 7, off ^ 7))"),
+    ("en-passant-probe-reads-the-parent-occupancy", "board.py",
+     "if king is None or not _square_attacked(after, square_index(king.square), enemy):",
+     "if king is None or not _square_attacked(occ, square_index(king.square), enemy):"),
     # the one applier's piece set, and the named rules' pre-conditions
     ("castled-rook-never-joins-the-piece-set", "board.py",
      "arrived.add(holder)", "arrived.add(mov.to_)"),
@@ -111,8 +118,11 @@ MUTANTS = [
     ("move-other-pre-condition-dropped", "board.py",
      "if _changes(_context(board, mov.from_.colour).occ, mov):", "if False:"),
     ("move-castling-pre-condition-dropped", "board.py",
-     "if len(changes) != 2 or occ[changes[0][0]] is None or occ[changes[0][0]].type is not ROOK:",
+     "if rook is None or rook.type is not ROOK or rook.colour is not mov.from_.colour:",
      "if False:"),
+    ("move-castling-rook-colour-unchecked", "board.py",
+     "if rook is None or rook.type is not ROOK or rook.colour is not mov.from_.colour:",
+     "if rook is None or rook.type is not ROOK:"),
     ("move-en-passant-pre-condition-dropped", "board.py",
      "if len(changes) != 1 or occ[changes[0][0]] is None:", "if False:"),
     # perft's square-map recursion, its counted last ply and the root maps _divide hands on
@@ -128,6 +138,10 @@ MUTANTS = [
      "tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1) for m in moves]",
      "tasks = [(_child_map(square_map, m, _changes(occ, m)),"
      " board.history[0] if board.history else None, enemy, depth - 1) for m in moves]"),
+    # SAN resolution
+    ("plain-king-token-matches-a-castling", "pgn.py",
+     "and iss_castling(game.board, m) is (token.kind is not SanKind.NORMAL)",
+     "and (token.kind is SanKind.NORMAL or iss_castling(game.board, m))"),
     # the interned moves
     ("cached-hash-pickled", "board.py",
      "def __reduce__(self):", "def _reduce(self):"),
