@@ -31,6 +31,7 @@ from .pieces import (
     Occupancy,
     Piece,
     PieceType,
+    _Table,
     _occupancy,
     moves_with_colours,
     opposite_colour,
@@ -164,19 +165,22 @@ def default_board() -> Board:
 # --- occupancy helpers ------------------------------------------------------
 
 
-# Per attacking colour, one entry per ray direction: (index step, steps to
-# the edge per square, the types that attack along the ray, the types that
-# attack from its first square).  The first square adds the king and, on
-# the two diagonals a pawn of that colour captures along towards the
-# square, the pawn.
-_ATTACK_LINES = {
-    by: tuple(
-        (step, edge, sliders, sliders + (KING,) + ((PAWN,) if dx and dy == back else ()))
+def _probe_rays(by: Colour, s: int) -> tuple:
+    """Colour `by`'s attack rays onto square index s, one per direction off
+    it: (the first square, the rest as bytes, nearest first, the types that
+    attack from the first square, and from further along).  The first adds
+    the king and, on the two diagonals a `by` pawn captures along, the pawn."""
+    back = -1 if by is Colour.WHITE else 1
+    return tuple(
+        (s + step, bytes(range(s + 2 * step, s + step * (edge[s] + 1), step)),
+         sliders + (KING,) + ((PAWN,) if dx and dy == back else ()), sliders)
         for (dx, dy), (step, edge) in zip(ALL_DIRECTIONS, RAYS)
+        if edge[s]
         for sliders in [(BISHOP, QUEEN) if dx and dy else (ROOK, QUEEN)]
     )
-    for by, back in ((Colour.WHITE, -1), (Colour.BLACK, 1))
-}
+
+
+_PROBE_RAYS = {by: _Table(lambda s, by=by: _probe_rays(by, s)) for by in Colour}
 
 
 def _square_attacked(occ: Occupancy, s: int, by: Colour) -> bool:
@@ -190,13 +194,17 @@ def _square_attacked(occ: Occupancy, s: int, by: Colour) -> bool:
         p = occ[t]
         if p is not None and p.type is KNIGHT and p.colour is by:
             return True
-    for step, edge, sliders, near in _ATTACK_LINES[by]:
-        for t in range(s + step, s + step * (edge[s] + 1), step):
-            p = occ[t]
-            if p is not None:
-                if p.colour is by and p.type in (near if t == s + step else sliders):
-                    return True
-                break
+    for first, rest, near, sliders in _PROBE_RAYS[by][s]:
+        p = occ[first]
+        if p is None:
+            for t in rest:
+                p = occ[t]
+                if p is not None:
+                    if p.colour is by and p.type in sliders:
+                        return True
+                    break
+        elif p.colour is by and p.type in near:
+            return True
     return False
 
 
@@ -313,6 +321,11 @@ _RIGHTS_KEPT = bytes(
     15 & ~sum(bit for (home, _), (_, bit, corner, _, _) in _CASTLINGS.items() if s in (home, corner))
     for s in range(64)
 )
+# _CASTLINGS by the king's (colour, home): destination -> the entry less its colour.
+_WINGS = {
+    (side, home): {dest: wing[1:] for (h, dest), wing in _CASTLINGS.items() if h == home}
+    for (home, _), (side, *_) in _CASTLINGS.items()
+}
 
 
 def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
@@ -329,18 +342,18 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
 
 
 def _castling_moves(context, king: Piece) -> list[int]:
-    """castling_possible's destinations as square indices: the _CASTLINGS
-    entries of the king's square and colour whose bit the square map's
-    rights mask holds.  A king in check or off its rights returns at once."""
+    """castling_possible's destinations as square indices: the wings of the
+    king's (colour, square) in _WINGS whose bit the square map's rights mask
+    holds.  A king off its colour's home square or in check returns at once."""
     occ, colour, rights = context.occ, king.colour, context.rights
-    s = king.square.x + 8 * king.square.y - 9
-    if context.checked or not rights & ~_RIGHTS_KEPT[s]:
+    wings = _WINGS.get((colour, king.square.x + 8 * king.square.y - 9))
+    if wings is None or context.checked:
         return []
     enemy = opposite_colour(colour)
     return [
         dest
-        for (home, dest), (side, bit, corner, between, crossed) in _CASTLINGS.items()
-        if home == s and side is colour and rights & bit
+        for dest, (bit, corner, between, crossed) in wings.items()
+        if rights & bit
         and (rook := occ[corner]) is not None and rook.type is ROOK and rook.colour is colour
         and not any(occ[t] for t in between)
         and not _square_attacked(occ, crossed, enemy)
@@ -382,17 +395,22 @@ def _king_context(occ: Occupancy, king: Optional[Piece]):
         p = occ[t]
         if p is not None and p.type is KNIGHT and p.colour is enemy:
             checks.append(frozenset((t,)))
-    for step, edge, sliders, near in _ATTACK_LINES[enemy]:
-        shield = None
-        for t in range(k + step, k + step * (edge[k] + 1), step):
+    for first, rest, near, sliders in _PROBE_RAYS[enemy][k]:
+        p = occ[first]
+        if p is not None and p.colour is enemy:
+            if p.type in near:
+                checks.append(frozenset((first,)))
+            continue
+        shield = None if p is None else first
+        for i, t in enumerate(rest):
             p = occ[t]
             if p is None:
                 continue
             if shield is None and p.colour is colour:
                 shield = t
                 continue
-            if p.colour is enemy and p.type in (near if t == k + step else sliders):
-                line = frozenset(range(k + step, t + step, step))
+            if p.colour is enemy and p.type in sliders:
+                line = frozenset((first, *rest[: i + 1]))
                 if shield is None:
                     checks.append(line)
                 else:
@@ -450,7 +468,7 @@ def _piece_moves(board: Board, context, piece: Piece) -> list[Move]:
     s = piece.square.x + 8 * piece.square.y - 9
     moves = by_square.get(s)
     if moves is None:
-        moves = by_square[s] = _legal_for_piece(context, piece)
+        moves = by_square[s] = _legal_for_piece(context, (piece,))
     return moves
 
 
@@ -473,69 +491,74 @@ def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     return frozenset(_piece_moves(board, _context(board, piece.colour), piece))
 
 
-def _legal_for_piece(context, piece: Piece, count: bool = False):
-    """The piece's legal moves, or with `count` their number.  Its targets
-    are walked over the occupancy as square indices along the per-kind
-    tables of the pieces module (the geometry of moves_with_colours, plus
-    the double push), filtered, and only the kept ones lifted to Move
-    values (a counted promotion target is four).  A king step must land
-    where the enemy does not attack with the king lifted off (castling is
-    tested when generated); other moves must stay on the pin line and land
-    on an evasion square.  Only en passant, which also removes the captured
-    pawn, is probed on the occupancy the applier's own patch leaves
-    (_changes, _child_map).  A missing king is never attacked."""
-    occ, king, _, pins, evasions, _, passant, _ = context
-    kind, colour = piece.type, piece.colour
-    s = piece.square.x + 8 * piece.square.y - 9
-    targets = []
-    if kind is PAWN:
-        pushes, captures, promotes = PAWN_PATHS[colour][s]
-        for t in pushes:
-            if occ[t] is not None:
-                break
-            targets.append(t)
-        for t in captures:
-            if occ[t] is not None and occ[t].colour is not colour:
-                targets.append(t)
-    elif kind is KNIGHT or kind is KING:
-        targets = [t for t in STEP_TARGETS[kind][s] if occ[t] is None or occ[t].colour is not colour]
-    else:
-        for ray in SLIDER_PATHS[kind][s]:
-            for t in ray:
-                holder = occ[t]
-                if holder is not None:
-                    if holder.colour is not colour:
-                        targets.append(t)
+def _legal_for_piece(context, pieces, count: bool = False):
+    """The legal moves of a sequence of one side's pieces as one flat list,
+    or with `count` their number (a promotion target counts four).  Each
+    piece's targets are walked over the occupancy along the per-kind tables
+    of the pieces module (moves_with_colours' geometry plus the double
+    push), filtered, and only the kept ones lifted to Move values.  A king
+    step must land where the enemy does not attack (castling is tested when
+    generated); other moves must stay on the pin line and land on an
+    evasion square.  Only en passant, which also removes the captured pawn,
+    is probed on the occupancy the applier's patch leaves (_changes,
+    _child_map).  A missing king is never attacked."""
+    occ, king, checked, pins, evasions, _, passant, _ = context
+    moves, total = [], 0
+    for piece in pieces:
+        kind, colour = piece.type, piece.colour
+        s = piece.square.x + 8 * piece.square.y - 9
+        targets = []
+        if kind is PAWN:
+            pushes, captures, promotes = PAWN_PATHS[colour][s]
+            for t in pushes:
+                if occ[t] is not None:
                     break
                 targets.append(t)
-    if king is not None and targets:
-        if kind is KING:
-            lifted = occ.copy()
-            lifted[s] = None
-            enemy = opposite_colour(colour)
-            targets = [t for t in targets if not _square_attacked(lifted, t, enemy)]
+            for t in captures:
+                if occ[t] is not None and occ[t].colour is not colour:
+                    targets.append(t)
+        elif kind is KNIGHT or kind is KING:
+            targets = [
+                t for t in STEP_TARGETS[kind][s] if occ[t] is None or occ[t].colour is not colour
+            ]
         else:
-            allowed = pins.get(s)
-            if evasions is not None:
-                allowed = evasions if allowed is None else allowed & evasions
-            if allowed is not None:
-                targets = [t for t in targets if t in allowed]
-    if kind is KING:
-        targets += _castling_moves(context, piece)
-    elif kind is PAWN and s in passant:
-        capture = _move_row(PAWN, PAWN, colour, s)[passant[s]]
-        after = _child_map((occ, {}, 0), capture, _changes(occ, capture))[0]
-        enemy = opposite_colour(colour)
-        if king is None or not _square_attacked(after, square_index(king.square), enemy):
-            targets.append(passant[s])
-    if count:
-        return 4 * len(targets) if kind is PAWN and promotes else len(targets)
-    if not targets:
-        return []
-    if kind is PAWN and promotes:
-        return _promotions(piece, targets)  # every target is on the last rank
-    row = _move_row(kind, kind, colour, s)
-    return [row[t] for t in targets]
+            for ray in SLIDER_PATHS[kind][s]:
+                for t in ray:
+                    holder = occ[t]
+                    if holder is not None:
+                        if holder.colour is not colour:
+                            targets.append(t)
+                        break
+                    targets.append(t)
+        if king is not None and targets:
+            if kind is KING:
+                # Out of check no enemy ray reaches the king's square, so the king
+                # shields nothing and is lifted off for the probes only in check.
+                probed = occ[:s] + [None] + occ[s + 1:] if checked else occ
+                enemy = opposite_colour(colour)
+                targets = [t for t in targets if not _square_attacked(probed, t, enemy)]
+            else:
+                allowed = pins.get(s)
+                if evasions is not None:
+                    allowed = evasions if allowed is None else allowed & evasions
+                if allowed is not None:
+                    targets = [t for t in targets if t in allowed]
+        if kind is KING:
+            targets += _castling_moves(context, piece)
+        elif kind is PAWN and s in passant:
+            capture = _move_row(PAWN, PAWN, colour, s)[passant[s]]
+            after = _child_map((occ, {}, 0), capture, _changes(occ, capture))[0]
+            enemy = opposite_colour(colour)
+            if king is None or not _square_attacked(after, square_index(king.square), enemy):
+                targets.append(passant[s])
+        if count:
+            total += 4 * len(targets) if kind is PAWN and promotes else len(targets)
+        elif kind is PAWN and promotes:
+            moves += _promotions(piece, targets)  # every target is on the last rank
+        elif targets:
+            row = _move_row(kind, kind, colour, s)
+            moves += [row[t] for t in targets]
+    return total if count else moves
 
 
 def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:
@@ -562,12 +585,11 @@ def has_legal_move(board: Board, colour: Colour) -> bool:
 
 
 def iss_castling(board: Board, mov: Move) -> bool:
-    """Whether a (legal) move is a castling: a king move whose (from, to)
-    squares are a king's home and destination in _CASTLINGS.  A two-file
-    king jump off the home square is an ordinary move."""
-    return mov.from_.type is KING and (
-        square_index(mov.from_.square), square_index(mov.to_.square)
-    ) in _CASTLINGS
+    """Whether a (legal) move is a castling: a king move from its colour's
+    home square to a destination of one of that colour's wings (_WINGS).
+    Any other king jump, a two-file one included, is an ordinary move."""
+    wings = _WINGS.get((mov.from_.colour, square_index(mov.from_.square)), {})
+    return mov.from_.type is KING and square_index(mov.to_.square) in wings
 
 
 def iss_en_passant(board: Board, mov: Move) -> bool:
@@ -641,15 +663,15 @@ def move_en_passant(board: Board, mov: Move) -> Board:
 def _changes(occ: Occupancy, mov: Move) -> tuple:
     """The (square index, new holder or None) changes a move makes beyond
     its own two squares, read against the occupancy before it: castling's
-    rook (a king move from a home to a destination in _CASTLINGS) and en
-    passant's victim (a pawn changing file onto an empty square; its square
-    is worked out only here).  It is the only move-kind dispatch: the
+    rook (a king move from its (colour, home) onto a wing's destination in
+    _WINGS) and en passant's victim (a pawn changing file onto an empty
+    square; its square is worked out only here).  It is the only move-kind dispatch: the
     applier, perft, iss_en_passant and the en-passant probe all read it."""
     origin, target, kind = mov.from_.square, mov.to_.square, mov.from_.type
     if kind is KING:
-        wing = _CASTLINGS.get((origin.x + 8 * origin.y - 9, target.x + 8 * target.y - 9))
+        wing = _WINGS.get((mov.from_.colour, square_index(origin)), {}).get(square_index(target))
         if wing is not None:
-            _, _, corner, _, crossed = wing
+            _, corner, _, crossed = wing
             return (corner, None), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])
     elif kind is PAWN and target.x != origin.x and occ[square_index(target)] is None:
         return ((square_at(target.x, origin.y), None),)
@@ -700,11 +722,10 @@ def _perft(square_map, last: Optional[Move], colour: Colour, depth: int) -> int:
     context = _side_context(square_map, last, colour)
     pieces = [p for p in context.occ if p is not None and p.colour is colour]
     if depth == 1:
-        return sum([_legal_for_piece(context, piece, True) for piece in pieces])
+        return _legal_for_piece(context, pieces, True)
     occ, enemy, total = context.occ, opposite_colour(colour), 0
-    for piece in pieces:
-        for m in _legal_for_piece(context, piece):
-            total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1)
+    for m in _legal_for_piece(context, pieces):
+        total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1)
     return total
 
 
@@ -714,8 +735,7 @@ def _divide(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> list:
     a pool of that many processes receives."""
     context = _context(board, to_move)
     occ, square_map, enemy = context.occ, board._contexts[None], opposite_colour(to_move)
-    pieces = [p for p in occ if p is not None and p.colour is to_move]
-    moves = [m for piece in pieces for m in _legal_for_piece(context, piece)]
+    moves = _legal_for_piece(context, [p for p in occ if p is not None and p.colour is to_move])
     if depth == 1:
         return [(m, 1) for m in moves]
     tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1) for m in moves]

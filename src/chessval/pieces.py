@@ -178,7 +178,7 @@ PAWN_CAPTURE_RAYS = {
 
 
 class _Table(dict):
-    """Per-square entries by piece type or colour, each built by
+    """Entries by piece type, colour or square index, each built by
     `build(key)` on first use and kept: an import builds none."""
 
     __slots__ = ("build",)

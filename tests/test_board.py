@@ -566,6 +566,16 @@ def test_a_named_rule_rejects_a_move_of_another_kind(rule, kind):
         rule(board, moves[kind])
 
 
+def test_a_king_jump_from_the_other_colour_s_home_is_no_castling():
+    king, rook, white_king = P(KING, 5, 1, B), P(ROOK, 8, 1, B), P(KING, 5, 8)
+    board = Board({king, rook, white_king})
+    jump = M(king, 7, 1)
+    assert not iss_castling(board, jump)
+    with pytest.raises(IllegalMoveError):
+        move_castling(board, jump)
+    assert move_other(board, jump).board_state == {P(KING, 7, 1, B), rook, white_king}
+
+
 def test_move_dispatches_en_passant_through_the_gate():
     board = play(
         default_board(),

@@ -11,8 +11,9 @@ the oracle, and the square map a child board inherits with the one built
 from its pieces.  Perft with a pool, which hands its workers square maps,
 is checked against the serial count where the map carries a partial
 castling-rights mask, an en-passant window or a played history.  The
-interned move table and the geometry tables are
-checked to start empty and to be pure caches, and a pickled move to be
+interned move table and the geometry tables are checked to start empty
+and to be pure caches, the probe rays to start empty and to be filled by
+a FEN parse only where its check test probes, and a pickled move to be
 hashed afresh where it is unpickled.
 """
 
@@ -285,7 +286,7 @@ def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
             assert lifted == _oracle_targets(grid, piece), piece
             walked = {
                 m.to_.square
-                for m in _legal_for_piece(unfiltered, piece)
+                for m in _legal_for_piece(unfiltered, (piece,))
                 if not iss_castling(board, m)
             }
             if piece.type is PieceType.PAWN:
@@ -294,15 +295,20 @@ def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
                 if 1 <= y + forward <= 8 and _pseudo_legal(grid, (), piece, x, y, x, y + forward):
                     lifted.add(Coordinate(x, y + forward))
             assert walked == lifted, piece
+        for colour in Colour:  # one walk over a side is its pieces' walks in turn
+            side = [p for p in occ if p is not None and p.colour is colour]
+            each = [_legal_for_piece(unfiltered, (piece,)) for piece in side]
+            assert _legal_for_piece(unfiltered, side) == [m for moves in each for m in moves]
+            assert _legal_for_piece(unfiltered, side, True) == sum(map(len, each))
 
 
 def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
     computed = []
     legal_for_piece = board_module._legal_for_piece
 
-    def counting(context, piece):
-        computed.append((piece.colour, piece.square))
-        return legal_for_piece(context, piece)
+    def counting(context, pieces, count=False):
+        computed.extend((piece.colour, piece.square) for piece in pieces)
+        return legal_for_piece(context, pieces, count)
 
     monkeypatch.setattr(board_module, "_legal_for_piece", counting)
     for board, colour in _sample_positions():
@@ -379,6 +385,21 @@ def test_the_move_table_starts_empty_on_import():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[0, 0, 0, 0]"
+
+
+def test_an_import_builds_no_probe_rays_and_a_parse_only_those_it_probes():
+    path = [p for p in sys.path if p]
+    code = (
+        f"import sys; sys.path[:0] = {path!r}; import chessval, chessval.board as b; "
+        "filled = lambda: sorted((c.name, s) for c, rays in b._PROBE_RAYS.items() for s in rays); "
+        "print(filled()); chessval.fen.parse_fen(sys.argv[1]); print(filled())"
+    )
+    start = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
+    run = subprocess.run(
+        [sys.executable, "-c", code, start], capture_output=True, text=True, check=True
+    )
+    # parsing tests only that black, not to move, is not in check: white's rays onto e8
+    assert run.stdout.split("\n")[:2] == ["[]", "[('WHITE', 60)]"]
 
 
 def test_the_move_table_is_a_pure_cache(monkeypatch):

@@ -36,26 +36,35 @@ MUTANTS = [
     ("pins-ignored", "board.py",
      "allowed = pins.get(s)", "allowed = None"),
     ("king-steps-unprobed", "board.py",
-     "targets = [t for t in targets if not _square_attacked(lifted, t, enemy)]",
+     "targets = [t for t in targets if not _square_attacked(probed, t, enemy)]",
      "targets = list(targets)"),
     ("king-not-lifted", "board.py",
-     "lifted[s] = None", "lifted[s] = lifted[s]"),
+     "occ[:s] + [None] + occ[s + 1:]", "occ[:s] + [occ[s]] + occ[s + 1:]"),
+    ("king-lifted-only-out-of-check", "board.py",
+     "if checked else occ", "if not checked else occ"),
+    # the side's one walk
+    ("side-walk-skips-a-piece", "board.py",
+     "for piece in pieces:", "for piece in pieces[1:]:"),
     # the attack probe
     ("probe-misses-knights", "board.py",
      "if p is not None and p.type is KNIGHT and p.colour is by:",
      "if p is not None and p.type is BISHOP and p.colour is by:"),
     ("probe-reads-near-attackers-along-the-whole-ray", "board.py",
-     "if p.colour is by and p.type in (near if t == s + step else sliders):",
+     "if p.colour is by and p.type in sliders:",
      "if p.colour is by and p.type in near:"),
     ("probe-misses-diagonals", "board.py",
-     "for step, edge, sliders, near in _ATTACK_LINES[by]:",
-     "for step, edge, sliders, near in _ATTACK_LINES[by][:4]:"),
+     "for first, rest, near, sliders in _PROBE_RAYS[by][s]:",
+     "for first, rest, near, sliders in _PROBE_RAYS[by][s][:4]:"),
+    # the probe rays both the probe and the pin scan read
     ("pawn-attack-direction-flipped", "board.py",
-     "for by, back in ((Colour.WHITE, -1), (Colour.BLACK, 1))",
-     "for by, back in ((Colour.WHITE, 1), (Colour.BLACK, -1))"),
+     "back = -1 if by is Colour.WHITE else 1",
+     "back = 1 if by is Colour.WHITE else -1"),
     ("king-dropped-from-a-ray's-first-square", "board.py",
-     "(step, edge, sliders, sliders + (KING,) + ((PAWN,) if dx and dy == back else ()))",
-     "(step, edge, sliders, sliders + ((PAWN,) if dx and dy == back else ()))"),
+     "sliders + (KING,) + ((PAWN,) if dx and dy == back else ()), sliders)",
+     "sliders + ((PAWN,) if dx and dy == back else ()), sliders)"),
+    ("probe-ray-rest-starts-one-square-late", "board.py",
+     "bytes(range(s + 2 * step, s + step * (edge[s] + 1), step))",
+     "bytes(range(s + 3 * step, s + step * (edge[s] + 1), step))"),
     # the geometry tables
     ("rays-capped-at-6-steps", "pieces.py",
      "min(7 - x if dx > 0 else x if dx else 7,",
@@ -102,7 +111,10 @@ MUTANTS = [
     ("rights-not-read-from-the-history", "board.py",
      "for m in board.history:", "for m in board.history[:0]:"),
     ("castling-without-the-rights-test", "board.py",
-     "if home == s and side is colour and rights & bit", "if home == s and side is colour"),
+     "if rights & bit", "if True"),
+    ("castling-wing-colour-ignored", "board.py",
+     "for (home, _), (side, *_) in _CASTLINGS.items()",
+     "for (home, _) in _CASTLINGS for side in Colour"),
     ("rights-mask-ignores-corners", "board.py",
      "if s in (home, corner))", "if s == home)"),
     ("fen-revokes-the-wrong-corner", "fen.py",
@@ -127,8 +139,8 @@ MUTANTS = [
      "if len(changes) != 1 or occ[changes[0][0]] is None:", "if False:"),
     # perft's square-map recursion, its counted last ply and the root maps _divide hands on
     ("promotion-counted-once", "board.py",
-     "return 4 * len(targets) if kind is PAWN and promotes else len(targets)",
-     "return len(targets)"),
+     "total += 4 * len(targets) if kind is PAWN and promotes else len(targets)",
+     "total += len(targets)"),
     ("en-passant-not-counted", "board.py",
      "elif kind is PAWN and s in passant:", "elif kind is PAWN and s in passant and not count:"),
     ("en-passant-window-from-a-stale-ply", "board.py",
