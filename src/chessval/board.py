@@ -18,14 +18,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .pieces import (
-    ALL_DIRECTIONS,
     KNIGHT_TARGETS,
     PAWN_CAPTURE_RAYS,
     PAWN_PATHS,
     RAYS,
-    SLIDER_PATHS,
     SQUARES,
-    STEP_TARGETS,
     Colour,
     Coordinate,
     Occupancy,
@@ -162,49 +159,134 @@ def default_board() -> Board:
     return Board(frozenset(pieces), ())
 
 
-# --- occupancy helpers ------------------------------------------------------
+# --- bitboards ---------------------------------------------------------------
+#
+# A bitboard is an int whose bit s stands for square index s (a1 = bit 0,
+# h8 = bit 63).  A square map holds one per (colour, type), in slot
+# _SLOT[colour, type]; they are disjoint, so their sum is their union.
+
+FULL = (1 << 64) - 1
+_SLOT = {
+    (colour, kind): 6 * i + j
+    for i, colour in enumerate(Colour)
+    for j, kind in enumerate((PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING))
+}
+_SIDE = {colour: _SLOT[colour, PAWN] for colour in Colour}  # a colour's first slot
+_A_FILE = FULL // 255
+_NOT_A_FILE = _A_FILE * 254  # every square but the a-file's
+_NOT_H_FILE = _A_FILE * 127
 
 
-def _probe_rays(by: Colour, s: int) -> tuple:
-    """Colour `by`'s attack rays onto square index s, one per direction off
-    it: (the first square, the rest as bytes, nearest first, the types that
-    attack from the first square, and from further along).  The first adds
-    the king and, on the two diagonals a `by` pawn captures along, the pawn."""
-    back = -1 if by is Colour.WHITE else 1
-    return tuple(
-        (s + step, bytes(range(s + 2 * step, s + step * (edge[s] + 1), step)),
-         sliders + (KING,) + ((PAWN,) if dx and dy == back else ()), sliders)
-        for (dx, dy), (step, edge) in zip(ALL_DIRECTIONS, RAYS)
-        if edge[s]
-        for sliders in [(BISHOP, QUEEN) if dx and dy else (ROOK, QUEEN)]
+def _mask(squares) -> int:
+    m = 0
+    for t in squares:
+        m |= 1 << t
+    return m
+
+
+def _boards(pieces) -> list[int]:
+    """The twelve bitboards of a set of Pieces."""
+    boards = [0] * 12
+    for p in pieces:
+        boards[_SLOT[p.colour, p.type]] |= 1 << p.square.x + 8 * p.square.y - 9
+    return boards
+
+
+def _slide(lines: tuple, occupied: int) -> int:
+    """A slider's attacks along its lines, each a (line, part below the
+    square, part above) triple, the first blocker each way included: the
+    classical approach, where the nearest blocker below is the highest set
+    bit and the nearest above the lowest (b & -b)."""
+    attacks = 0
+    for line, lower, upper in lines:
+        below, above = lower & occupied | 1, upper & occupied  # bit 0 stops an empty side
+        attacks |= line & ((above & -above) * 2 - (1 << below.bit_length() - 1))
+    return attacks
+
+
+def _rays(s: int) -> list[int]:
+    """Square index s's rays as masks, in the order of RAYS."""
+    return [_mask(range(s + step, s + step * (edge[s] + 1), step)) for step, edge in RAYS]
+
+
+def _steps(s: int) -> tuple:
+    """Square index s's masks for the attack probe, in this order: the
+    squares a knight and a king step to from s; the squares a white and a
+    black pawn attack s from; a rook's and a bishop's reach from s on an
+    empty board."""
+    rays = _rays(s)
+    return (
+        _mask(KNIGHT_TARGETS[s]), _mask(s + step for step, edge in RAYS if edge[s]),
+        *(  # a white pawn attacks s from where a black pawn on s would attack
+            _mask(s + step for step, edge in PAWN_CAPTURE_RAYS[colour] if edge[s])
+            for colour in (Colour.BLACK, Colour.WHITE)
+        ),
+        sum(rays[:4]), sum(rays[4:]),
     )
 
 
-_PROBE_RAYS = {by: _Table(lambda s, by=by: _probe_rays(by, s)) for by in Colour}
+def _between(s: int) -> tuple:
+    """Per square index t, the squares strictly between s and t; 0 for a t
+    off s's lines."""
+    between = [0] * 64
+    for step, edge in RAYS:
+        for n in range(1, edge[s] + 1):
+            between[s + n * step] = _mask(range(s + step, s + n * step, step))
+    return tuple(between)
 
 
-def _square_attacked(occ: Occupancy, s: int, by: Colour) -> bool:
-    """Whether colour `by` attacks square index s, probing outward from it.
+def _slides(s: int) -> tuple:
+    """A rook's, a bishop's and a queen's slides from square index s, each
+    (its reach on an empty board, its lines as _slide reads them, its key in
+    perft's memo above the occupancy bits: _memo_slide)."""
+    rays = _rays(s)
+    lines = [(up | down, down, up) for up, down in zip(rays[::2], rays[1::2])]  # upward rays first
+    return tuple(
+        (sum(line for line, _, _ in part), part, (s << 2 | field) << 64)
+        for field, part in enumerate((lines[:2], lines[2:], lines))
+    )
+
+
+# Per square index, filled on first use, so an import builds none: the
+# attack probe's masks (_steps), the squares between (_between) and the
+# sliders' lines (_slides).  The hot loops read their fields by index.
+_STEPS = _Table(_steps)
+_BETWEEN = _Table(_between)
+_SLIDES = _Table(_slides)
+# Per attacking colour, the _STEPS field of the squares its pawns attack from;
+# per slider type, the _SLIDES field of its slides.
+_PAWN_FIELD = {Colour.WHITE: 2, Colour.BLACK: 3}
+_SLIDE_FIELD = {ROOK: 0, BISHOP: 1, QUEEN: 2}
+
+
+def _attackers(boards: list, by: Colour) -> tuple:
+    """Colour `by`'s pieces as an attack probe reads them: (pawns, knights,
+    bishops and queens, rooks and queens, king, the _STEPS field of the
+    squares its pawns attack from)."""
+    pawns, knights, bishops, rooks, queens, king = boards[_SIDE[by]:_SIDE[by] + 6]
+    return pawns, knights, bishops | queens, rooks | queens, king, _PAWN_FIELD[by]
+
+
+def _square_attacked(attackers: tuple, occupied: int, s: int) -> bool:
+    """Whether the pieces of `attackers` (_attackers) attack square index s
+    over the `occupied` mask, probing outward from it: the knights, king and
+    pawns by their step masks, and each slider on a line with s whose
+    squares between are empty.
 
     Equivalent to membership in attacked_squares for any square not held
-    by one of `by`'s own pieces; kept separate because the per-candidate
-    legality filter calls it millions of times in perft runs.
+    by one of the attacking colour's pieces; kept separate because the
+    per-candidate legality filter calls it millions of times in perft runs.
     """
-    for t in KNIGHT_TARGETS[s]:
-        p = occ[t]
-        if p is not None and p.type is KNIGHT and p.colour is by:
+    pawns, knights, diagonal, straight, king, pawn_field = attackers
+    steps = _STEPS[s]
+    if steps[0] & knights or steps[1] & king or steps[pawn_field] & pawns:
+        return True
+    snipers = steps[4] & straight | steps[5] & diagonal
+    while snipers:
+        low = snipers & -snipers
+        if not _BETWEEN[s][low.bit_length() - 1] & occupied:
             return True
-    for first, rest, near, sliders in _PROBE_RAYS[by][s]:
-        p = occ[first]
-        if p is None:
-            for t in rest:
-                p = occ[t]
-                if p is not None:
-                    if p.colour is by and p.type in sliders:
-                        return True
-                    break
-        elif p.colour is by and p.type in near:
-            return True
+        snipers ^= low
     return False
 
 
@@ -231,10 +313,9 @@ def _king_of(state: BoardState, colour: Colour) -> Optional[Piece]:
 
 def in_check(state: BoardState, colour: Colour) -> bool:
     """Whether `colour`'s king stands on a square its opponent attacks."""
-    king = _king_of(state, colour)
-    if king is None:
+    if _king_of(state, colour) is None:
         raise ValueError(f"no {colour.value} king on the board")
-    return _king_context(_occupancy(state), king)[0]
+    return _king_context(_boards(state), colour)[4]
 
 
 # --- special moves ----------------------------------------------------------
@@ -321,9 +402,13 @@ _RIGHTS_KEPT = bytes(
     15 & ~sum(bit for (home, _), (_, bit, corner, _, _) in _CASTLINGS.items() if s in (home, corner))
     for s in range(64)
 )
-# _CASTLINGS by the king's (colour, home): destination -> the entry less its colour.
+# _CASTLINGS by the king's (colour, home): destination -> the entry less its
+# colour, with the squares between king and rook as a mask.
 _WINGS = {
-    (side, home): {dest: wing[1:] for (h, dest), wing in _CASTLINGS.items() if h == home}
+    (side, home): {
+        dest: (bit, corner, _mask(between), crossed)
+        for (h, dest), (_, bit, corner, between, crossed) in _CASTLINGS.items() if h == home
+    }
     for (home, _), (side, *_) in _CASTLINGS.items()
 }
 
@@ -338,27 +423,29 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     """
     _require_piece(board.board_state, king, KING)
     row = _move_row(KING, KING, king.colour, square_index(king.square))
-    return frozenset(row[t] for t in _castling_moves(_context(board, king.colour), king))
+    return frozenset(row[t] for t in _castling_moves(_context(board, king.colour)))
 
 
-def _castling_moves(context, king: Piece) -> list[int]:
+def _castling_moves(context) -> list[int]:
     """castling_possible's destinations as square indices: the wings of the
     king's (colour, square) in _WINGS whose bit the square map's rights mask
-    holds.  A king off its colour's home square or in check returns at once."""
-    occ, colour, rights = context.occ, king.colour, context.rights
-    wings = _WINGS.get((colour, king.square.x + 8 * king.square.y - 9))
-    if wings is None or context.checked:
+    holds, with the side's rook on the corner.  A king off its colour's home
+    square or in check returns at once."""
+    _, boards, rights, colour, _, occupied, attackers, king, checked = context[:9]
+    wings = _WINGS.get((colour, king))
+    if wings is None or checked:
         return []
-    enemy = opposite_colour(colour)
-    return [
-        dest
-        for dest, (bit, corner, between, crossed) in wings.items()
-        if rights & bit
-        and (rook := occ[corner]) is not None and rook.type is ROOK and rook.colour is colour
-        and not any(occ[t] for t in between)
-        and not _square_attacked(occ, crossed, enemy)
-        and not _square_attacked(occ, dest, enemy)
-    ]
+    rooks, dests = boards[_SIDE[colour] + 3], []
+    for dest, (bit, corner, between, crossed) in wings.items():
+        if (
+            rights & bit
+            and rooks >> corner & 1
+            and not between & occupied
+            and not _square_attacked(attackers, occupied, crossed)
+            and not _square_attacked(attackers, occupied, dest)
+        ):
+            dests.append(dest)
+    return dests
 
 
 def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
@@ -378,98 +465,134 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
 # --- legality ---------------------------------------------------------------
 
 
-def _king_context(occ: Occupancy, king: Optional[Piece]):
-    """Whether the king is in check, its pin lines and its check evasions,
-    as square indices.  A piece first on a king ray is pinned by an enemy
-    slider next on that ray; its pin line runs from the king up to and
-    including the pinner.  The evasions are the checker's square and the
-    squares between it and the king (none in double check), or None out of
-    check.  A missing king (synthetic positions) is never in check."""
-    if king is None:
-        return False, {}, None
-    colour = king.colour
-    enemy = opposite_colour(colour)
-    k = square_index(king.square)
-    pins, checks = {}, []
-    for t in KNIGHT_TARGETS[k]:
-        p = occ[t]
-        if p is not None and p.type is KNIGHT and p.colour is enemy:
-            checks.append(frozenset((t,)))
-    for first, rest, near, sliders in _PROBE_RAYS[enemy][k]:
-        p = occ[first]
-        if p is not None and p.colour is enemy:
-            if p.type in near:
-                checks.append(frozenset((first,)))
-            continue
-        shield = None if p is None else first
-        for i, t in enumerate(rest):
-            p = occ[t]
-            if p is None:
-                continue
-            if shield is None and p.colour is colour:
-                shield = t
-                continue
-            if p.colour is enemy and p.type in sliders:
-                line = frozenset((first, *rest[: i + 1]))
-                if shield is None:
-                    checks.append(line)
-                else:
-                    pins[shield] = line
-            break
-    if len(checks) > 1:
-        checks = [frozenset()]  # double check: only the king may move
-    return bool(checks), pins, checks[0] if checks else None
+def _king_context(boards: list, colour: Colour):
+    """The squares the side holds and all the held squares, the enemy's
+    pieces as the attack probe reads them (_attackers), the king's square
+    (None without one: synthetic positions are never in check), whether the
+    enemy checks it, its pin lines and its check evasions, as masks.  An
+    enemy slider on a line with the king whose squares between hold nothing
+    checks; holding one piece of the king's colour, it pins that piece,
+    whose pin line runs from the king up to and including the pinner.  The
+    evasions are the checker's square and the squares between it and the
+    king (none in double check), or FULL out of check."""
+    own = _SIDE[colour]
+    us, occupied = sum(boards[own:own + 6]), sum(boards)
+    attackers = _attackers(boards, opposite_colour(colour))
+    king = boards[own + 5]
+    if not king:
+        return us, occupied, attackers, None, False, {}, FULL
+    k = king.bit_length() - 1
+    pawns, knights, diagonal, straight, enemy_king, pawn_field = attackers
+    steps = _STEPS[k]
+    checkers = steps[0] & knights | steps[1] & enemy_king | steps[pawn_field] & pawns
+    evasions, pins = checkers, {}
+    snipers = steps[4] & straight | steps[5] & diagonal
+    while snipers:
+        low = snipers & -snipers
+        snipers ^= low
+        line = _BETWEEN[k][low.bit_length() - 1]
+        shields = line & occupied
+        if not shields:
+            checkers |= low
+            evasions |= line | low
+        elif not shields & (shields - 1) and shields & us:
+            pins[shields.bit_length() - 1] = line | low
+    if not checkers:
+        return us, occupied, attackers, k, False, pins, FULL
+    return us, occupied, attackers, k, True, pins, 0 if checkers & (checkers - 1) else evasions
 
 
-_Context = namedtuple("_Context", "occ king checked pins evasions moves passant rights")
+_Context = namedtuple(
+    "_Context",
+    "occ boards rights colour us occupied attackers king checked pins evasions moves passant slides",
+)
 
 
 def _context(board: Board, colour: Colour) -> _Context:
     """One side's legality context, filled on first use and kept on the
-    board: the occupancy, the side's king, whether it is in check, its pin
-    lines and check evasions (as square indices), the legal moves
-    _piece_moves keeps by square index, and the en-passant captures
-    (pawn square -> target square) the last ply allows, and the castling
-    rights.  The occupancy (a 64-slot list indexed (x - 1) + 8 * (y - 1))
-    is the one square map of the position: both sides share it, and the
-    geometry, the attack probes, the applier and SAN read it.  It is kept
-    under key None with the kings by colour and a 4-bit castling-rights
-    mask; a board _apply builds inherits all three (_child_map), and
-    only other boards build them from the pieces and the history.  Other
-    modules read the fields by name; only this one knows their order."""
+    board: the square map (occupancy, bitboards and castling rights), the
+    side's colour, the squares it holds and all the held squares, the
+    enemy's pieces as the attack probe reads them, the side's king square,
+    whether it is in check, its pin lines and check evasions (as masks),
+    the legal moves _legal_for_piece keeps by square index, the en-passant
+    captures (pawn square -> target square) the last ply allows, and
+    perft's slider memo (None on a board).  The occupancy (a 64-slot list
+    indexed (x - 1) + 8 * (y - 1)) and the bitboards are the one square map
+    of the position: both sides share it, the geometry, the applier and SAN
+    read the occupancy, and the legality masks the bitboards.  It is kept
+    under key None with a 4-bit castling-rights mask; a board _apply builds
+    inherits all three (_child_map), and only other boards build them from
+    the pieces and the history.  Other modules read the fields by name;
+    only this one knows their order."""
     contexts = board._contexts
     if contexts is None:
-        state = board.board_state
-        kings = {p.colour: p for p in state if p.type is KING}
         rights = 15
         for m in board.history:
             rights &= _RIGHTS_KEPT[square_index(m.from_.square)]
             rights &= _RIGHTS_KEPT[square_index(m.to_.square)]
-        contexts = {None: (_occupancy(state), kings, rights)}
+        state = board.board_state
+        contexts = {None: (_occupancy(state), _boards(state), rights)}
         object.__setattr__(board, "_contexts", contexts)
     if colour not in contexts:
         last = board.history[0] if board.history else None
-        contexts[colour] = _side_context(contexts[None], last, colour)
+        contexts[colour] = _side_context(contexts[None], last, colour, None)
     return contexts[colour]
 
 
-def _side_context(square_map, last: Optional[Move], colour: Colour) -> _Context:
-    """One side's legality context over a square map, after `last`."""
-    occ, kings, rights = square_map
-    king = kings.get(colour)
-    passant = _en_passant_targets(last, colour)
-    return _Context(occ, king, *_king_context(occ, king), {}, passant, rights)
+def _side_context(square_map, last: Optional[Move], colour: Colour, slides) -> _Context:
+    """One side's legality context over a square map, after `last`, with
+    the slider memo `slides`."""
+    return _Context(
+        *square_map, colour, *_king_context(square_map[1], colour), {},
+        _en_passant_targets(last, colour), slides,
+    )
 
 
-def _piece_moves(board: Board, context, piece: Piece) -> list[Move]:
-    """The legal moves of a piece on the board, worked out once and kept on
-    the board's context by square.  The list is shared: never mutate it."""
-    by_square = context.moves
-    s = piece.square.x + 8 * piece.square.y - 9
-    moves = by_square.get(s)
+def _memo_slide(key: int) -> int:
+    """An entry of perft's slider memo, a _Table of this: a slider's attacks
+    (_slide) keyed by the occupancy of its reach with its square index s and
+    _SLIDES field above it, (s << 2 | field) << 64.  The count one ply above
+    the leaves meets few distinct occupancies there; positions that share
+    little, as in play, would fill it without end, so it lives for one
+    perft call."""
+    return _slide(_SLIDES[key >> 66][key >> 64 & 3][1], key & FULL)
+
+
+def _piece_moves(context, s: int) -> list[Move]:
+    """The legal moves of the context's piece on square index s, worked out
+    once and kept on the board's context by square.  The list is shared:
+    never mutate it."""
+    moves = context.moves.get(s)
     if moves is None:
-        moves = by_square[s] = _legal_for_piece(context, (piece,))
+        _legal_for_piece(context, 1 << s)
+        moves = context.moves[s]
     return moves
+
+
+def _moves_onto(context, kind: PieceType, t: int) -> list[Move]:
+    """The legal moves of the context's side's pieces of one type onto
+    square index t.  One walk covers those of them not yet kept by square
+    whose reach on an empty board holds t: for a pawn, t's file and the
+    squares it captures onto t from; the king always, for castling."""
+    colour, moves = context.colour, context.moves
+    if kind is PAWN:
+        reach = _STEPS[t][_PAWN_FIELD[colour]] | _A_FILE << (t & 7)
+    elif kind is KNIGHT:
+        reach = _STEPS[t][0]
+    else:
+        reach = FULL if kind is KING else _SLIDES[t][_SLIDE_FIELD[kind]][0]
+    pieces = context.boards[_SLOT[colour, kind]] & reach
+    _legal_for_piece(context, pieces & ~_mask(moves))
+    square = SQUARES[t]  # generated moves hold these
+    return [m for s in _squares(pieces) for m in moves[s] if m.to_.square is square]
+
+
+def _side_moves(context) -> list[Move]:
+    """Every legal move of the context's side: one walk over its pieces not
+    yet kept by square, then every kept list."""
+    moves = context.moves
+    _legal_for_piece(context, ~_mask(moves))
+    return [m for by_square in moves.values() for m in by_square]
 
 
 def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
@@ -478,107 +601,163 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     keeps the pawn a pawn (promotion is mandatory)."""
     _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
-    row = _move_row(piece.type, piece.type, piece.colour, square_index(piece.square))
+    s = square_index(piece.square)
+    row = _move_row(piece.type, piece.type, piece.colour, s)
     simple = frozenset(row[t] for t in moves_with_colours(piece, context.occ))
     candidates = simple | stateful_possible_moves(board, piece)
-    return candidates.difference(_piece_moves(board, context, piece))
+    return candidates.difference(_piece_moves(context, s))
 
 
 def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """Every legal move for one piece: its simple moves lifted to Move
     values, plus its special moves, minus the impossible ones."""
     _require_piece(board.board_state, piece)
-    return frozenset(_piece_moves(board, _context(board, piece.colour), piece))
+    return frozenset(_piece_moves(_context(board, piece.colour), square_index(piece.square)))
 
 
-def _legal_for_piece(context, pieces, count: bool = False):
-    """The legal moves of a sequence of one side's pieces as one flat list,
-    or with `count` their number (a promotion target counts four).  Each
-    piece's targets are walked over the occupancy along the per-kind tables
-    of the pieces module (moves_with_colours' geometry plus the double
-    push), filtered, and only the kept ones lifted to Move values.  A king
-    step must land where the enemy does not attack (castling is tested when
-    generated); other moves must stay on the pin line and land on an
-    evasion square.  Only en passant, which also removes the captured pawn,
-    is probed on the occupancy the applier's patch leaves (_changes,
-    _child_map).  A missing king is never attacked."""
-    occ, king, checked, pins, evasions, _, passant, _ = context
-    moves, total = [], 0
-    for piece in pieces:
-        kind, colour = piece.type, piece.colour
-        s = piece.square.x + 8 * piece.square.y - 9
-        targets = []
-        if kind is PAWN:
-            pushes, captures, promotes = PAWN_PATHS[colour][s]
-            for t in pushes:
-                if occ[t] is not None:
-                    break
-                targets.append(t)
-            for t in captures:
-                if occ[t] is not None and occ[t].colour is not colour:
-                    targets.append(t)
-        elif kind is KNIGHT or kind is KING:
-            targets = [
-                t for t in STEP_TARGETS[kind][s] if occ[t] is None or occ[t].colour is not colour
-            ]
+# Per colour, the pawn's shifts as (left, right) shift pairs, x << left >> right:
+# the push, the capture towards the a-file and towards the h-file; then the
+# rank a single push must reach for a double push, and the last rank.
+_PAWN_SHIFTS = {
+    Colour.WHITE: ((8, 0), (7, 0), (9, 0), 0xFF << 16, 0xFF << 56),
+    Colour.BLACK: ((0, 8), (0, 9), (0, 7), 0xFF << 40, 0xFF),
+}
+
+
+def _legal_for_piece(context, wanted: int, count: bool = False):
+    """The legal moves of the side's pieces on the squares of the `wanted`
+    mask, kept in the context's by-square lists, or with `count` only
+    their number (a promotion target counts four).
+
+    One walk computes a target mask per piece from the bitboards: a knight
+    its steps, a slider its attacks (_slide, through perft's memo when the
+    context has one), both less the side's own squares, on the pin line
+    and, in check, on an evasion square; the count adds up their
+    bit_count(), the lists lift their set bits through the piece's move
+    rows.  The unpinned pawns' targets are found in bulk, by shifts with
+    file masks, and each pinned pawn's alone on its pin line.  Castling, en
+    passant and king steps are probed a square at a time: a king step must
+    land where the enemy does not attack, and en passant, which also
+    removes the captured pawn, is probed on the square map the applier's
+    patch leaves (_changes, _child_map).  A missing king is never attacked."""
+    (occ, boards, rights, colour, us, occupied, attackers, king, checked, pins, evasions, moves,
+     passant, slides) = context
+    own = _SIDE[colour]
+    allowed = evasions & ~us
+    total = 0
+    pawns, kings = boards[own] & wanted, boards[own + 5] & wanted
+    pieces = us & wanted ^ pawns ^ kings  # the knights and sliders
+    while pieces:
+        s = pieces.bit_length() - 1
+        pieces ^= 1 << s
+        kind = occ[s].type
+        if kind is KNIGHT:
+            targets = _STEPS[s][0] & allowed
         else:
-            for ray in SLIDER_PATHS[kind][s]:
-                for t in ray:
-                    holder = occ[t]
-                    if holder is not None:
-                        if holder.colour is not colour:
-                            targets.append(t)
-                        break
-                    targets.append(t)
-        if king is not None and targets:
-            if kind is KING:
-                # Out of check no enemy ray reaches the king's square, so the king
-                # shields nothing and is lifted off for the probes only in check.
-                probed = occ[:s] + [None] + occ[s + 1:] if checked else occ
-                enemy = opposite_colour(colour)
-                targets = [t for t in targets if not _square_attacked(probed, t, enemy)]
-            else:
-                allowed = pins.get(s)
-                if evasions is not None:
-                    allowed = evasions if allowed is None else allowed & evasions
-                if allowed is not None:
-                    targets = [t for t in targets if t in allowed]
-        if kind is KING:
-            targets += _castling_moves(context, piece)
-        elif kind is PAWN and s in passant:
-            capture = _move_row(PAWN, PAWN, colour, s)[passant[s]]
-            after = _child_map((occ, {}, 0), capture, _changes(occ, capture))[0]
-            enemy = opposite_colour(colour)
-            if king is None or not _square_attacked(after, square_index(king.square), enemy):
-                targets.append(passant[s])
+            reach, lines, key = _SLIDES[s][_SLIDE_FIELD[kind]]
+            targets = _slide(lines, occupied) if slides is None else slides[occupied & reach | key]
+            targets &= allowed
+        if s in pins:  # a pinned knight's steps never land on its line
+            targets &= pins[s]
         if count:
-            total += 4 * len(targets) if kind is PAWN and promotes else len(targets)
-        elif kind is PAWN and promotes:
-            moves += _promotions(piece, targets)  # every target is on the last rank
-        elif targets:
-            row = _move_row(kind, kind, colour, s)
-            moves += [row[t] for t in targets]
-    return total if count else moves
+            total += targets.bit_count()
+        else:
+            moves[s] = _lift(_move_row(kind, kind, colour, s), targets)
+    if pawns:
+        if not count:
+            for s in _squares(pawns):
+                moves[s] = []
+        groups = [(pawns, allowed)]
+        if pins:
+            groups = [(pawns & ~_mask(pins), allowed)]
+            groups += [(1 << s, allowed & line) for s, line in pins.items() if pawns >> s & 1]
+        (pl, pr), (al, ar), (hl, hr), double, last = _PAWN_SHIFTS[colour]
+        them, empty = occupied ^ us, ~occupied
+        for group, on in groups:
+            one = group << pl >> pr & empty
+            two = (one & double) << pl >> pr & empty & on
+            one &= on
+            left = (group & _NOT_A_FILE) << al >> ar & them & on
+            right = (group & _NOT_H_FILE) << hl >> hr & them & on
+            if count:  # only the two captures can share a target
+                total += (one | two | left).bit_count() + right.bit_count()
+                if (one | left | right) & last:
+                    total += 3 * (((one | left) & last).bit_count() + (right & last).bit_count())
+                continue
+            for targets, back in ((one, pr - pl), (two, 2 * (pr - pl)), (left, ar - al), (right, hr - hl)):
+                while targets:  # each target back to its pawn's square
+                    t = targets.bit_length() - 1
+                    targets ^= 1 << t
+                    s = t + back
+                    if 1 << t & last:
+                        moves[s] += [_move_row(PAWN, kind, colour, s)[t] for kind in PROMOTABLE_TYPES]
+                    else:
+                        moves[s].append(_move_row(PAWN, PAWN, colour, s)[t])
+        for s, t in passant.items():
+            if pawns >> s & 1:
+                capture = _move_row(PAWN, PAWN, colour, s)[t]
+                after = _child_map((occ, boards, rights), capture, _changes(occ, capture))[1]
+                probe = _attackers(after, opposite_colour(colour))
+                if king is None or not _square_attacked(probe, sum(after), king):
+                    total += 1
+                    if not count:
+                        moves[s].append(capture)
+    if kings:
+        s = kings.bit_length() - 1
+        targets = _STEPS[s][1] & ~us
+        if king is not None:
+            # Out of check no enemy ray reaches the king's square, so the king
+            # shields nothing and is lifted off for the probes only in check.
+            probed = occupied ^ kings if checked else occupied
+            steps = targets
+            while steps:
+                t = steps.bit_length() - 1
+                steps ^= 1 << t
+                if _square_attacked(attackers, probed, t):
+                    targets ^= 1 << t
+        castlings = _castling_moves(context)
+        if count:
+            total += targets.bit_count() + len(castlings)
+        else:
+            row = _move_row(KING, KING, colour, s)
+            moves[s] = _lift(row, targets) + [row[t] for t in castlings]
+    return total if count else None
+
+
+def _lift(row: _MoveRow, targets: int) -> list[Move]:
+    """The moves of a move row onto a target mask's set bits."""
+    moves = []
+    while targets:
+        t = targets.bit_length() - 1
+        moves.append(row[t])
+        targets ^= 1 << t
+    return moves
+
+
+def _squares(mask: int) -> list[int]:
+    """The square indices of a mask's set bits, lowest first."""
+    squares = []
+    while mask:
+        low = mask & -mask
+        squares.append(low.bit_length() - 1)
+        mask ^= low
+    return squares
 
 
 def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:
     """Every legal move for one side; the union of possible_moves over its
     pieces."""
-    context = _context(board, colour)
-    pieces = (p for p in board.board_state if p.colour is colour)
-    return frozenset(m for p in pieces for m in _piece_moves(board, context, p))
+    return frozenset(_side_moves(_context(board, colour)))
 
 
 def has_legal_move(board: Board, colour: Colour) -> bool:
-    """Whether the side has any legal move; stops at the first piece that
-    has one, which matters when every played move must test the opponent
-    for mate or stalemate."""
+    """Whether the side has any legal move: its pieces are counted a type at
+    a time, pawns first and the king last, up to the first type that has
+    one, which matters when every played move must test the opponent for
+    mate or stalemate."""
     context = _context(board, colour)
-    return any(
-        _piece_moves(board, context, piece)
-        for piece in board.board_state
-        if piece.colour is colour
-    )
+    own = _SIDE[colour]
+    return any(_legal_for_piece(context, pieces, True) for pieces in context.boards[own:own + 6])
 
 
 # --- move application -------------------------------------------------------
@@ -605,7 +784,7 @@ def move(board: Board, mov: Move) -> Board:
     IllegalMoveError.  The input board is untouched.
     """
     _require_piece(board.board_state, mov.from_)
-    if mov not in _piece_moves(board, _context(board, mov.from_.colour), mov.from_):
+    if mov not in _piece_moves(_context(board, mov.from_.colour), square_index(mov.from_.square)):
         raise IllegalMoveError(f"illegal move: {mov}")
     return _apply(board, mov)
 
@@ -680,21 +859,26 @@ def _changes(occ: Occupancy, mov: Move) -> tuple:
 
 def _child_map(square_map, mov: Move, changes: tuple):
     """The square map after a move: the occupancy with the mover moved and
-    `changes` made, the kings updated, and the castling rights less those
-    of the move's two squares."""
-    occ, kings, rights = square_map
-    occ = occ.copy()
+    `changes` made, the bitboards patched by XOR at the same squares, and
+    the castling rights less those of the move's two squares."""
+    occ, boards, rights = square_map
+    occ, boards = occ.copy(), boards.copy()
     origin, target = mov.from_.square, mov.to_.square
     f, t = origin.x + 8 * origin.y - 9, target.x + 8 * target.y - 9
     dead = occ[t]
+    if dead is not None:
+        boards[_SLOT[dead.colour, dead.type]] ^= 1 << t
+    boards[_SLOT[mov.from_.colour, mov.from_.type]] ^= 1 << f
+    boards[_SLOT[mov.to_.colour, mov.to_.type]] ^= 1 << t
     occ[f], occ[t] = None, mov.to_
     for s, holder in changes:
+        gone = occ[s]
+        if gone is not None:
+            boards[_SLOT[gone.colour, gone.type]] ^= 1 << s
+        if holder is not None:
+            boards[_SLOT[holder.colour, holder.type]] ^= 1 << s
         occ[s] = holder
-    if dead is not None and dead.type is KING:  # a synthetic board's king taken
-        kings = {**kings, dead.colour: None}
-    if mov.to_.type is KING:
-        kings = {**kings, mov.to_.colour: mov.to_}
-    return occ, kings, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]
+    return occ, boards, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]
 
 
 # --- verification oracle ----------------------------------------------------
@@ -716,16 +900,16 @@ def perft(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> int:
     return sum(count for _, count in _divide(board, to_move, depth, jobs))
 
 
-def _perft(square_map, last: Optional[Move], colour: Colour, depth: int) -> int:
+def _perft(square_map, last: Optional[Move], colour: Colour, depth: int, slides) -> int:
     """perft(depth >= 1) of a square map's position after move `last` (None
-    before the first) with `colour` to move; a depth-1 node only counts."""
-    context = _side_context(square_map, last, colour)
-    pieces = [p for p in context.occ if p is not None and p.colour is colour]
+    before the first) with `colour` to move, through the slider memo
+    `slides` (_memo_slide); a depth-1 node only counts."""
+    context = _side_context(square_map, last, colour, slides)
     if depth == 1:
-        return _legal_for_piece(context, pieces, True)
+        return _legal_for_piece(context, FULL, True)
     occ, enemy, total = context.occ, opposite_colour(colour), 0
-    for m in _legal_for_piece(context, pieces):
-        total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1)
+    for m in _side_moves(context):
+        total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides)
     return total
 
 
@@ -735,10 +919,11 @@ def _divide(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> list:
     a pool of that many processes receives."""
     context = _context(board, to_move)
     occ, square_map, enemy = context.occ, board._contexts[None], opposite_colour(to_move)
-    moves = _legal_for_piece(context, [p for p in occ if p is not None and p.colour is to_move])
+    moves = _side_moves(context)
     if depth == 1:
         return [(m, 1) for m in moves]
-    tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1) for m in moves]
+    slides = _Table(_memo_slide)  # one per process: a pool pickles it empty with its tasks
+    tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides) for m in moves]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             return list(zip(moves, pool.starmap(_perft, tasks)))

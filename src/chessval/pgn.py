@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .board import _CASTLINGS, Board, IllegalMoveError, Move, _context, _piece_moves, iss_castling
+from .board import _CASTLINGS, Board, IllegalMoveError, Move, _context, _moves_onto, iss_castling
 from .game import REMIS, Game, Winner, game_move, new_game
 from .pieces import SQUARES, Colour, Coordinate, PieceType, square_index
 
@@ -300,15 +300,7 @@ def _is_capture(board: Board, mov: Move) -> bool:
 
 def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:
     """The legal moves of the mover's pieces of one type that land on target."""
-    board, square = game.board, SQUARES[square_index(target)]  # generated moves hold these
-    context = _context(board, game.turn)
-    return [
-        m
-        for piece in board.board_state
-        if piece.colour is game.turn and piece.type is piece_type
-        for m in _piece_moves(board, context, piece)
-        if m.to_.square is square
-    ]
+    return _moves_onto(_context(game.board, game.turn), piece_type, square_index(target))
 
 
 def _step(game: Game, mov: Move, rivals: list[Move]) -> tuple:

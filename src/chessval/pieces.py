@@ -7,8 +7,8 @@ and square_index; SQUARES maps them back), over a 64-slot occupancy
 whose slots hold anything with a colour (a Piece or an Obstacle).  The
 knight targets and per direction each square's distance to the edge
 (the rays) are built at import; from them, per-kind target tables are
-filled on first use, which the board module's move generator walks over
-the occupancy both sides of a position share.  Moves that need game
+filled on first use, which moves_with_colours walks over the occupancy,
+and the board module builds its legality masks.  Moves that need game
 history (castling, en passant, the double push, promotion) live in the
 board module.
 """
@@ -178,8 +178,8 @@ PAWN_CAPTURE_RAYS = {
 
 
 class _Table(dict):
-    """Entries by piece type, colour or square index, each built by
-    `build(key)` on first use and kept: an import builds none."""
+    """Entries by piece type, colour, square index or occupancy, each
+    built by `build(key)` on first use and kept: an import builds none."""
 
     __slots__ = ("build",)
 
@@ -191,9 +191,8 @@ class _Table(dict):
 
 
 def _pawn_paths(colour: Colour) -> tuple:
-    """Per square, a pawn's (push path, capture targets, promotes): the
-    push path is the square ahead, then from the initial rank the double
-    push's target; the pawn promotes when the square ahead is the last."""
+    """Per square, a pawn's (push path, capture targets): the push path is
+    the square ahead, then from the initial rank the double push's target."""
     step, edge = RAYS[0] if colour is Colour.WHITE else RAYS[1]
     start = 1 if colour is Colour.WHITE else 6  # the initial rank, counted from 0
     entries = []
@@ -202,7 +201,7 @@ def _pawn_paths(colour: Colour) -> tuple:
         if s // 8 == start:
             pushes.append(s + 2 * step)
         captures = bytes(s + c for c, c_edge in PAWN_CAPTURE_RAYS[colour] if c_edge[s])
-        entries.append((bytes(pushes), captures, edge[s] == 1))
+        entries.append((bytes(pushes), captures))
     return tuple(entries)
 
 
@@ -281,13 +280,14 @@ def type_based_moves(p: Piece, obstacles: ObstacleSet) -> frozenset[Coordinate]:
 def moves_with_colours(p: Piece, occ: Occupancy) -> list[int]:
     """type_based_moves as square indices, against a 64-slot occupancy; a
     holder's colour tells a capture from a blocked square.  The board's
-    move generator walks the same tables inline; this is the geometry of
-    the obstacle API and the reference that generator is tested against."""
+    move generator works on bitboards built from the same rays; this is the
+    geometry of the obstacle API and the reference that generator is
+    tested against."""
     s = p.square.x + 8 * p.square.y - 9
     colour = p.colour
     kind = p.type
     if kind is PieceType.PAWN:
-        pushes, captures, _ = PAWN_PATHS[colour][s]
+        pushes, captures = PAWN_PATHS[colour][s]
         moves = [pushes[0]] if pushes and occ[pushes[0]] is None else []
         return moves + [t for t in captures if occ[t] is not None and occ[t].colour is not colour]
     if kind is PieceType.KNIGHT or kind is PieceType.KING:

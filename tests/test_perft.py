@@ -7,14 +7,16 @@ positions exercise castling through attacked squares, promotions and
 en-passant pins, which the initial position barely reaches.  The check
 evasions, pin lines and per-square legal lists of the context, the attack
 probe behind them and the table-driven piece targets are compared with
-the oracle, and the square map a child board inherits with the one built
-from its pieces.  Perft with a pool, which hands its workers square maps,
-is checked against the serial count where the map carries a partial
-castling-rights mask, an en-passant window or a played history.  The
+the oracle, and the square map a child board inherits (its occupancy,
+bitboards and castling rights) with the one built from its pieces.
+Perft with a pool, which hands its workers square maps, is checked
+against the serial count where the map carries a partial castling-rights
+mask, an en-passant window or a played history.  The
 interned move table and the geometry tables are checked to start empty
-and to be pure caches, the probe rays to start empty and to be filled by
-a FEN parse only where its check test probes, and a pickled move to be
-hashed afresh where it is unpickled.
+and to be pure caches, the per-square masks to start empty and to be
+filled by a FEN parse only where its check test reads, and a pickled move
+to be hashed afresh where it is unpickled.  The count of per-piece walks
+one corpus validation makes is checked to be the same in every process.
 """
 
 import multiprocessing
@@ -22,18 +24,22 @@ import pickle
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from chessval import board as board_module
 from chessval.board import (
+    FULL,
     Board,
     Move,
     _apply,
+    _attackers,
+    _boards,
     _context,
     _Context,
     _divide,
-    _king_of,
+    _king_context,
     _legal_for_piece,
     _occupancy,
     _square_attacked,
@@ -54,6 +60,7 @@ from chessval.pieces import (
     SQUARES,
     Colour,
     Coordinate,
+    Piece,
     PieceType,
     moves_with_colours,
     opposite_colour,
@@ -139,10 +146,9 @@ def test_a_child_inherits_the_square_map_its_pieces_give():
         for mov, _ in _divide(board, colour, 1):
             seen.update(_move_kinds(board, mov))
             child = _apply(board, mov)
-            occ, kings, rights = child._contexts[None]
+            occ, boards, rights = child._contexts[None]
             assert occ == _occupancy(child.board_state), mov
-            for c in Colour:
-                assert kings.get(c) == _king_of(child.board_state, c), mov
+            assert boards == _boards(child.board_state), mov  # the XOR-patched bitboards
             assert rights == _rights_from_history(child), mov
             if depth > 1:
                 check(child, opposite_colour(colour), depth - 1)
@@ -224,6 +230,69 @@ def test_pin_and_check_edge_cases_match_the_oracle(fen, count):
     assert len(engine) == count
 
 
+def _oracle_king_context(grid, colour):
+    """The check flag, the pin lines and the check evasions by the book:
+    per enemy piece, whether it attacks the king (every other enemy piece
+    turned to the king's colour, so it still blocks); a piece is pinned by
+    an enemy slider that attacks the king once that piece is lifted off,
+    its line running from the king up to the pinner; one checker's
+    evasions are its square and, for a slider, the squares between."""
+    king = next(sq for sq, p in grid.items() if p.type is PieceType.KING and p.colour is colour)
+    enemy = opposite_colour(colour)
+
+    def attacks(by_sq, pieces):
+        alone = {sq: p if sq == by_sq else Piece(p.type, p.square, colour) for sq, p in pieces.items()}
+        return oracle_attacked(alone, *king, enemy)
+
+    def line(to_sq):
+        (kx, ky), (tx, ty) = king, to_sq
+        dx, dy = (tx > kx) - (tx < kx), (ty > ky) - (ty < ky)
+        n = max(abs(tx - kx), abs(ty - ky))
+        return {(kx + i * dx, ky + i * dy) for i in range(1, n + 1)}
+
+    enemies = [sq for sq, p in grid.items() if p.colour is enemy]
+    checkers = [sq for sq in enemies if attacks(sq, grid)]
+    pins = {}
+    for sq, p in grid.items():
+        if p.colour is colour and p.type is not PieceType.KING:
+            lifted = {t: q for t, q in grid.items() if t != sq}
+            for by in enemies:
+                if grid[by].type in (PieceType.BISHOP, PieceType.ROOK, PieceType.QUEEN) and (
+                    attacks(by, lifted) and not attacks(by, grid)
+                ):
+                    pins[sq] = line(by)
+    if not checkers:
+        evasions = {(x, y) for x in range(1, 9) for y in range(1, 9)}
+    elif len(checkers) > 1:
+        evasions = set()
+    elif grid[checkers[0]].type in (PieceType.BISHOP, PieceType.ROOK, PieceType.QUEEN):
+        evasions = line(checkers[0])
+    else:
+        evasions = {checkers[0]}
+    return bool(checkers), pins, evasions
+
+
+def _squares_of(mask):
+    return {(s % 8 + 1, s // 8 + 1) for s in range(64) if mask >> s & 1}
+
+
+def test_the_king_context_masks_match_the_oracle():
+    rng = random.Random(16)
+    checked = pinned = double = 0
+    while checked < 150 or pinned < 100 or double < 5:
+        board, colour = random_sparse_board(rng, max_extra=10)
+        grid = {(p.square.x, p.square.y): p for p in board.board_state}
+        for side in Colour:
+            expected_check, expected_pins, expected_evasions = _oracle_king_context(grid, side)
+            *_, flag, pins, evasions = _king_context(_boards(board.board_state), side)
+            assert flag == expected_check
+            assert {(s % 8 + 1, s // 8 + 1): _squares_of(m) for s, m in pins.items()} == expected_pins
+            assert _squares_of(evasions) == expected_evasions
+            checked += flag
+            pinned += bool(pins)
+            double += flag and not evasions
+
+
 def test_sparse_positions_in_check_or_with_a_pin_match_the_oracle():
     rng = random.Random(6)
     checked = pinned = 0
@@ -240,14 +309,14 @@ def test_the_attack_probe_agrees_with_attacked_squares_and_the_oracle():
     for _ in range(1000):
         board, _ = random_sparse_board(rng, max_extra=10)
         grid = {(p.square.x, p.square.y): p for p in board.board_state}
-        occ = _occupancy(board.board_state)
+        boards = _boards(board.board_state)
         for by in Colour:
             listed = attacked_squares(board.board_state, by)
             for x in range(1, 9):
                 for y in range(1, 9):
                     if (x, y) in grid and grid[x, y].colour is by:
                         continue
-                    probe = _square_attacked(occ, square_at(x, y), by)
+                    probe = _square_attacked(_attackers(boards, by), sum(boards), square_at(x, y))
                     expected = oracle_attacked(grid, x, y, by)
                     assert probe == (Coordinate(x, y) in listed) == expected, (x, y, by)
 
@@ -267,6 +336,23 @@ def _oracle_targets(grid, piece):
     }
 
 
+def _unfiltered(occ, colour):
+    """A context with no king to guard: the walk's targets unfiltered."""
+    boards = _boards(p for p in occ if p is not None)
+    return _Context(
+        occ=occ, boards=boards, rights=15, colour=colour,
+        us=sum(boards[:6] if colour is Colour.WHITE else boards[6:]), occupied=sum(boards),
+        attackers=_attackers(boards, opposite_colour(colour)), king=None, checked=False,
+        pins={}, evasions=FULL, moves={}, passant={}, slides=None,
+    )
+
+
+def _walked(context, s):
+    """The moves one walk over the piece on square index s lists."""
+    _legal_for_piece(context, 1 << s)
+    return context.moves[s]
+
+
 def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
     rng = random.Random(8)
     for _ in range(300):
@@ -274,21 +360,15 @@ def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
         occ = _occupancy(board.board_state)
         obstacles = pieces_to_obstacles(board.board_state)
         grid = {(p.square.x, p.square.y): p for p in board.board_state}
-        unfiltered = _Context(
-            occ=occ, king=None, checked=False, pins={}, evasions=None, moves={}, passant={},
-            rights=15,
-        )
         for piece in board.board_state:
             targets = moves_with_colours(piece, occ)
             assert len(targets) == len(set(targets))
             lifted = {SQUARES[s] for s in targets}
             assert lifted == type_based_moves(piece, obstacles)
             assert lifted == _oracle_targets(grid, piece), piece
-            walked = {
-                m.to_.square
-                for m in _legal_for_piece(unfiltered, (piece,))
-                if not iss_castling(board, m)
-            }
+            walked = _walked(_unfiltered(occ, piece.colour), square_at(piece.square.x, piece.square.y))
+            assert len(walked) == len(set(walked))
+            walked = {m.to_.square for m in walked}
             if piece.type is PieceType.PAWN:
                 x, y = piece.square.x, piece.square.y
                 forward = 2 if piece.colour is Colour.WHITE else -2
@@ -296,19 +376,24 @@ def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
                     lifted.add(Coordinate(x, y + forward))
             assert walked == lifted, piece
         for colour in Colour:  # one walk over a side is its pieces' walks in turn
-            side = [p for p in occ if p is not None and p.colour is colour]
-            each = [_legal_for_piece(unfiltered, (piece,)) for piece in side]
-            assert _legal_for_piece(unfiltered, side) == [m for moves in each for m in moves]
-            assert _legal_for_piece(unfiltered, side, True) == sum(map(len, each))
+            side = [s for s, p in enumerate(occ) if p is not None and p.colour is colour]
+            each = {s: _walked(_unfiltered(occ, colour), s) for s in side}
+            whole = _unfiltered(occ, colour)
+            _legal_for_piece(whole, FULL)
+            assert whole.moves == each
+            assert _legal_for_piece(whole, FULL, True) == sum(map(len, each.values()))
 
 
 def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
     computed = []
     legal_for_piece = board_module._legal_for_piece
 
-    def counting(context, pieces, count=False):
-        computed.extend((piece.colour, piece.square) for piece in pieces)
-        return legal_for_piece(context, pieces, count)
+    def counting(context, wanted, count=False):
+        if not count:  # the pieces whose lists this walk fills
+            own = board_module._SIDE[context.colour]
+            pieces = sum(context.boards[own:own + 6]) & wanted
+            computed.extend((context.colour, s) for s in range(64) if pieces >> s & 1)
+        return legal_for_piece(context, wanted, count)
 
     monkeypatch.setattr(board_module, "_legal_for_piece", counting)
     for board, colour in _sample_positions():
@@ -387,19 +472,47 @@ def test_the_move_table_starts_empty_on_import():
     assert run.stdout.strip() == "[0, 0, 0, 0]"
 
 
-def test_an_import_builds_no_probe_rays_and_a_parse_only_those_it_probes():
+def test_an_import_fills_no_square_masks_and_a_parse_only_those_it_reads():
     path = [p for p in sys.path if p]
     code = (
         f"import sys; sys.path[:0] = {path!r}; import chessval, chessval.board as b; "
-        "filled = lambda: sorted((c.name, s) for c, rays in b._PROBE_RAYS.items() for s in rays); "
+        "filled = lambda: [sorted(t) for t in (b._STEPS, b._BETWEEN, b._SLIDES)]; "
         "print(filled()); chessval.fen.parse_fen(sys.argv[1]); print(filled())"
     )
     start = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
     run = subprocess.run(
         [sys.executable, "-c", code, start], capture_output=True, text=True, check=True
     )
-    # parsing tests only that black, not to move, is not in check: white's rays onto e8
-    assert run.stdout.split("\n")[:2] == ["[]", "[('WHITE', 60)]"]
+    # parsing tests only that black, not to move, is not in check: e8's step
+    # masks; no white slider shares a line with e8, so nothing lies between
+    assert run.stdout.split("\n")[:2] == ["[[], [], []]", "[[60], [], []]"]
+
+
+_COUNT_WALKS = """
+import io, sys
+sys.path[:0] = {path!r}
+import chessval.board as b, chessval.cli as cli
+calls, walk = [0], b._legal_for_piece
+def counting(*args):
+    calls[0] += 1
+    return walk(*args)
+b._legal_for_piece = counting
+cli.cmd_validate([sys.argv[1]], out=io.StringIO(), err=io.StringIO())
+print(calls[0])
+"""
+
+
+def test_a_corpus_validation_walks_the_same_pieces_in_every_process():
+    # Colour and PieceType hash by identity, so a piece set iterates in an
+    # order that differs from process to process; the walks must not.
+    code = _COUNT_WALKS.format(path=[p for p in sys.path if p])
+    corpus = str(Path(__file__).parent / "data" / "corpus.pgn")
+    runs = [
+        subprocess.Popen([sys.executable, "-c", code, corpus], stdout=subprocess.PIPE, text=True)
+        for _ in range(3)
+    ]
+    counts = {run.communicate(timeout=300)[0].strip() for run in runs}
+    assert len(counts) == 1 and int(counts.pop()) > 0
 
 
 def test_the_move_table_is_a_pure_cache(monkeypatch):

@@ -32,39 +32,48 @@ SLOW = (
 MUTANTS = [
     # the legality filter
     ("evasions-ignored", "board.py",
-     "if evasions is not None:", "if False:"),
+     "allowed = evasions & ~us", "allowed = FULL & ~us"),
     ("pins-ignored", "board.py",
-     "allowed = pins.get(s)", "allowed = None"),
+     "            targets &= pins[s]", "            targets &= FULL"),
+    ("pinned-pawn-off-its-line", "board.py",
+     "groups += [(1 << s, allowed & line)", "groups += [(1 << s, allowed)"),
     ("king-steps-unprobed", "board.py",
-     "targets = [t for t in targets if not _square_attacked(probed, t, enemy)]",
-     "targets = list(targets)"),
+     "if _square_attacked(attackers, probed, t):", "if False:"),
     ("king-not-lifted", "board.py",
-     "occ[:s] + [None] + occ[s + 1:]", "occ[:s] + [occ[s]] + occ[s + 1:]"),
+     "probed = occupied ^ kings if checked else occupied",
+     "probed = occupied if checked else occupied"),
     ("king-lifted-only-out-of-check", "board.py",
-     "if checked else occ", "if not checked else occ"),
+     "probed = occupied ^ kings if checked else occupied",
+     "probed = occupied ^ kings if not checked else occupied"),
     # the side's one walk
-    ("side-walk-skips-a-piece", "board.py",
-     "for piece in pieces:", "for piece in pieces[1:]:"),
-    # the attack probe
+    ("side-walk-skips-the-knights-and-sliders", "board.py",
+     "pieces = us & wanted ^ pawns ^ kings", "pieces = 0"),
+    # the king's context: checks, pins and evasions as masks
+    ("pin-with-two-shields", "board.py",
+     "elif not shields & (shields - 1) and shields & us:", "elif shields & us:"),
+    ("double-check-not-recognised", "board.py",
+     "0 if checkers & (checkers - 1) else evasions", "evasions"),
+    # the attack probe and the enemy's pieces it reads
     ("probe-misses-knights", "board.py",
-     "if p is not None and p.type is KNIGHT and p.colour is by:",
-     "if p is not None and p.type is BISHOP and p.colour is by:"),
-    ("probe-reads-near-attackers-along-the-whole-ray", "board.py",
-     "if p.colour is by and p.type in sliders:",
-     "if p.colour is by and p.type in near:"),
-    ("probe-misses-diagonals", "board.py",
-     "for first, rest, near, sliders in _PROBE_RAYS[by][s]:",
-     "for first, rest, near, sliders in _PROBE_RAYS[by][s][:4]:"),
-    # the probe rays both the probe and the pin scan read
+     "if steps[0] & knights or steps[1] & king or steps[pawn_field] & pawns:",
+     "if steps[1] & king or steps[pawn_field] & pawns:"),
+    ("probe-misses-the-king", "board.py",
+     "if steps[0] & knights or steps[1] & king or steps[pawn_field] & pawns:",
+     "if steps[0] & knights or steps[pawn_field] & pawns:"),
+    ("attackers-without-diagonal-sliders", "board.py",
+     "return pawns, knights, bishops | queens, rooks | queens, king, _PAWN_FIELD[by]",
+     "return pawns, knights, queens, rooks | queens, king, _PAWN_FIELD[by]"),
     ("pawn-attack-direction-flipped", "board.py",
-     "back = -1 if by is Colour.WHITE else 1",
-     "back = 1 if by is Colour.WHITE else -1"),
-    ("king-dropped-from-a-ray's-first-square", "board.py",
-     "sliders + (KING,) + ((PAWN,) if dx and dy == back else ()), sliders)",
-     "sliders + ((PAWN,) if dx and dy == back else ()), sliders)"),
-    ("probe-ray-rest-starts-one-square-late", "board.py",
-     "bytes(range(s + 2 * step, s + step * (edge[s] + 1), step))",
-     "bytes(range(s + 3 * step, s + step * (edge[s] + 1), step))"),
+     "_PAWN_FIELD = {Colour.WHITE: 2, Colour.BLACK: 3}",
+     "_PAWN_FIELD = {Colour.WHITE: 3, Colour.BLACK: 2}"),
+    # the per-square tables
+    ("between-entry-one-square-short", "board.py",
+     "_mask(range(s + step, s + n * step, step))", "_mask(range(s + 2 * step, s + n * step, step))"),
+    ("slide-stops-short-of-the-blocker-above", "board.py",
+     "((above & -above) * 2 - (1 << below.bit_length() - 1))",
+     "((above & -above) - (1 << below.bit_length() - 1))"),
+    ("memo-key-misses-a-ray", "board.py",
+     "slides[occupied & reach | key]", "slides[occupied & (reach ^ lines[0][2]) | key]"),
     # the geometry tables
     ("rays-capped-at-6-steps", "pieces.py",
      "min(7 - x if dx > 0 else x if dx else 7,",
@@ -78,16 +87,19 @@ MUTANTS = [
     ("double-push-from-the-wrong-rank", "pieces.py",
      "start = 1 if colour is Colour.WHITE else 6",
      "start = 2 if colour is Colour.WHITE else 6"),
-    ("promotes-flag-on-the-wrong-rank", "pieces.py",
-     "entries.append((bytes(pushes), captures, edge[s] == 1))",
-     "entries.append((bytes(pushes), captures, edge[s] == 2))"),
-    # the generator's inline walk
-    ("slider-ray-not-stopping-after-a-capture", "board.py",
-     "                if holder is not None:",
-     "                if holder is not None and holder.colour is colour:"),
+    ("slider-ray-not-stopping-after-a-capture", "pieces.py",
+     "            if holder is not None:",
+     "            if holder is not None and holder.colour is colour:"),
+    # the pawns' bulk shifts
+    ("pawn-shift-wraps-from-the-a-file", "board.py",
+     "left = (group & _NOT_A_FILE) << al >> ar", "left = group << al >> ar"),
+    ("pawn-shift-wraps-from-the-h-file", "board.py",
+     "right = (group & _NOT_H_FILE) << hl >> hr", "right = group << hl >> hr"),
     ("pawn-captures-onto-an-empty-square", "board.py",
-     "if occ[t] is not None and occ[t].colour is not colour:",
-     "if occ[t] is None or occ[t].colour is not colour:"),
+     "left = (group & _NOT_A_FILE) << al >> ar & them & on",
+     "left = (group & _NOT_A_FILE) << al >> ar & ~us & on"),
+    ("double-push-from-the-wrong-rank-in-the-walk", "board.py",
+     "0xFF << 16, 0xFF << 56", "0xFF << 24, 0xFF << 56"),
     ("en-passant-neighbours-off-the-board", "board.py",
      "square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1) if 1 <= x <= 8",
      "square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1)"),
@@ -98,20 +110,22 @@ MUTANTS = [
     ("en-passant-victim-not-patched", "board.py",
      "return ((square_at(target.x, origin.y), None),)",
      "return ((square_at(target.x, origin.y), occ[square_at(target.x, origin.y)]),)"),
-    ("king-not-updated-on-a-king-move", "board.py",
-     "if mov.to_.type is KING:", "if mov.to_.type is None:"),
+    ("castled-rook-missing-from-the-xor-update", "board.py",
+     "            boards[_SLOT[holder.colour, holder.type]] ^= 1 << s", "            pass"),
+    ("captured-piece-left-on-its-bitboard", "board.py",
+     "        boards[_SLOT[dead.colour, dead.type]] ^= 1 << t", "        pass"),
     ("origin-not-cleared", "board.py",
      "occ[f], occ[t] = None, mov.to_", "occ[t] = mov.to_"),
     ("rights-not-cleared-by-the-to-square", "board.py",
-     "return occ, kings, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]",
-     "return occ, kings, rights & _RIGHTS_KEPT[f]"),
+     "return occ, boards, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]",
+     "return occ, boards, rights & _RIGHTS_KEPT[f]"),
     ("rights-not-cleared-by-the-from-square", "board.py",
-     "return occ, kings, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]",
-     "return occ, kings, rights & _RIGHTS_KEPT[t]"),
+     "return occ, boards, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]",
+     "return occ, boards, rights & _RIGHTS_KEPT[t]"),
     ("rights-not-read-from-the-history", "board.py",
      "for m in board.history:", "for m in board.history[:0]:"),
     ("castling-without-the-rights-test", "board.py",
-     "if rights & bit", "if True"),
+     "            rights & bit\n", "            True\n"),
     ("castling-wing-colour-ignored", "board.py",
      "for (home, _), (side, *_) in _CASTLINGS.items()",
      "for (home, _) in _CASTLINGS for side in Colour"),
@@ -120,8 +134,8 @@ MUTANTS = [
     ("fen-revokes-the-wrong-corner", "fen.py",
      "for s in (corner, off))", "for s in (corner ^ 7, off ^ 7))"),
     ("en-passant-probe-reads-the-parent-occupancy", "board.py",
-     "if king is None or not _square_attacked(after, square_index(king.square), enemy):",
-     "if king is None or not _square_attacked(occ, square_index(king.square), enemy):"),
+     "if king is None or not _square_attacked(probe, sum(after), king):",
+     "if king is None or not _square_attacked(attackers, occupied, king):"),
     # the one applier's piece set, and the named rules' pre-conditions
     ("castled-rook-never-joins-the-piece-set", "board.py",
      "arrived.add(holder)", "arrived.add(mov.to_)"),
@@ -139,21 +153,26 @@ MUTANTS = [
      "if len(changes) != 1 or occ[changes[0][0]] is None:", "if False:"),
     # perft's square-map recursion, its counted last ply and the root maps _divide hands on
     ("promotion-counted-once", "board.py",
-     "total += 4 * len(targets) if kind is PAWN and promotes else len(targets)",
-     "total += len(targets)"),
+     "total += 3 * (((one | left) & last).bit_count() + (right & last).bit_count())",
+     "total += 0 * (((one | left) & last).bit_count() + (right & last).bit_count())"),
     ("en-passant-not-counted", "board.py",
-     "elif kind is PAWN and s in passant:", "elif kind is PAWN and s in passant and not count:"),
+     "            if pawns >> s & 1:", "            if pawns >> s & 1 and not count:"),
     ("en-passant-window-from-a-stale-ply", "board.py",
-     "total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1)",
-     "total += _perft(_child_map(square_map, m, _changes(occ, m)), last, enemy, depth - 1)"),
+     "total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides)",
+     "total += _perft(_child_map(square_map, m, _changes(occ, m)), last, enemy, depth - 1, slides)"),
     ("divide-hands-its-workers-the-parent's-last-move", "board.py",
-     "tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1) for m in moves]",
+     "tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides) for m in moves]",
      "tasks = [(_child_map(square_map, m, _changes(occ, m)),"
-     " board.history[0] if board.history else None, enemy, depth - 1) for m in moves]"),
+     " board.history[0] if board.history else None, enemy, depth - 1, slides) for m in moves]"),
+    # the terminal test
+    ("terminal-test-skips-the-king", "board.py",
+     "for pieces in context.boards[own:own + 6])", "for pieces in context.boards[own:own + 5])"),
     # SAN resolution
     ("plain-king-token-matches-a-castling", "pgn.py",
      "and iss_castling(game.board, m) is (token.kind is not SanKind.NORMAL)",
      "and (token.kind is SanKind.NORMAL or iss_castling(game.board, m))"),
+    ("san-candidates-miss-the-other-file", "board.py",
+     "reach = _STEPS[t][_PAWN_FIELD[colour]] | _A_FILE << (t & 7)", "reach = _A_FILE << (t & 7)"),
     # the interned moves
     ("cached-hash-pickled", "board.py",
      "def __reduce__(self):", "def _reduce(self):"),
