@@ -18,10 +18,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .pieces import (
-    KNIGHT_TARGETS,
-    PAWN_CAPTURE_RAYS,
-    PAWN_PATHS,
-    RAYS,
+    _A_FILE,
+    _BETWEEN,
+    _NOT_A_FILE,
+    _NOT_H_FILE,
+    _PAWN_FIELD,
+    _SLIDE_FIELD,
+    _SLIDES,
+    _STEPS,
+    FULL,
     SQUARES,
     Colour,
     Coordinate,
@@ -29,7 +34,10 @@ from .pieces import (
     Piece,
     PieceType,
     _Table,
+    _mask,
     _occupancy,
+    _slide,
+    _squares,
     moves_with_colours,
     opposite_colour,
     piece_row,
@@ -161,27 +169,16 @@ def default_board() -> Board:
 
 # --- bitboards ---------------------------------------------------------------
 #
-# A bitboard is an int whose bit s stands for square index s (a1 = bit 0,
-# h8 = bit 63).  A square map holds one per (colour, type), in slot
-# _SLOT[colour, type]; they are disjoint, so their sum is their union.
+# A square map holds one bitboard (a mask, as chessval.pieces builds them)
+# per (colour, type), in slot _SLOT[colour, type]; they are disjoint, so
+# their sum is their union.
 
-FULL = (1 << 64) - 1
 _SLOT = {
     (colour, kind): 6 * i + j
     for i, colour in enumerate(Colour)
     for j, kind in enumerate((PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING))
 }
 _SIDE = {colour: _SLOT[colour, PAWN] for colour in Colour}  # a colour's first slot
-_A_FILE = FULL // 255
-_NOT_A_FILE = _A_FILE * 254  # every square but the a-file's
-_NOT_H_FILE = _A_FILE * 127
-
-
-def _mask(squares) -> int:
-    m = 0
-    for t in squares:
-        m |= 1 << t
-    return m
 
 
 def _boards(pieces) -> list[int]:
@@ -190,73 +187,6 @@ def _boards(pieces) -> list[int]:
     for p in pieces:
         boards[_SLOT[p.colour, p.type]] |= 1 << p.square.x + 8 * p.square.y - 9
     return boards
-
-
-def _slide(lines: tuple, occupied: int) -> int:
-    """A slider's attacks along its lines, each a (line, part below the
-    square, part above) triple, the first blocker each way included: the
-    classical approach, where the nearest blocker below is the highest set
-    bit and the nearest above the lowest (b & -b)."""
-    attacks = 0
-    for line, lower, upper in lines:
-        below, above = lower & occupied | 1, upper & occupied  # bit 0 stops an empty side
-        attacks |= line & ((above & -above) * 2 - (1 << below.bit_length() - 1))
-    return attacks
-
-
-def _rays(s: int) -> list[int]:
-    """Square index s's rays as masks, in the order of RAYS."""
-    return [_mask(range(s + step, s + step * (edge[s] + 1), step)) for step, edge in RAYS]
-
-
-def _steps(s: int) -> tuple:
-    """Square index s's masks for the attack probe, in this order: the
-    squares a knight and a king step to from s; the squares a white and a
-    black pawn attack s from; a rook's and a bishop's reach from s on an
-    empty board."""
-    rays = _rays(s)
-    return (
-        _mask(KNIGHT_TARGETS[s]), _mask(s + step for step, edge in RAYS if edge[s]),
-        *(  # a white pawn attacks s from where a black pawn on s would attack
-            _mask(s + step for step, edge in PAWN_CAPTURE_RAYS[colour] if edge[s])
-            for colour in (Colour.BLACK, Colour.WHITE)
-        ),
-        sum(rays[:4]), sum(rays[4:]),
-    )
-
-
-def _between(s: int) -> tuple:
-    """Per square index t, the squares strictly between s and t; 0 for a t
-    off s's lines."""
-    between = [0] * 64
-    for step, edge in RAYS:
-        for n in range(1, edge[s] + 1):
-            between[s + n * step] = _mask(range(s + step, s + n * step, step))
-    return tuple(between)
-
-
-def _slides(s: int) -> tuple:
-    """A rook's, a bishop's and a queen's slides from square index s, each
-    (its reach on an empty board, its lines as _slide reads them, its key in
-    perft's memo above the occupancy bits: _memo_slide)."""
-    rays = _rays(s)
-    lines = [(up | down, down, up) for up, down in zip(rays[::2], rays[1::2])]  # upward rays first
-    return tuple(
-        (sum(line for line, _, _ in part), part, (s << 2 | field) << 64)
-        for field, part in enumerate((lines[:2], lines[2:], lines))
-    )
-
-
-# Per square index, filled on first use, so an import builds none: the
-# attack probe's masks (_steps), the squares between (_between) and the
-# sliders' lines (_slides).  The hot loops read their fields by index.
-_STEPS = _Table(_steps)
-_BETWEEN = _Table(_between)
-_SLIDES = _Table(_slides)
-# Per attacking colour, the _STEPS field of the squares its pawns attack from;
-# per slider type, the _SLIDES field of its slides.
-_PAWN_FIELD = {Colour.WHITE: 2, Colour.BLACK: 3}
-_SLIDE_FIELD = {ROOK: 0, BISHOP: 1, QUEEN: 2}
 
 
 def _attackers(boards: list, by: Colour) -> tuple:
@@ -299,9 +229,9 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
     for p in state:
         if p.colour is not by:
             continue
-        if p.type is PAWN:
+        if p.type is PAWN:  # a pawn on s attacks where enemy pawns attack s from
             s = square_index(p.square)
-            attacked.update(s + step for step, edge in PAWN_CAPTURE_RAYS[by] if edge[s])
+            attacked.update(_squares(_STEPS[s][_PAWN_FIELD[opposite_colour(by)]]))
         else:
             attacked.update(moves_with_colours(p, occ))
     return frozenset(SQUARES[s] for s in attacked)
@@ -332,12 +262,11 @@ def pawn_move_two(state: BoardState, pawn: Piece) -> frozenset[Move]:
     """The two-square advance, available only from the pawn's initial rank
     with both the skipped and the target square empty."""
     _require_piece(state, pawn, PAWN)
-    s = square_index(pawn.square)
-    pushes = PAWN_PATHS[pawn.colour][s][0]
-    occ = _occupancy(state)
-    if len(pushes) < 2 or occ[pushes[0]] or occ[pushes[1]]:
+    s, white = square_index(pawn.square), pawn.colour is Colour.WHITE
+    step, occ = 8 if white else -8, _occupancy(state)
+    if pawn.square.y != (2 if white else 7) or occ[s + step] or occ[s + 2 * step]:
         return frozenset()
-    return frozenset((_move_row(PAWN, PAWN, pawn.colour, s)[pushes[1]],))
+    return frozenset((_move_row(PAWN, PAWN, pawn.colour, s)[s + 2 * step],))
 
 
 def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
@@ -732,16 +661,6 @@ def _lift(row: _MoveRow, targets: int) -> list[Move]:
         moves.append(row[t])
         targets ^= 1 << t
     return moves
-
-
-def _squares(mask: int) -> list[int]:
-    """The square indices of a mask's set bits, lowest first."""
-    squares = []
-    while mask:
-        low = mask & -mask
-        squares.append(low.bit_length() - 1)
-        mask ^= low
-    return squares
 
 
 def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:

@@ -196,13 +196,20 @@ def cmd_perft(
         print(f"bad FEN: {exc}", file=err)
         return INVALID_EXIT
     jobs = (os.cpu_count() or 1) if depth >= 4 else 1
-    if divide and depth >= 1:
-        counts = _divide(game.board, game.turn, depth, jobs)
-        for root, count in sorted(counts, key=lambda pair: _coordinate_text(pair[0])):
-            print(f"{_coordinate_text(root)}: {count}", file=out)
-        print(f"total: {sum(count for _, count in counts)}", file=out)
-    else:
-        print(perft(game.board, game.turn, depth, jobs=jobs), file=out)
+    try:  # perft recurses once per ply, so a deep tree can pass Python's limit
+        if divide and depth >= 1:
+            counts = _divide(game.board, game.turn, depth, jobs)
+            lines = [
+                f"{_coordinate_text(root)}: {count}"
+                for root, count in sorted(counts, key=lambda pair: _coordinate_text(pair[0]))
+            ]
+            lines.append(f"total: {sum(count for _, count in counts)}")
+        else:
+            lines = [str(perft(game.board, game.turn, depth, jobs=jobs))]
+    except RecursionError:
+        print(f"perft depth {depth} is too deep: Python's recursion limit was reached", file=err)
+        return INVALID_EXIT
+    print("\n".join(lines), file=out)
     return OK_EXIT
 
 

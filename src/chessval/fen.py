@@ -102,9 +102,10 @@ def parse_fen(text: str) -> Game:
 
     if len(fields) >= 3:
         rights = fields[2]
-        if rights != "-" and not set(rights) <= _RIGHTS.keys():
+        letters = "" if rights == "-" else rights
+        if not set(letters) <= _RIGHTS.keys() or len(set(letters)) < len(letters):
             raise FenError(f"bad castling rights {rights!r}")
-        granted = sum(_RIGHTS[letter] for letter in set(rights) - {"-"})
+        granted = sum(_RIGHTS[letter] for letter in letters)
         for colour, bit, corner, _, _ in _CASTLINGS.values():
             if not granted & bit:  # a rook move off the corner revokes the wing
                 off = corner + 8 if colour is Colour.WHITE else corner - 8

@@ -1,16 +1,17 @@
 """Colours, piece types, board coordinates and basic movement patterns.
 
 Everything here is purely geometric: given a piece and the squares other
-pieces occupy (the obstacles), compute the squares it could step to.  The
-movement loops work on square indices, (x - 1) + 8 * (y - 1) (square_at
-and square_index; SQUARES maps them back), over a 64-slot occupancy
-whose slots hold anything with a colour (a Piece or an Obstacle).  The
-knight targets and per direction each square's distance to the edge
-(the rays) are built at import; from them, per-kind target tables are
-filled on first use, which moves_with_colours walks over the occupancy,
-and the board module builds its legality masks.  Moves that need game
-history (castling, en passant, the double push, promotion) live in the
-board module.
+pieces occupy (the obstacles), compute the squares it could step to.
+Squares are indexed (x - 1) + 8 * (y - 1) (square_at and square_index;
+SQUARES maps them back), a 64-slot occupancy holds anything with a colour
+(a Piece or an Obstacle), and a mask is an int with one bit per square
+index.  The knight targets and per direction each square's distance to
+the edge (the rays) are built at import.  From them this module fills, per
+square on first use, the one movement geometry: the step masks, the
+squares between two squares and the sliders' lines.  moves_with_colours
+reads them for the obstacle API, and the board module's attack probe and
+legal-move walk for the rules.  Moves that need game history (castling,
+en passant, the double push, promotion) live in the board module.
 """
 
 from __future__ import annotations
@@ -167,9 +168,6 @@ RAYS: tuple[tuple[int, bytes], ...] = tuple(
     )
     for dx, dy in ALL_DIRECTIONS
 )
-_SLIDER_RAYS = {
-    PieceType.ROOK: RAYS[:4], PieceType.BISHOP: RAYS[4:], PieceType.QUEEN: RAYS
-}
 # Per colour, the two diagonal rays a pawn captures along.
 PAWN_CAPTURE_RAYS = {
     colour: tuple(ray for (dx, dy), ray in zip(ALL_DIRECTIONS, RAYS) if dx and dy == forward)
@@ -178,8 +176,9 @@ PAWN_CAPTURE_RAYS = {
 
 
 class _Table(dict):
-    """Entries by piece type, colour, square index or occupancy, each
-    built by `build(key)` on first use and kept: an import builds none."""
+    """Masks by square index (or, for perft's slider memo, attacks by
+    occupancy key), each built by `build(key)` on first use and kept: an
+    import builds none."""
 
     __slots__ = ("build",)
 
@@ -190,40 +189,98 @@ class _Table(dict):
         return self.setdefault(key, self.build(key))
 
 
-def _pawn_paths(colour: Colour) -> tuple:
-    """Per square, a pawn's (push path, capture targets): the push path is
-    the square ahead, then from the initial rank the double push's target."""
-    step, edge = RAYS[0] if colour is Colour.WHITE else RAYS[1]
-    start = 1 if colour is Colour.WHITE else 6  # the initial rank, counted from 0
-    entries = []
-    for s in range(64):
-        pushes = [s + step] if edge[s] else []
-        if s // 8 == start:
-            pushes.append(s + 2 * step)
-        captures = bytes(s + c for c, c_edge in PAWN_CAPTURE_RAYS[colour] if c_edge[s])
-        entries.append((bytes(pushes), captures))
-    return tuple(entries)
+# --- bitboards ---------------------------------------------------------------
+#
+# A bitboard (a mask) is an int whose bit s stands for square index s
+# (a1 = bit 0, h8 = bit 63).
+
+FULL = (1 << 64) - 1
+_A_FILE = FULL // 255
+_NOT_A_FILE = _A_FILE * 254  # every square but the a-file's
+_NOT_H_FILE = _A_FILE * 127
 
 
-# Per colour, the pawn's entry on each square.
-PAWN_PATHS = _Table(_pawn_paths)
-# Per type (knight, king), the squares each square steps to.
-STEP_TARGETS = _Table(
-    lambda kind: KNIGHT_TARGETS if kind is PieceType.KNIGHT
-    else tuple(bytes(s + step for step, edge in RAYS if edge[s]) for s in range(64))
-)
-# Per slider type, each square's non-empty rays as the squares along them,
-# nearest first.
-SLIDER_PATHS = _Table(
-    lambda kind: tuple(
-        tuple(
-            bytes(range(s + step, s + step * (edge[s] + 1), step))
-            for step, edge in _SLIDER_RAYS[kind]
-            if edge[s]
-        )
-        for s in range(64)
+def _mask(squares) -> int:
+    m = 0
+    for t in squares:
+        m |= 1 << t
+    return m
+
+
+def _squares(mask: int) -> list[int]:
+    """The square indices of a mask's set bits, lowest first."""
+    squares = []
+    while mask:
+        low = mask & -mask
+        squares.append(low.bit_length() - 1)
+        mask ^= low
+    return squares
+
+
+def _slide(lines: tuple, occupied: int) -> int:
+    """A slider's attacks along its lines, each a (line, part below the
+    square, part above) triple, the first blocker each way included: the
+    classical approach, where the nearest blocker below is the highest set
+    bit and the nearest above the lowest (b & -b)."""
+    attacks = 0
+    for line, lower, upper in lines:
+        below, above = lower & occupied | 1, upper & occupied  # bit 0 stops an empty side
+        attacks |= line & ((above & -above) * 2 - (1 << below.bit_length() - 1))
+    return attacks
+
+
+def _rays(s: int) -> list[int]:
+    """Square index s's rays as masks, in the order of RAYS."""
+    return [_mask(range(s + step, s + step * (edge[s] + 1), step)) for step, edge in RAYS]
+
+
+def _steps(s: int) -> tuple:
+    """Square index s's step masks, in this order: the squares a knight and
+    a king step to from s; the squares a white and a black pawn attack s
+    from; a rook's and a bishop's reach from s on an empty board."""
+    rays = _rays(s)
+    return (
+        _mask(KNIGHT_TARGETS[s]), _mask(s + step for step, edge in RAYS if edge[s]),
+        *(  # a white pawn attacks s from where a black pawn on s would attack
+            _mask(s + step for step, edge in PAWN_CAPTURE_RAYS[colour] if edge[s])
+            for colour in (Colour.BLACK, Colour.WHITE)
+        ),
+        sum(rays[:4]), sum(rays[4:]),
     )
-)
+
+
+def _between(s: int) -> tuple:
+    """Per square index t, the squares strictly between s and t; 0 for a t
+    off s's lines."""
+    between = [0] * 64
+    for step, edge in RAYS:
+        for n in range(1, edge[s] + 1):
+            between[s + n * step] = _mask(range(s + step, s + n * step, step))
+    return tuple(between)
+
+
+def _slides(s: int) -> tuple:
+    """A rook's, a bishop's and a queen's slides from square index s, each
+    (its reach on an empty board, its lines as _slide reads them, its key in
+    perft's slider memo above the occupancy bits, (s << 2 | field) << 64)."""
+    rays = _rays(s)
+    lines = [(up | down, down, up) for up, down in zip(rays[::2], rays[1::2])]  # upward rays first
+    return tuple(
+        (sum(line for line, _, _ in part), part, (s << 2 | field) << 64)
+        for field, part in enumerate((lines[:2], lines[2:], lines))
+    )
+
+
+# Per square index, filled on first use, so an import builds none: the step
+# masks (_steps), the squares between (_between) and the sliders' lines
+# (_slides).  The board's hot loops read their fields by index.
+_STEPS = _Table(_steps)
+_BETWEEN = _Table(_between)
+_SLIDES = _Table(_slides)
+# Per attacking colour, the _STEPS field of the squares its pawns attack from;
+# per slider type, the _SLIDES field of its slides.
+_PAWN_FIELD = {Colour.WHITE: 2, Colour.BLACK: 3}
+_SLIDE_FIELD = {PieceType.ROOK: 0, PieceType.BISHOP: 1, PieceType.QUEEN: 2}
 
 
 def possible_move_direction(
@@ -278,27 +335,25 @@ def type_based_moves(p: Piece, obstacles: ObstacleSet) -> frozenset[Coordinate]:
 
 
 def moves_with_colours(p: Piece, occ: Occupancy) -> list[int]:
-    """type_based_moves as square indices, against a 64-slot occupancy; a
-    holder's colour tells a capture from a blocked square.  The board's
-    move generator works on bitboards built from the same rays; this is the
-    geometry of the obstacle API and the reference that generator is
-    tested against."""
+    """type_based_moves as square indices, lowest first, against a 64-slot
+    occupancy; a holder's colour tells a capture from a blocked square.
+    The occupancy is read into masks, and the targets come from the same
+    per-square masks the board's move generator reads."""
     s = p.square.x + 8 * p.square.y - 9
-    colour = p.colour
-    kind = p.type
+    colour, kind = p.colour, p.type
+    occupied = own = 0
+    for t, holder in enumerate(occ):
+        if holder is not None:
+            occupied |= 1 << t
+            if holder.colour is colour:
+                own |= 1 << t
     if kind is PieceType.PAWN:
-        pushes, captures = PAWN_PATHS[colour][s]
-        moves = [pushes[0]] if pushes and occ[pushes[0]] is None else []
-        return moves + [t for t in captures if occ[t] is not None and occ[t].colour is not colour]
+        ahead = 1 << s + 8 & FULL if colour is Colour.WHITE else 1 << s >> 8
+        # a pawn on s captures onto the squares enemy pawns attack s from
+        captures = _STEPS[s][_PAWN_FIELD[opposite_colour(colour)]] & occupied & ~own
+        return _squares(ahead & ~occupied | captures)
     if kind is PieceType.KNIGHT or kind is PieceType.KING:
-        return [t for t in STEP_TARGETS[kind][s] if occ[t] is None or occ[t].colour is not colour]
-    moves = []
-    for ray in SLIDER_PATHS[kind][s]:
-        for t in ray:
-            holder = occ[t]
-            if holder is not None:
-                if holder.colour is not colour:
-                    moves.append(t)
-                break
-            moves.append(t)
-    return moves
+        targets = _STEPS[s][0 if kind is PieceType.KNIGHT else 1]
+    else:
+        targets = _slide(_SLIDES[s][_SLIDE_FIELD[kind]][1], occupied)
+    return _squares(targets & ~own)

@@ -246,6 +246,19 @@ def test_perft_rejects_an_impossible_fen_position(capsys, fen):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_perft_too_deep_for_the_recursion_limit_reports_one_line(capsys):
+    code = main(["perft", "--depth", "5000", "--fen", "4k3/8/8/8/8/8/8/4K3 w - - 0 1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_perft_of_a_stalemate_is_zero_at_any_depth(capsys):
+    assert main(["perft", "--depth", "5000", "--fen", "7k/5Q2/6K1/8/8/8/8/8 b - - 0 1"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_perft_rejects_negative_depth(capsys):
     code = cmd_perft(-1)
     captured = capsys.readouterr()

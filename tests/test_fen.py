@@ -93,6 +93,7 @@ def test_perft_from_a_fen_position_matches_the_initial_position():
         "8/8/8/8/8/8/8/7Z w",           # unknown letter
         "8/8/8/8/8/8/8/K6k x",          # bad side
         "8/8/8/8/8/8/8/K6k w XQ -",     # bad rights
+        "4k3/8/8/8/8/8/8/R3K2R w KKQ - 0 1",  # a repeated rights letter
         "8/8/8/8/8/8/8/K6k w - e9",     # bad square
         "4k3/8/8/8/8/8/8/4K3 w - e6",   # no pawn behind the ep square
         "8/8/8/8/8/8/8/K6k w - - x 1",  # bad counter

@@ -12,8 +12,8 @@ bitboards and castling rights) with the one built from its pieces.
 Perft with a pool, which hands its workers square maps, is checked
 against the serial count where the map carries a partial castling-rights
 mask, an en-passant window or a played history.  The
-interned move table and the geometry tables are checked to start empty
-and to be pure caches, the per-square masks to start empty and to be
+interned move table, the piece rows and the per-square masks are checked
+to start empty, the move table to be a pure cache, the masks to be
 filled by a FEN parse only where its check test reads, and a pickled move
 to be hashed afresh where it is unpickled.  The count of per-piece walks
 one corpus validation makes is checked to be the same in every process.
@@ -353,19 +353,25 @@ def _walked(context, s):
     return context.moves[s]
 
 
+def _geometry_matches_the_oracle(pieces, piece):
+    """Assert that moves_with_colours, type_based_moves and the oracle give
+    a piece the same targets among `pieces`, and return them."""
+    targets = moves_with_colours(piece, _occupancy(pieces))
+    assert len(targets) == len(set(targets))
+    lifted = {SQUARES[s] for s in targets}
+    assert lifted == type_based_moves(piece, pieces_to_obstacles(pieces))
+    assert lifted == _oracle_targets({(p.square.x, p.square.y): p for p in pieces}, piece), piece
+    return lifted
+
+
 def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
     rng = random.Random(8)
     for _ in range(300):
         board, _ = random_sparse_board(rng, max_extra=12)
         occ = _occupancy(board.board_state)
-        obstacles = pieces_to_obstacles(board.board_state)
         grid = {(p.square.x, p.square.y): p for p in board.board_state}
         for piece in board.board_state:
-            targets = moves_with_colours(piece, occ)
-            assert len(targets) == len(set(targets))
-            lifted = {SQUARES[s] for s in targets}
-            assert lifted == type_based_moves(piece, obstacles)
-            assert lifted == _oracle_targets(grid, piece), piece
+            lifted = _geometry_matches_the_oracle(board.board_state, piece)
             walked = _walked(_unfiltered(occ, piece.colour), square_at(piece.square.x, piece.square.y))
             assert len(walked) == len(set(walked))
             walked = {m.to_.square for m in walked}
@@ -382,6 +388,14 @@ def test_the_table_driven_targets_match_the_obstacle_api_and_the_oracle():
             _legal_for_piece(whole, FULL)
             assert whole.moves == each
             assert _legal_for_piece(whole, FULL, True) == sum(map(len, each.values()))
+    # a pawn of either colour on every square, ranks 1 and 8 included, among
+    # random pieces (the walk never meets a pawn on its last rank)
+    for colour in Colour:
+        for square in SQUARES:
+            board, _ = random_sparse_board(rng, max_extra=12)
+            pawn = Piece(PieceType.PAWN, square, colour)
+            others = {p for p in board.board_state if p.square != square}
+            _geometry_matches_the_oracle(others | {pawn}, pawn)
 
 
 def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
@@ -466,10 +480,10 @@ def test_the_move_table_starts_empty_on_import():
     path = [p for p in sys.path if p]
     code = (
         f"import sys; sys.path[:0] = {path!r}; import chessval.board as b, chessval.pieces as p; "
-        "print([len(t) for t in (b._MOVES, p.PAWN_PATHS, p.STEP_TARGETS, p.SLIDER_PATHS)])"
+        "print([len(t) for t in (b._MOVES, p._ROWS, p._STEPS, p._BETWEEN, p._SLIDES)])"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[0, 0, 0, 0]"
+    assert run.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_an_import_fills_no_square_masks_and_a_parse_only_those_it_reads():

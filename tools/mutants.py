@@ -63,15 +63,20 @@ MUTANTS = [
     ("attackers-without-diagonal-sliders", "board.py",
      "return pawns, knights, bishops | queens, rooks | queens, king, _PAWN_FIELD[by]",
      "return pawns, knights, queens, rooks | queens, king, _PAWN_FIELD[by]"),
-    ("pawn-attack-direction-flipped", "board.py",
+    ("pawn-attack-direction-flipped", "pieces.py",
      "_PAWN_FIELD = {Colour.WHITE: 2, Colour.BLACK: 3}",
      "_PAWN_FIELD = {Colour.WHITE: 3, Colour.BLACK: 2}"),
-    # the per-square tables
-    ("between-entry-one-square-short", "board.py",
+    # the per-square masks and the slide
+    ("between-entry-one-square-short", "pieces.py",
      "_mask(range(s + step, s + n * step, step))", "_mask(range(s + 2 * step, s + n * step, step))"),
-    ("slide-stops-short-of-the-blocker-above", "board.py",
+    ("slide-stops-short-of-the-blocker-above", "pieces.py",
      "((above & -above) * 2 - (1 << below.bit_length() - 1))",
      "((above & -above) - (1 << below.bit_length() - 1))"),
+    ("slide-not-stopping-at-the-blocker-below", "pieces.py",
+     "below, above = lower & occupied | 1, upper & occupied",
+     "below, above = 1, upper & occupied"),
+    ("not-h-file-mask-keeps-the-h-file", "pieces.py",
+     "_NOT_H_FILE = _A_FILE * 127", "_NOT_H_FILE = _A_FILE * 255"),
     ("memo-key-misses-a-ray", "board.py",
      "slides[occupied & reach | key]", "slides[occupied & (reach ^ lines[0][2]) | key]"),
     # the geometry tables
@@ -84,12 +89,19 @@ MUTANTS = [
     ("pawn-capture-rays-of-the-wrong-colour", "pieces.py",
      "for colour, forward in ((Colour.WHITE, 1), (Colour.BLACK, -1))",
      "for colour, forward in ((Colour.WHITE, -1), (Colour.BLACK, 1))"),
-    ("double-push-from-the-wrong-rank", "pieces.py",
-     "start = 1 if colour is Colour.WHITE else 6",
-     "start = 2 if colour is Colour.WHITE else 6"),
-    ("slider-ray-not-stopping-after-a-capture", "pieces.py",
-     "            if holder is not None:",
-     "            if holder is not None and holder.colour is colour:"),
+    # the obstacle API's geometry, and the double push
+    ("pawn-pushes-onto-a-held-square", "pieces.py",
+     "return _squares(ahead & ~occupied | captures)", "return _squares(ahead | captures)"),
+    ("pawn-pushes-off-the-last-rank", "pieces.py",
+     "ahead = 1 << s + 8 & FULL if", "ahead = 1 << s + 8 if"),
+    ("pawn-captures-with-the-wrong-colour's-field", "pieces.py",
+     "_STEPS[s][_PAWN_FIELD[opposite_colour(colour)]]", "_STEPS[s][_PAWN_FIELD[colour]]"),
+    ("pawn-captures-its-own-side", "pieces.py",
+     "& occupied & ~own", "& occupied"),
+    ("own-pieces-not-masked-out", "pieces.py",
+     "return _squares(targets & ~own)", "return _squares(targets)"),
+    ("double-push-from-the-wrong-rank", "board.py",
+     "pawn.square.y != (2 if white else 7)", "pawn.square.y != (3 if white else 7)"),
     # the pawns' bulk shifts
     ("pawn-shift-wraps-from-the-a-file", "board.py",
      "left = (group & _NOT_A_FILE) << al >> ar", "left = group << al >> ar"),
@@ -131,6 +143,9 @@ MUTANTS = [
      "for (home, _) in _CASTLINGS for side in Colour"),
     ("rights-mask-ignores-corners", "board.py",
      "if s in (home, corner))", "if s == home)"),
+    ("fen-accepts-a-repeated-rights-letter", "fen.py",
+     "if not set(letters) <= _RIGHTS.keys() or len(set(letters)) < len(letters):",
+     "if not set(letters) <= _RIGHTS.keys():"),
     ("fen-revokes-the-wrong-corner", "fen.py",
      "for s in (corner, off))", "for s in (corner ^ 7, off ^ 7))"),
     ("en-passant-probe-reads-the-parent-occupancy", "board.py",
@@ -164,6 +179,8 @@ MUTANTS = [
      "tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides) for m in moves]",
      "tasks = [(_child_map(square_map, m, _changes(occ, m)),"
      " board.history[0] if board.history else None, enemy, depth - 1, slides) for m in moves]"),
+    ("deep-perft-ends-in-a-traceback", "cli.py",
+     "    except RecursionError:", "    except ZeroDivisionError:"),
     # the terminal test
     ("terminal-test-skips-the-king", "board.py",
      "for pieces in context.boards[own:own + 6])", "for pieces in context.boards[own:own + 5])"),
