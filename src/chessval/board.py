@@ -38,6 +38,7 @@ from .pieces import (
     _occupancy,
     _slide,
     _squares,
+    _targets,
     moves_with_colours,
     opposite_colour,
     piece_row,
@@ -224,17 +225,18 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
     """Every square colour `by` attacks: the union of its pieces' movement
     patterns, except that pawns attack only their two forward diagonals
     (occupied or not) and never the square in front of them."""
-    occ = _occupancy(state)
-    attacked: set[int] = set()
+    boards = _boards(state)
+    us, occupied = sum(boards[_SIDE[by]:_SIDE[by] + 6]), sum(boards)
+    attacked = 0
     for p in state:
         if p.colour is not by:
             continue
+        s = square_index(p.square)
         if p.type is PAWN:  # a pawn on s attacks where enemy pawns attack s from
-            s = square_index(p.square)
-            attacked.update(_squares(_STEPS[s][_PAWN_FIELD[opposite_colour(by)]]))
+            attacked |= _STEPS[s][_PAWN_FIELD[opposite_colour(by)]]
         else:
-            attacked.update(moves_with_colours(p, occ))
-    return frozenset(SQUARES[s] for s in attacked)
+            attacked |= _targets(p.type, by, s, occupied, us)
+    return frozenset(SQUARES[s] for s in _squares(attacked))
 
 
 def _king_of(state: BoardState, colour: Colour) -> Optional[Piece]:

@@ -25,9 +25,9 @@ from .pgn import (
     PgnParseError,
     SanError,
     X_TO_FILE,
+    _plays,
     canonical_text,
     parse_pgn,
-    replay,
     san_text,
 )
 
@@ -84,7 +84,7 @@ def _validate_game(
     )
     game, winner, played = new_game(), None, 0
     try:
-        for played, (_, game, winner, _) in enumerate(replay(parsed.tokens), start=1):
+        for played, (_, _, game, winner, _, _) in enumerate(_plays(parsed.tokens), start=1):
             if verbose:
                 lexeme = san_text(parsed.tokens[played - 1])
                 print(f"{path} game {index} ply {played}: {lexeme}", file=out)

@@ -10,7 +10,10 @@ cannot pass silently.
 The lexer is two patterns: one skips trivia (whitespace, comments and
 escape lines), the other reads a word.  A line and column are computed
 only when an error is raised.  Moves are written by spelling their
-minimal SanToken with san_text, the one SAN speller.
+minimal SanToken with san_text, the one SAN speller; only the commands
+that write text spell, so validation resolves and plays without it.  A
+parse reads each distinct word once: repeated words share one frozen
+SanToken.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .board import _CASTLINGS, Board, IllegalMoveError, Move, _context, _moves_onto, iss_castling
+from .board import _CASTLINGS, IllegalMoveError, Move, _context, _moves_onto, iss_castling
 from .game import REMIS, Game, Winner, game_move, new_game
-from .pieces import SQUARES, Colour, Coordinate, PieceType, square_index
+from .pieces import SQUARES, Colour, Coordinate, PieceType, square_at, square_index
 
 FILE_TO_X = {c: i for i, c in enumerate("abcdefgh", start=1)}
 RANK_TO_Y = {c: i for i, c in enumerate("12345678", start=1)}
@@ -147,6 +150,7 @@ class SanError(ValueError):
 
 
 _RESULT_BY_MARKER = {r.value: r for r in GameResult}
+_MARK_BY_SUFFIX = {None: CheckMark.NONE, "+": CheckMark.CHECK, "#": CheckMark.MATE}
 # Move numbers and numeric annotation glyphs, both dropped.
 _NUMBER_OR_NAG_RE = re.compile(r"\$?[0-9]+")
 _TAG_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -203,7 +207,7 @@ def _parse_san_word(word: str, text: str, start: int) -> SanToken:
             if castle.group(1) == "O-O-O"
             else SanKind.KINGSIDE_CASTLE
         )
-        mark = CheckMark(castle.group(2) or "")
+        mark = _MARK_BY_SUFFIX[castle.group(2)]
         return SanToken(kind=kind, piece_type=PieceType.KING, check_mark=mark)
     match = _SAN_RE.match(plain)
     if match is None:
@@ -214,12 +218,12 @@ def _parse_san_word(word: str, text: str, start: int) -> SanToken:
     return SanToken(
         kind=SanKind.NORMAL,
         piece_type=_LETTER_TO_PIECE[letter] if letter else PieceType.PAWN,
-        target=Coordinate(FILE_TO_X[target[0]], RANK_TO_Y[target[1]]),
+        target=SQUARES[square_at(FILE_TO_X[target[0]], RANK_TO_Y[target[1]])],
         is_capture=capture is not None,
         promotion=_LETTER_TO_PIECE[promotion] if promotion else None,
         origin_file=FILE_TO_X[file_hint] if file_hint else None,
         origin_rank=RANK_TO_Y[rank_hint] if rank_hint else None,
-        check_mark=CheckMark(mark or ""),
+        check_mark=_MARK_BY_SUFFIX[mark],
     )
 
 
@@ -243,6 +247,9 @@ def parse_pgn(text: str) -> list[PgnGame]:
     PgnParseError with the position of the offending lexeme.
     """
     games: list[PgnGame] = []
+    # Each SAN word read so far and its token: a word is parsed once per
+    # call.  Numbers, NAGs, results and words that raise are never stored.
+    words: dict[str, SanToken] = {}
     pos = _TRIVIA_RE.match(text).end()
     while pos < len(text):
         tags: list[tuple[str, str]] = []
@@ -264,10 +271,13 @@ def parse_pgn(text: str) -> list[PgnGame]:
                 continue
             start, pos = pos, _WORD_RE.match(text, pos).end()
             word = text[start:pos]
-            if word in _RESULT_BY_MARKER:
+            if word in words:
+                tokens.append(words[word])
+            elif word in _RESULT_BY_MARKER:
                 result = _RESULT_BY_MARKER[word]
             elif not _NUMBER_OR_NAG_RE.fullmatch(word):
-                tokens.append(_parse_san_word(word, text, start))
+                words[word] = token = _parse_san_word(word, text, start)
+                tokens.append(token)
         for name, value in tags:
             if name == "Result" and value != result.value:
                 raise _error(
@@ -292,10 +302,11 @@ RESULT_BY_WINNER = {
 }
 
 
-def _is_capture(board: Board, mov: Move) -> bool:
-    if mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x:
-        return True
-    return _context(board, mov.from_.colour).occ[square_index(mov.to_.square)] is not None
+def _is_capture(mov: Move, held: bool) -> bool:
+    """Whether a move captures, given whether its target square is held:
+    the only capture onto an empty square is a pawn changing file (en
+    passant, as board._changes rules)."""
+    return held or mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x
 
 
 def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:
@@ -303,49 +314,53 @@ def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[M
     return _moves_onto(_context(game.board, game.turn), piece_type, square_index(target))
 
 
-def _step(game: Game, mov: Move, rivals: list[Move]) -> tuple:
-    """Play a move through game_move's move() gate, the only legality check,
-    and spell it against its rivals: (game after it, winner, mark, SAN)."""
+def _step(game: Game, mov: Move) -> tuple[Game, Winner, CheckMark]:
+    """Play a move through game_move's move() gate, the only legality check:
+    the game after it, its winner and the check mark it earns."""
     after, winner = game_move(game, mov)
     if winner is None:
         # game_move's terminal test has just filled this context.
         checked = _context(after.board, after.turn).checked
-        mark = CheckMark.CHECK if checked else CheckMark.NONE
-    else:
-        mark = CheckMark.MATE if winner is game.turn else CheckMark.NONE
-    return after, winner, mark, san_text(_san_token(mov, game, rivals, mark))
+        return after, winner, CheckMark.CHECK if checked else CheckMark.NONE
+    return after, winner, CheckMark.MATE if winner is game.turn else CheckMark.NONE
 
 
-def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, str]:
-    """Resolve a token and play it: the move, the game after it, its winner
-    and the move's minimal SAN; see resolve_san for the errors."""
-    piece_type, target = token.piece_type, token.target
-    if token.kind is not SanKind.NORMAL:  # the king's destination on the token's wing
+def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, CheckMark, list[Move]]:
+    """Resolve a token and play it: the move, the game after it, its winner,
+    its check mark and its rivals (the legal moves of its piece type onto
+    its target square, which spelling it needs); see resolve_san for the
+    errors.  Nothing is spelled here."""
+    piece_type, castle = token.piece_type, token.kind is not SanKind.NORMAL
+    if castle:  # the king's destination on the token's wing
         kingside = token.kind is SanKind.KINGSIDE_CASTLE
-        piece_type, target = PieceType.KING, next(
-            SQUARES[dest] for (home, dest), wing in _CASTLINGS.items()
+        piece_type, t = PieceType.KING, next(
+            dest for (home, dest), wing in _CASTLINGS.items()
             if wing[0] is game.turn and (dest > home) is kingside
         )
-    rivals = _candidates(game, piece_type, target)
+    else:
+        t = square_index(token.target)
+    context = _context(game.board, game.turn)
+    rivals = _moves_onto(context, piece_type, t)
+    held = context.occ[t] is not None  # every rival lands on t
     matches = [
         m
         for m in rivals
-        if _is_capture(game.board, m) == token.is_capture
+        if _is_capture(m, held) == token.is_capture
         and m.to_.type is (token.promotion or m.from_.type)
         and (token.origin_file is None or m.from_.square.x == token.origin_file)
         and (token.origin_rank is None or m.from_.square.y == token.origin_rank)
-        and iss_castling(game.board, m) is (token.kind is not SanKind.NORMAL)
+        and (m.from_.type is not PieceType.KING or iss_castling(game.board, m) is castle)
     ]
     if not matches:
         raise SanError(f"no legal move matches {san_text(token)!r}")
     if len(matches) > 1:
         raise SanError(f"ambiguous SAN {san_text(token)!r}: {len(matches)} moves match")
-    after, winner, mark, san = _step(game, matches[0], rivals)
+    after, winner, mark = _step(game, matches[0])
     if token.check_mark is CheckMark.CHECK and mark is CheckMark.NONE:
         raise SanError(f"{san_text(token)!r} claims check but gives none")
     if token.check_mark is CheckMark.MATE and mark is not CheckMark.MATE:
         raise SanError(f"{san_text(token)!r} claims mate but does not mate")
-    return matches[0], after, winner, san
+    return matches[0], after, winner, mark, rivals
 
 
 def resolve_san(token: SanToken, game: Game) -> Move:
@@ -361,6 +376,20 @@ def resolve_san(token: SanToken, game: Game) -> Move:
 _ENDED = "move after the game already ended"
 
 
+def _plays(tokens: Iterable[SanToken]) -> Iterator[tuple]:
+    """Play SAN tokens from the initial position, yielding (move, game
+    before it, game after it, winner, check mark, rivals) for each ply;
+    raises SanError as replay does.  Validation reads it as it is, and
+    replay spells from it."""
+    game, winner = new_game(), None
+    for token in tokens:
+        if winner is not None:
+            raise SanError(_ENDED)
+        mov, after, winner, mark, rivals = _play_san(token, game)
+        yield mov, game, after, winner, mark, rivals
+        game = after
+
+
 def replay(tokens: Iterable[SanToken]) -> Iterator[tuple[Move, Game, Winner, str]]:
     """Play SAN tokens from the initial position, yielding (move, game
     after it, winner, the move's minimal SAN) for each ply.
@@ -368,12 +397,8 @@ def replay(tokens: Iterable[SanToken]) -> Iterator[tuple[Move, Game, Winner, str
     Raises SanError, as resolve_san does, at the first token that does not
     denote a legal move, and at any token after the game has ended.
     """
-    game, winner = new_game(), None
-    for token in tokens:
-        if winner is not None:
-            raise SanError(_ENDED)
-        mov, game, winner, san = _play_san(token, game)
-        yield mov, game, winner, san
+    for mov, before, game, winner, mark, rivals in _plays(tokens):
+        yield mov, game, winner, san_text(_san_token(mov, before, rivals, mark))
 
 
 # --- serialization ----------------------------------------------------------
@@ -383,10 +408,10 @@ def _san_token(mov: Move, game: Game, rivals: list[Move], mark: CheckMark) -> Sa
     """The minimal SAN token of a legal move; rivals are the legal moves of
     its piece type onto its target square."""
     origin, target = mov.from_.square, mov.to_.square
-    if iss_castling(game.board, mov):
+    if mov.from_.type is PieceType.KING and iss_castling(game.board, mov):
         kind = SanKind.KINGSIDE_CASTLE if target.x > origin.x else SanKind.QUEENSIDE_CASTLE
         return SanToken(kind=kind, piece_type=PieceType.KING, check_mark=mark)
-    capture = _is_capture(game.board, mov)
+    capture = _is_capture(mov, _context(game.board, game.turn).occ[square_index(target)] is not None)
     file = rank = None
     if mov.from_.type is PieceType.PAWN:
         file = origin.x if capture else None
@@ -408,7 +433,8 @@ def move_to_pgn_string(mov: Move, game: Game) -> str:
     """Minimal SAN for a legal move in the given game: piece letter, only
     as much disambiguation as needed, capture and promotion markers, and
     a trailing + or # when the move gives check or mate."""
-    return _step(game, mov, _candidates(game, mov.from_.type, mov.to_.square))[3]
+    rivals = _candidates(game, mov.from_.type, mov.to_.square)
+    return san_text(_san_token(mov, game, rivals, _step(game, mov)[2]))
 
 
 def _game_text(tags, sans: list[str], result: GameResult) -> str:
@@ -464,10 +490,11 @@ def serialize_game(
             if winner is not None:
                 raise IllegalMoveError(_ENDED)
             rivals = _candidates(game, mov.from_.type, mov.to_.square)
-            game, winner, _, san = _step(game, mov, rivals)
+            after, winner, mark = _step(game, mov)
         except IllegalMoveError as exc:
             raise ValueError(
                 f"move sequence is not replayable at ply {ply}: {exc}"
             ) from exc
-        sans.append(san)
+        sans.append(san_text(_san_token(mov, game, rivals, mark)))
+        game = after
     return _game_text(tags, sans, result)

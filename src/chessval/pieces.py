@@ -337,23 +337,30 @@ def type_based_moves(p: Piece, obstacles: ObstacleSet) -> frozenset[Coordinate]:
 def moves_with_colours(p: Piece, occ: Occupancy) -> list[int]:
     """type_based_moves as square indices, lowest first, against a 64-slot
     occupancy; a holder's colour tells a capture from a blocked square.
-    The occupancy is read into masks, and the targets come from the same
-    per-square masks the board's move generator reads."""
-    s = p.square.x + 8 * p.square.y - 9
-    colour, kind = p.colour, p.type
+    The occupancy is read into masks for _targets."""
+    colour = p.colour
     occupied = own = 0
     for t, holder in enumerate(occ):
         if holder is not None:
             occupied |= 1 << t
             if holder.colour is colour:
                 own |= 1 << t
+    s = p.square.x + 8 * p.square.y - 9
+    return _squares(_targets(p.type, colour, s, occupied, own))
+
+
+def _targets(kind: PieceType, colour: Colour, s: int, occupied: int, own: int) -> int:
+    """The basic movement pattern of a `kind` piece of `colour` on square
+    index s as a mask, over the `occupied` mask and less the side's `own`
+    squares, from the same per-square masks the board's move generator
+    reads."""
     if kind is PieceType.PAWN:
         ahead = 1 << s + 8 & FULL if colour is Colour.WHITE else 1 << s >> 8
         # a pawn on s captures onto the squares enemy pawns attack s from
         captures = _STEPS[s][_PAWN_FIELD[opposite_colour(colour)]] & occupied & ~own
-        return _squares(ahead & ~occupied | captures)
+        return ahead & ~occupied | captures
     if kind is PieceType.KNIGHT or kind is PieceType.KING:
         targets = _STEPS[s][0 if kind is PieceType.KNIGHT else 1]
     else:
         targets = _slide(_SLIDES[s][_SLIDE_FIELD[kind]][1], occupied)
-    return _squares(targets & ~own)
+    return targets & ~own

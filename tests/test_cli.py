@@ -1,7 +1,10 @@
 """CLI contract tests: exit codes, report lines, perft and round trips."""
 
+import io
+
 import pytest
 
+from chessval import pgn
 from chessval.cli import cmd_perft, cmd_roundtrip, cmd_validate, main
 
 FOOLS_MATE_PGN = '[Event "demo"]\n[Result "0-1"]\n\n1. f3 e5 2. g4 Qh4# 0-1\n'
@@ -132,6 +135,29 @@ def test_validate_accepts_checks_and_mates_written_without_marks(
     assert code == 0
     assert "game 1: ok" in out
     assert f"engine result {engine_result}" in out
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_validate_spells_no_san(tmp_path, monkeypatch, verbose):
+    # a check, a castling, an en-passant capture, a mate and a failing game
+    path = tmp_path / "games.pgn"
+    path.write_text(
+        "1. e4 Nf6 2. e5 d5 3. exd6 e6 4. Nf3 Bxd6 5. Bb5+ c6 6. O-O *\n\n"
+        + FOOLS_MATE_PGN
+        + "\n1. e4 e5 2. Ke3 *\n"
+    )
+    before = io.StringIO()
+    assert cmd_validate([str(path)], verbose=verbose, out=before)[0] == 1
+
+    def spell(*args):
+        raise AssertionError("validate spelled a move")
+
+    monkeypatch.setattr(pgn, "_san_token", spell)
+    after = io.StringIO()
+    code, reports = cmd_validate([str(path)], verbose=verbose, out=after)
+    assert code == 1
+    assert after.getvalue() == before.getvalue()
+    assert [(r.status, r.ply) for r in reports] == [("ok", None), ("ok", None), ("error", 3)]
 
 
 @pytest.mark.parametrize("command", ["validate", "roundtrip"])

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from chessval import pgn
 from chessval.board import Board, IllegalMoveError, Move
 from chessval.game import Game, game_move, new_game
 from chessval.pgn import (
@@ -287,6 +288,28 @@ def test_promotion_on_a_piece_move_is_rejected():
         parse_pgn("1. Ne8=Q *")
 
 
+def test_a_parse_reads_a_repeated_word_to_an_equal_token():
+    # numbers and NAGs repeat too, between words the parse has already read
+    words = ["Nf3", "Nf3+", "Nf3", "Nf3#", "Nf3!", "Nf3", "O-O+", "O-O", "exd6", "e8=Q+", "e8=Q"]
+    text = " ".join(f"{n % 3 + 1}. {word} $1" for n, word in enumerate(words)) + " *"
+    (game,) = parse_pgn(text)
+    assert game.tokens == tuple(parse_pgn(f"{word} *")[0].tokens[0] for word in words)
+    assert game.tokens[0] is game.tokens[2]  # one token per distinct word
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("1. e4 e5 2. e4 e5\n3. e4 Qe9 *", 2, 7, "unrecognized token"),
+        ("1. e4 e5 2. e4 e5 3. e4 e5\n4. e4 Ne8=Q *", 2, 7, "only pawn moves can promote"),
+    ],
+)
+def test_a_bad_word_after_repeated_words_reports_its_own_position(text, line, column, message):
+    with pytest.raises(PgnParseError, match=message) as exc:
+        parse_pgn(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 # --- resolution -------------------------------------------------------------
 
 
@@ -328,6 +351,8 @@ def test_resolve_castling():
         SanToken(kind=SanKind.KINGSIDE_CASTLE, piece_type=KING), Game(board, W)
     )
     assert king_move == M(P(KING, 5, 1), 7, 1)
+    # a castling token is the king's whatever its piece_type field says
+    assert resolve_san(SanToken(kind=SanKind.KINGSIDE_CASTLE), Game(board, W)) == king_move
 
 
 def test_a_plain_king_token_does_not_match_a_castling():
@@ -338,6 +363,30 @@ def test_a_plain_king_token_does_not_match_a_castling():
     with pytest.raises(SanError, match="no legal move matches 'Kg1'"):
         for _ in range(7):
             next(plies)
+
+
+def test_en_passant_resolves_only_as_a_capture():
+    (game,) = parse_pgn("1. e4 Nf6 2. e5 d5 3. exd6 *")
+    mov, after, _, san = list(replay(game.tokens))[-1]
+    assert (mov, san) == (M(P(PAWN, 5, 5), 4, 6), "exd6")
+    assert P(PAWN, 4, 5, B) not in after.board.board_state
+    with pytest.raises(SanError, match="no legal move matches 'ed6'"):
+        list(replay(parse_pgn("1. e4 Nf6 2. e5 d5 3. ed6 *")[0].tokens))
+
+
+def test_resolution_spells_nothing(monkeypatch):
+    def spell(*args):
+        raise AssertionError("resolution spelled a move")
+
+    monkeypatch.setattr(pgn, "_san_token", spell)
+    text = "1. e4 Nf6 2. e5 d5 3. exd6 e6 4. Nf3 Bxd6 5. Bb5+ c6 6. O-O *"
+    game = new_game()
+    for token in parse_pgn(text)[0].tokens:
+        game, _ = game_move(game, resolve_san(token, game))
+    game = new_game()
+    for token in parse_pgn(FOOLS_MATE_TEXT)[0].tokens:
+        game, winner = game_move(game, resolve_san(token, game))
+    assert winner is B
 
 
 def test_resolve_promotion_picks_the_promoted_type():

@@ -91,7 +91,7 @@ MUTANTS = [
      "for colour, forward in ((Colour.WHITE, -1), (Colour.BLACK, 1))"),
     # the obstacle API's geometry, and the double push
     ("pawn-pushes-onto-a-held-square", "pieces.py",
-     "return _squares(ahead & ~occupied | captures)", "return _squares(ahead | captures)"),
+     "return ahead & ~occupied | captures", "return ahead | captures"),
     ("pawn-pushes-off-the-last-rank", "pieces.py",
      "ahead = 1 << s + 8 & FULL if", "ahead = 1 << s + 8 if"),
     ("pawn-captures-with-the-wrong-colour's-field", "pieces.py",
@@ -99,7 +99,10 @@ MUTANTS = [
     ("pawn-captures-its-own-side", "pieces.py",
      "& occupied & ~own", "& occupied"),
     ("own-pieces-not-masked-out", "pieces.py",
-     "return _squares(targets & ~own)", "return _squares(targets)"),
+     "return targets & ~own", "return targets"),
+    ("attacked-squares-include-the-side's-own", "board.py",
+     "attacked |= _targets(p.type, by, s, occupied, us)",
+     "attacked |= _targets(p.type, by, s, occupied, 0)"),
     ("double-push-from-the-wrong-rank", "board.py",
      "pawn.square.y != (2 if white else 7)", "pawn.square.y != (3 if white else 7)"),
     # the pawns' bulk shifts
@@ -186,8 +189,15 @@ MUTANTS = [
      "for pieces in context.boards[own:own + 6])", "for pieces in context.boards[own:own + 5])"),
     # SAN resolution
     ("plain-king-token-matches-a-castling", "pgn.py",
-     "and iss_castling(game.board, m) is (token.kind is not SanKind.NORMAL)",
-     "and (token.kind is SanKind.NORMAL or iss_castling(game.board, m))"),
+     "or iss_castling(game.board, m) is castle)", "or not castle or iss_castling(game.board, m))"),
+    ("castling-tested-for-no-rival", "pgn.py",
+     "and (m.from_.type is not PieceType.KING or", "and (True or"),
+    ("en-passant-not-a-capture", "pgn.py",
+     "return held or mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x",
+     "return held"),
+    ("word-memo-keyed-without-the-check-mark", "pgn.py",
+     "words[word] = token = _parse_san_word(word, text, start)",
+     "words[word.rstrip('+#')] = token = _parse_san_word(word, text, start)"),
     ("san-candidates-miss-the-other-file", "board.py",
      "reach = _STEPS[t][_PAWN_FIELD[colour]] | _A_FILE << (t & 7)", "reach = _A_FILE << (t & 7)"),
     # the interned moves
