@@ -23,6 +23,7 @@ from .pieces import (
     _NOT_A_FILE,
     _NOT_H_FILE,
     _PAWN_FIELD,
+    _ROWS,
     _SLIDE_FIELD,
     _SLIDES,
     _STEPS,
@@ -39,9 +40,7 @@ from .pieces import (
     _slide,
     _squares,
     _targets,
-    moves_with_colours,
     opposite_colour,
-    piece_row,
     square_at,
     square_index,
 )
@@ -59,10 +58,6 @@ PROMOTABLE_TYPES = frozenset({KNIGHT, BISHOP, ROOK, QUEEN})
 class IllegalMoveError(ValueError):
     """A move rejected by the legality gate, or a piece that is not on the
     board it is being moved on."""
-
-
-def _last_rank(colour: Colour) -> int:
-    return 8 if colour is Colour.WHITE else 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +81,7 @@ class Move:
         if from_.square.x == to_.square.x and from_.square.y == to_.square.y:
             raise ValueError("a move must change square")
         if from_.type is not to_.type and not (
-            from_.type is PAWN and to_.square.y == _last_rank(from_.colour)
+            from_.type is PAWN and to_.square.y == (8 if from_.colour is Colour.WHITE else 1)
         ):
             raise ValueError("only a pawn reaching the last rank may change type")
         object.__setattr__(self, "_hash", hash((from_, to_)))
@@ -98,26 +93,18 @@ class Move:
         return Move, (self.from_, self.to_)
 
 
-class _MoveRow(dict):
-    """One piece's moves by target square index, each built on first use by
-    the public constructor.  _MOVES keeps a row per (moving type, arriving
-    type, colour, from-square index), made on first use: imports build none."""
-
-    __slots__ = ("piece", "arriving")
-
-    def __missing__(self, t: int) -> Move:
-        return self.setdefault(t, Move(self.piece, self.arriving[t]))
+def _move_row(key: tuple) -> _Table:
+    """The row of _MOVES under key (moving type, arriving type, colour,
+    from-square index): the piece's moves by target square index, each
+    built on first use by the public constructor."""
+    kind, arriving, colour, s = key
+    piece, arrivals = _ROWS[kind, colour][s], _ROWS[arriving, colour]
+    return _Table(lambda t: Move(piece, arrivals[t]))
 
 
-_MOVES: dict[tuple, _MoveRow] = {}
-
-
-def _move_row(kind: PieceType, arriving: PieceType, colour: Colour, s: int) -> _MoveRow:
-    row = _MOVES.get((kind, arriving, colour, s))
-    if row is None:
-        row = _MOVES[kind, arriving, colour, s] = _MoveRow()
-        row.piece, row.arriving = piece_row(kind, colour)[s], piece_row(arriving, colour)
-    return row
+# The interned moves, a row per (moving type, arriving type, colour,
+# from-square index), made on first use: an import builds none.
+_MOVES = _Table(_move_row)
 
 
 BoardState = frozenset[Piece]
@@ -142,9 +129,7 @@ class Board:
         object.__setattr__(self, "history", tuple(self.history))
         if not self.board_state:
             raise ValueError("a board must hold at least one piece")
-        squares = [(p.square.x, p.square.y) for p in self.board_state]
-        if len(set(squares)) != len(squares):
-            raise ValueError("two pieces share a square")
+        _occupancy(self.board_state)  # raises if two pieces share a square
         for colour in Colour:
             kings = [
                 p for p in self.board_state
@@ -239,15 +224,12 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
     return frozenset(SQUARES[s] for s in _squares(attacked))
 
 
-def _king_of(state: BoardState, colour: Colour) -> Optional[Piece]:
-    return next((p for p in state if p.type is KING and p.colour is colour), None)
-
-
 def in_check(state: BoardState, colour: Colour) -> bool:
     """Whether `colour`'s king stands on a square its opponent attacks."""
-    if _king_of(state, colour) is None:
+    boards = _boards(state)
+    if not boards[_SIDE[colour] + 5]:
         raise ValueError(f"no {colour.value} king on the board")
-    return _king_context(_boards(state), colour)[4]
+    return _king_context(boards, colour)[4]
 
 
 # --- special moves ----------------------------------------------------------
@@ -260,15 +242,25 @@ def _require_piece(state: BoardState, piece: Piece, piece_type=None) -> None:
         raise IllegalMoveError(f"expected a {piece_type.value}, got {piece.type.value}")
 
 
+def _unguarded_moves(board: Board, piece: Piece) -> list[Move]:
+    """A piece's moves by the rules of movement alone: _legal_for_piece's
+    walk on its side's context with the king filters cleared, in a list of
+    their own.  Without a king no step or en-passant capture is probed and
+    no castling listed; without pins or evasions no target is pruned.  The
+    pawns' special-move operations are filters over these."""
+    s = square_index(piece.square)
+    context = _context(board, piece.colour)._replace(king=None, pins={}, evasions=FULL, moves={})
+    _legal_for_piece(context, 1 << s)
+    return context.moves[s]
+
+
 def pawn_move_two(state: BoardState, pawn: Piece) -> frozenset[Move]:
     """The two-square advance, available only from the pawn's initial rank
     with both the skipped and the target square empty."""
     _require_piece(state, pawn, PAWN)
-    s, white = square_index(pawn.square), pawn.colour is Colour.WHITE
-    step, occ = 8 if white else -8, _occupancy(state)
-    if pawn.square.y != (2 if white else 7) or occ[s + step] or occ[s + 2 * step]:
-        return frozenset()
-    return frozenset((_move_row(PAWN, PAWN, pawn.colour, s)[s + 2 * step],))
+    return frozenset(
+        m for m in _unguarded_moves(Board(state), pawn) if abs(m.to_.square.y - pawn.square.y) == 2
+    )
 
 
 def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
@@ -276,9 +268,7 @@ def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
     double push lands beside this pawn; the capture moves onto the square
     the enemy pawn skipped."""
     _require_piece(board.board_state, pawn, PAWN)
-    s = square_index(pawn.square)
-    t = _context(board, pawn.colour).passant.get(s)
-    return frozenset(() if t is None else (_move_row(PAWN, PAWN, pawn.colour, s)[t],))
+    return frozenset(m for m in _unguarded_moves(board, pawn) if iss_en_passant(board, m))
 
 
 def _en_passant_targets(last: Optional[Move], colour: Colour) -> dict[int, int]:
@@ -304,17 +294,7 @@ def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
     """Four moves (one per promotable type) for every square the pawn can
     reach on the last rank."""
     _require_piece(state, pawn, PAWN)
-    return frozenset(_promotions(pawn, moves_with_colours(pawn, _occupancy(state))))
-
-
-def _promotions(pawn: Piece, targets: list[int]) -> list[Move]:
-    last, s = _last_rank(pawn.colour), square_index(pawn.square)
-    return [
-        _move_row(PAWN, kind, pawn.colour, s)[t]
-        for t in targets
-        if SQUARES[t].y == last
-        for kind in PROMOTABLE_TYPES
-    ]
+    return frozenset(m for m in _unguarded_moves(Board(state), pawn) if m.to_.type is not PAWN)
 
 
 # The one table of castling's squares, as square indices (a1 = 0, h1 = 7,
@@ -353,7 +333,7 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     check, and neither the crossed square nor the destination is attacked.
     """
     _require_piece(board.board_state, king, KING)
-    row = _move_row(KING, KING, king.colour, square_index(king.square))
+    row = _MOVES[KING, KING, king.colour, square_index(king.square)]
     return frozenset(row[t] for t in _castling_moves(_context(board, king.colour)))
 
 
@@ -387,10 +367,8 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
         return castling_possible(board, piece)
     if piece.type is not PAWN:
         return frozenset()
-    return pawn_move_two(board.board_state, piece).union(
-        en_passant(board, piece),
-        _promotions(piece, moves_with_colours(piece, _context(board, piece.colour).occ)),
-    )
+    state = board.board_state
+    return pawn_move_two(state, piece) | en_passant(board, piece) | pawn_promotion(state, piece)
 
 
 # --- legality ---------------------------------------------------------------
@@ -532,9 +510,9 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     keeps the pawn a pawn (promotion is mandatory)."""
     _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
-    s = square_index(piece.square)
-    row = _move_row(piece.type, piece.type, piece.colour, s)
-    simple = frozenset(row[t] for t in moves_with_colours(piece, context.occ))
+    kind, colour, s = piece.type, piece.colour, square_index(piece.square)
+    targets = _targets(kind, colour, s, context.occupied, context.us)
+    simple = frozenset(_lift(_MOVES[kind, kind, colour, s], targets))
     candidates = simple | stateful_possible_moves(board, piece)
     return candidates.difference(_piece_moves(context, s))
 
@@ -593,7 +571,7 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
         if count:
             total += targets.bit_count()
         else:
-            moves[s] = _lift(_move_row(kind, kind, colour, s), targets)
+            moves[s] = _lift(_MOVES[kind, kind, colour, s], targets)
     if pawns:
         if not count:
             for s in _squares(pawns):
@@ -621,12 +599,12 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                     targets ^= 1 << t
                     s = t + back
                     if 1 << t & last:
-                        moves[s] += [_move_row(PAWN, kind, colour, s)[t] for kind in PROMOTABLE_TYPES]
+                        moves[s] += [_MOVES[PAWN, kind, colour, s][t] for kind in PROMOTABLE_TYPES]
                     else:
-                        moves[s].append(_move_row(PAWN, PAWN, colour, s)[t])
+                        moves[s].append(_MOVES[PAWN, PAWN, colour, s][t])
         for s, t in passant.items():
             if pawns >> s & 1:
-                capture = _move_row(PAWN, PAWN, colour, s)[t]
+                capture = _MOVES[PAWN, PAWN, colour, s][t]
                 after = _child_map((occ, boards, rights), capture, _changes(occ, capture))[1]
                 probe = _attackers(after, opposite_colour(colour))
                 if king is None or not _square_attacked(probe, sum(after), king):
@@ -650,12 +628,12 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
         if count:
             total += targets.bit_count() + len(castlings)
         else:
-            row = _move_row(KING, KING, colour, s)
+            row = _MOVES[KING, KING, colour, s]
             moves[s] = _lift(row, targets) + [row[t] for t in castlings]
     return total if count else None
 
 
-def _lift(row: _MoveRow, targets: int) -> list[Move]:
+def _lift(row: _Table, targets: int) -> list[Move]:
     """The moves of a move row onto a target mask's set bits."""
     moves = []
     while targets:
@@ -772,7 +750,7 @@ def _changes(occ: Occupancy, mov: Move) -> tuple:
         wing = _WINGS.get((mov.from_.colour, square_index(origin)), {}).get(square_index(target))
         if wing is not None:
             _, corner, _, crossed = wing
-            return (corner, None), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])
+            return (corner, None), (crossed, _ROWS[ROOK, mov.from_.colour][crossed])
     elif kind is PAWN and target.x != origin.x and occ[square_index(target)] is None:
         return ((square_at(target.x, origin.y), None),)
     return ()

@@ -25,6 +25,7 @@ from .pgn import (
     PgnParseError,
     SanError,
     X_TO_FILE,
+    _play_san,
     _plays,
     canonical_text,
     parse_pgn,
@@ -83,8 +84,9 @@ def _validate_game(
         tag_result=parsed.result,
     )
     game, winner, played = new_game(), None, 0
+    plays = _plays(_play_san, parsed.tokens, game)
     try:
-        for played, (_, _, game, winner, _, _) in enumerate(_plays(parsed.tokens), start=1):
+        for played, (_, _, game, winner, _, _) in enumerate(plays, start=1):
             if verbose:
                 lexeme = san_text(parsed.tokens[played - 1])
                 print(f"{path} game {index} ply {played}: {lexeme}", file=out)

@@ -23,19 +23,24 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from .board import _CASTLINGS, IllegalMoveError, Move, _context, _moves_onto, iss_castling
+from .board import (
+    _CASTLINGS,
+    _PIECE_LETTERS,
+    IllegalMoveError,
+    Move,
+    _context,
+    _moves_onto,
+    iss_castling,
+)
 from .game import REMIS, Game, Winner, game_move, new_game
 from .pieces import SQUARES, Colour, Coordinate, PieceType, square_at, square_index
 
 FILE_TO_X = {c: i for i, c in enumerate("abcdefgh", start=1)}
 RANK_TO_Y = {c: i for i, c in enumerate("12345678", start=1)}
+# The board diagram's letters in upper case, the pawn's left out.
 PIECE_LETTERS = {
-    PieceType.PAWN: "",
-    PieceType.ROOK: "R",
-    PieceType.KNIGHT: "N",
-    PieceType.BISHOP: "B",
-    PieceType.QUEEN: "Q",
-    PieceType.KING: "K",
+    kind: "" if kind is PieceType.PAWN else letter.upper()
+    for kind, letter in _PIECE_LETTERS.items()
 }
 X_TO_FILE = {x: c for c, x in FILE_TO_X.items()}
 _LETTER_TO_PIECE = {letter: t for t, letter in PIECE_LETTERS.items() if letter}
@@ -376,16 +381,25 @@ def resolve_san(token: SanToken, game: Game) -> Move:
 _ENDED = "move after the game already ended"
 
 
-def _plays(tokens: Iterable[SanToken]) -> Iterator[tuple]:
-    """Play SAN tokens from the initial position, yielding (move, game
-    before it, game after it, winner, check mark, rivals) for each ply;
-    raises SanError as replay does.  Validation reads it as it is, and
-    replay spells from it."""
-    game, winner = new_game(), None
-    for token in tokens:
+def _play_move(mov: Move, game: Game) -> tuple[Move, Game, Winner, CheckMark, list[Move]]:
+    """Play a move as _play_san plays a token: the move, the game after it,
+    its winner, its check mark and its rivals; it raises only game_move's
+    IllegalMoveError (the side to move, then the move() gate)."""
+    rivals = _candidates(game, mov.from_.type, mov.to_.square)
+    return (mov, *_step(game, mov), rivals)
+
+
+def _plays(play, items: Iterable, game: Game) -> Iterator[tuple]:
+    """The one replay loop: play items from `game`, each by `play(item,
+    game)` (_play_san for SAN tokens, _play_move for moves), yielding (move,
+    game before it, game after it, winner, check mark, rivals) for each ply.
+    It raises what `play` raises, and SanError at an item after the game
+    ended.  Validation reads it as it is; the writers spell from it."""
+    winner = None
+    for item in items:
         if winner is not None:
             raise SanError(_ENDED)
-        mov, after, winner, mark, rivals = _play_san(token, game)
+        mov, after, winner, mark, rivals = play(item, game)
         yield mov, game, after, winner, mark, rivals
         game = after
 
@@ -397,16 +411,19 @@ def replay(tokens: Iterable[SanToken]) -> Iterator[tuple[Move, Game, Winner, str
     Raises SanError, as resolve_san does, at the first token that does not
     denote a legal move, and at any token after the game has ended.
     """
-    for mov, before, game, winner, mark, rivals in _plays(tokens):
-        yield mov, game, winner, san_text(_san_token(mov, before, rivals, mark))
+    for play in _plays(_play_san, tokens, new_game()):
+        mov, _, game, winner, _, _ = play
+        yield mov, game, winner, san_text(_san_token(play))
 
 
 # --- serialization ----------------------------------------------------------
 
 
-def _san_token(mov: Move, game: Game, rivals: list[Move], mark: CheckMark) -> SanToken:
-    """The minimal SAN token of a legal move; rivals are the legal moves of
-    its piece type onto its target square."""
+def _san_token(play: tuple) -> SanToken:
+    """The minimal SAN token of one of _plays' plies: its move in the game
+    before it, with its check mark; its rivals are the legal moves of its
+    piece type onto its target square."""
+    mov, game, _, _, mark, rivals = play
     origin, target = mov.from_.square, mov.to_.square
     if mov.from_.type is PieceType.KING and iss_castling(game.board, mov):
         kind = SanKind.KINGSIDE_CASTLE if target.x > origin.x else SanKind.QUEENSIDE_CASTLE
@@ -433,8 +450,7 @@ def move_to_pgn_string(mov: Move, game: Game) -> str:
     """Minimal SAN for a legal move in the given game: piece letter, only
     as much disambiguation as needed, capture and promotion markers, and
     a trailing + or # when the move gives check or mate."""
-    rivals = _candidates(game, mov.from_.type, mov.to_.square)
-    return san_text(_san_token(mov, game, rivals, _step(game, mov)[2]))
+    return san_text(_san_token(next(_plays(_play_move, (mov,), game))))
 
 
 def _game_text(tags, sans: list[str], result: GameResult) -> str:
@@ -477,24 +493,15 @@ def serialize_game(
 
     The moves are replayed from the initial position to compute each SAN;
     an unreplayable sequence, or one that goes on after the game ended,
-    raises ValueError.  The Result tag is added (or checked, if supplied)
-    to match `result`.
+    raises ValueError naming the ply.  The Result tag is added (or
+    checked, if supplied) to match `result`.
     """
     tags = tuple(tags)
     PgnGame(tags, (), result)  # raises if the Result tag contradicts
-
-    game, winner = new_game(), None
     sans: list[str] = []
-    for ply, mov in enumerate(moves, start=1):
-        try:
-            if winner is not None:
-                raise IllegalMoveError(_ENDED)
-            rivals = _candidates(game, mov.from_.type, mov.to_.square)
-            after, winner, mark = _step(game, mov)
-        except IllegalMoveError as exc:
-            raise ValueError(
-                f"move sequence is not replayable at ply {ply}: {exc}"
-            ) from exc
-        sans.append(san_text(_san_token(mov, game, rivals, mark)))
-        game = after
+    try:
+        for play in _plays(_play_move, moves, new_game()):
+            sans.append(san_text(_san_token(play)))
+    except (IllegalMoveError, SanError) as exc:
+        raise ValueError(f"move sequence is not replayable at ply {len(sans) + 1}: {exc}") from exc
     return _game_text(tags, sans, result)

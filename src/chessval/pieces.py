@@ -89,20 +89,6 @@ class Piece:
     colour: Colour
 
 
-_ROWS: dict[PieceType, dict[Colour, tuple[Piece, ...]]] = {}
-
-
-def piece_row(kind: PieceType, colour: Colour) -> tuple[Piece, ...]:
-    """The Pieces of one type and colour on every square, indexed like
-    SQUARES; built for both colours on first use and kept."""
-    rows = _ROWS.get(kind)
-    if rows is None:
-        rows = _ROWS[kind] = {
-            c: tuple(Piece(kind, s, c) for s in SQUARES) for c in Colour
-        }
-    return rows[colour]
-
-
 @dataclass(frozen=True)
 class Obstacle:
     """What a moving piece needs to know about another piece: the square it
@@ -135,9 +121,13 @@ Occupancy = list
 
 
 def _occupancy(holders: Iterable[Piece | Obstacle]) -> Occupancy:
+    """The occupancy of a set of holders; two on one square raise ValueError."""
     occ = [None] * 64
     for h in holders:
-        occ[h.square.x + 8 * h.square.y - 9] = h
+        s = h.square.x + 8 * h.square.y - 9
+        if occ[s] is not None:
+            raise ValueError(f"two pieces share a square: {h.square}")
+        occ[s] = h
     return occ
 
 
@@ -176,8 +166,9 @@ PAWN_CAPTURE_RAYS = {
 
 
 class _Table(dict):
-    """Masks by square index (or, for perft's slider memo, attacks by
-    occupancy key), each built by `build(key)` on first use and kept: an
+    """The one lazily built table: entries by key (masks by square index,
+    pieces by type and colour, the board's moves, perft's slider attacks
+    by occupancy key), each built by `build(key)` on first use and kept: an
     import builds none."""
 
     __slots__ = ("build",)
@@ -187,6 +178,11 @@ class _Table(dict):
 
     def __missing__(self, key):
         return self.setdefault(key, self.build(key))
+
+
+# The Pieces of one type and colour on every square, indexed like SQUARES,
+# by (type, colour).
+_ROWS = _Table(lambda key: tuple(Piece(key[0], s, key[1]) for s in SQUARES))
 
 
 # --- bitboards ---------------------------------------------------------------
@@ -308,7 +304,7 @@ def possible_moves_direction(
     """
     if direction == (0, 0):
         raise ValueError("ray direction must be non-zero")
-    holders = {o.square: o.colour for o in obstacles}
+    occ = _occupancy(obstacles)
     out = []
     x, y = p.square.x, p.square.y
     for _ in range(7):
@@ -316,8 +312,9 @@ def possible_moves_direction(
         square = coordinate_factory(x, y)
         if square is None:
             break
-        if square in holders:
-            if holders[square] is not p.colour:
+        holder = occ[square_index(square)]
+        if holder is not None:
+            if holder.colour is not p.colour:
                 out.append(square)
             break
         out.append(square)

@@ -246,6 +246,40 @@ def test_no_promotion_before_the_seventh_rank():
     assert pawn_promotion(frozenset({pawn}), pawn) == frozenset()
 
 
+def test_promotion_rejects_two_pieces_on_one_square():
+    # which one the pawn meets on b8 would otherwise depend on the set's order
+    pawn = P(PAWN, 1, 7)
+    state = frozenset({pawn, P(KNIGHT, 2, 8, B), P(BISHOP, 2, 8)})
+    with pytest.raises(ValueError, match="share a square"):
+        pawn_promotion(state, pawn)
+
+
+@pytest.mark.parametrize(
+    "fen, square, special, count",
+    [
+        # pinned on a diagonal, the pawn's double push leaves the pin line
+        ("4k3/8/8/8/8/5b2/6P1/7K w - - 0 1", (7, 2), pawn_move_two, 1),
+        # pinned on its rank, the pawn's promotions leave the pin line
+        ("8/KP5r/8/4k3/8/8/8/8 w - - 0 1", (2, 7), pawn_promotion, 4),
+        # in check, neither a double push nor a promotion answers it
+        ("r3k3/7P/8/8/8/8/7P/K7 w - - 0 1", (8, 2), pawn_move_two, 1),
+        ("r3k3/7P/8/8/8/8/7P/K7 w - - 0 1", (8, 7), pawn_promotion, 4),
+        # en passant takes both pawns off the rank between the king and a rook
+        ("8/8/8/K2pP2r/8/8/8/4k3 w - d6 0 1", (5, 5), en_passant, 1),
+    ],
+    ids=["pinned-double-push", "pinned-promotions", "double-push-in-check",
+         "promotions-in-check", "en-passant-exposing-the-king"],
+)
+def test_special_moves_are_listed_whatever_check_and_pins_forbid(fen, square, special, count):
+    board = parse_fen(fen).board
+    pawn = P(PAWN, *square)
+    moves = special(board if special is en_passant else board.board_state, pawn)
+    assert len(moves) == count
+    assert moves <= stateful_possible_moves(board, pawn)
+    assert moves <= stateful_impossible_moves(board, pawn)
+    assert not moves & possible_moves(board, pawn)
+
+
 def kingside_fixture():
     king = P(KING, 5, 1)
     return Board({king, P(ROOK, 8, 1)}, ()), king

@@ -62,6 +62,7 @@ from chessval.pieces import (
     Coordinate,
     Piece,
     PieceType,
+    _Table,
     moves_with_colours,
     opposite_colour,
     pieces_to_obstacles,
@@ -538,7 +539,7 @@ def test_the_move_table_is_a_pure_cache(monkeypatch):
             assert again is mov
         filled = legal_moves(board, colour)
         with monkeypatch.context() as patch:
-            patch.setattr(board_module, "_MOVES", {})
+            patch.setattr(board_module, "_MOVES", _Table(board_module._move_row))
             assert legal_moves(Board(board.board_state, board.history), colour) == filled
 
 

@@ -519,16 +519,19 @@ def test_serialized_games_parse_back_to_the_same_tokens():
     assert reparsed.tokens == original.tokens
 
 
-def test_serialize_rejects_an_unreplayable_sequence():
-    bad = (M(P(KING, 5, 1), 5, 3),)
-    with pytest.raises(ValueError, match="ply 1"):
-        serialize_game([], bad, GameResult.UNKNOWN)
-
-
-def test_serialize_rejects_a_move_after_mate():
-    after_mate = FOOLS_MATE_MOVES + (M(P(KNIGHT, 2, 8, B), 3, 6),)
-    with pytest.raises(ValueError, match="ply 5"):
-        serialize_game([], after_mate, GameResult.BLACK_WINS)
+@pytest.mark.parametrize(
+    "moves, ply, reason",
+    [
+        ((M(P(KING, 5, 1), 5, 3),), 1, "illegal move"),
+        ((M(P(PAWN, 5, 2), 5, 4), M(P(PAWN, 4, 2), 4, 4)), 2, "not white's turn"),
+        (FOOLS_MATE_MOVES[:2] + (M(P(QUEEN, 4, 4), 4, 5),), 3, "piece not on the board"),
+        (FOOLS_MATE_MOVES + (M(P(KNIGHT, 2, 8, B), 3, 6),), 5, "already ended"),
+    ],
+    ids=["illegal-move", "wrong-side", "piece-not-on-the-board", "move-after-mate"],
+)
+def test_serialize_rejects_an_unreplayable_sequence(moves, ply, reason):
+    with pytest.raises(ValueError, match=f"not replayable at ply {ply}: .*{reason}"):
+        serialize_game([], moves, GameResult.UNKNOWN)
 
 
 def test_serialized_corpus_games_reproduce_the_corpus_text():

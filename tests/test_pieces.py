@@ -131,6 +131,19 @@ def test_ray_rejects_zero_direction():
         possible_moves_direction(rook, frozenset(), (0, 0))
 
 
+def test_ray_rejects_two_obstacles_on_one_square():
+    # which of them stops the ray would otherwise depend on the set's order
+    rook = piece(PieceType.ROOK, 1, 1)
+    with pytest.raises(ValueError, match="share a square"):
+        possible_moves_direction(rook, obstacles((1, 4, W), (1, 4, B)), (0, 1))
+
+
+def test_type_based_moves_rejects_two_obstacles_on_one_square():
+    rook = piece(PieceType.ROOK, 1, 1)
+    with pytest.raises(ValueError, match="share a square"):
+        type_based_moves(rook, obstacles((1, 4, W), (1, 4, B)))
+
+
 def test_knight_moves_from_initial_position():
     os = pieces_to_obstacles(initial_pieces())
     knight = piece(PieceType.KNIGHT, 2, 1)

@@ -45,6 +45,16 @@ MUTANTS = [
     ("king-lifted-only-out-of-check", "board.py",
      "probed = occupied ^ kings if checked else occupied",
      "probed = occupied ^ kings if not checked else occupied"),
+    # the special moves' walk, with the king filters cleared
+    ("special-moves-filtered-by-the-king", "board.py",
+     "_replace(king=None, pins={}, evasions=FULL, moves={})",
+     "_replace(pins={}, evasions=FULL, moves={})"),
+    ("special-moves-filtered-by-pins", "board.py",
+     "_replace(king=None, pins={}, evasions=FULL, moves={})",
+     "_replace(king=None, evasions=FULL, moves={})"),
+    ("special-moves-filtered-by-evasions", "board.py",
+     "_replace(king=None, pins={}, evasions=FULL, moves={})",
+     "_replace(king=None, pins={}, moves={})"),
     # the side's one walk
     ("side-walk-skips-the-knights-and-sliders", "board.py",
      "pieces = us & wanted ^ pawns ^ kings", "pieces = 0"),
@@ -89,7 +99,7 @@ MUTANTS = [
     ("pawn-capture-rays-of-the-wrong-colour", "pieces.py",
      "for colour, forward in ((Colour.WHITE, 1), (Colour.BLACK, -1))",
      "for colour, forward in ((Colour.WHITE, -1), (Colour.BLACK, 1))"),
-    # the obstacle API's geometry, and the double push
+    # the obstacle API's geometry
     ("pawn-pushes-onto-a-held-square", "pieces.py",
      "return ahead & ~occupied | captures", "return ahead | captures"),
     ("pawn-pushes-off-the-last-rank", "pieces.py",
@@ -103,8 +113,6 @@ MUTANTS = [
     ("attacked-squares-include-the-side's-own", "board.py",
      "attacked |= _targets(p.type, by, s, occupied, us)",
      "attacked |= _targets(p.type, by, s, occupied, 0)"),
-    ("double-push-from-the-wrong-rank", "board.py",
-     "pawn.square.y != (2 if white else 7)", "pawn.square.y != (3 if white else 7)"),
     # the pawns' bulk shifts
     ("pawn-shift-wraps-from-the-a-file", "board.py",
      "left = (group & _NOT_A_FILE) << al >> ar", "left = group << al >> ar"),
@@ -120,8 +128,8 @@ MUTANTS = [
      "square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1)"),
     # the square map a child inherits, and the move-kind dispatch behind it
     ("rook-not-patched-on-castling", "board.py",
-     "return (corner, None), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])",
-     "return (corner, occ[corner]), (crossed, piece_row(ROOK, mov.from_.colour)[crossed])"),
+     "return (corner, None), (crossed, _ROWS[ROOK, mov.from_.colour][crossed])",
+     "return (corner, occ[corner]), (crossed, _ROWS[ROOK, mov.from_.colour][crossed])"),
     ("en-passant-victim-not-patched", "board.py",
      "return ((square_at(target.x, origin.y), None),)",
      "return ((square_at(target.x, origin.y), occ[square_at(target.x, origin.y)]),)"),
