@@ -13,6 +13,7 @@ and filling it is idempotent, so boards stay safe to share across threads.
 from __future__ import annotations
 
 import multiprocessing
+import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
@@ -361,14 +362,20 @@ def _castling_moves(context) -> list[int]:
 
 def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """The special moves available to a piece: double push, en passant and
-    promotion for pawns, castling for kings, nothing for the rest."""
+    promotion for pawns, castling for kings, nothing for the rest.  A
+    pawn's are the moves of its one unguarded walk that pawn_move_two,
+    en_passant or pawn_promotion keeps."""
     _require_piece(board.board_state, piece)
     if piece.type is KING:
         return castling_possible(board, piece)
     if piece.type is not PAWN:
         return frozenset()
-    state = board.board_state
-    return pawn_move_two(state, piece) | en_passant(board, piece) | pawn_promotion(state, piece)
+    return frozenset(
+        m for m in _unguarded_moves(board, piece)
+        if abs(m.to_.square.y - piece.square.y) == 2
+        or iss_en_passant(board, m)
+        or m.to_.type is not PAWN
+    )
 
 
 # --- legality ---------------------------------------------------------------
@@ -788,9 +795,10 @@ def perft(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> int:
 
     The standard move-generator correctness oracle: from depth 1 on, the
     sum of _divide's counts, which recurse on square maps (_perft), build
-    no Board below the root and count the last ply without lifting it to
-    Move values.  With jobs > 1 the root moves' subtrees run in separate
-    processes; a sum does not depend on evaluation order.
+    no Board below the root, count the last ply without lifting it to
+    Move values and count a position met again at the same depth once.
+    With jobs > 1 the root moves' subtrees run in separate processes; a
+    sum does not depend on evaluation order.
     """
     if depth < 0:
         raise ValueError("perft depth must be non-negative")
@@ -799,30 +807,141 @@ def perft(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> int:
     return sum(count for _, count in _divide(board, to_move, depth, jobs))
 
 
-def _perft(square_map, last: Optional[Move], colour: Colour, depth: int, slides) -> int:
+def _zobrist(name) -> tuple:
+    """A row of perft's Zobrist numbers, 64 random 128-bit ints from a seed
+    fixed by the row's name, so that every process draws the same: under a
+    (colour, type) slot, its pieces' by square index; under "rights", the
+    castling-rights masks' by mask; under "passant", the en-passant
+    targets' by the square a double push skipped."""
+    rng = random.Random(f"chessval zobrist {name}")
+    return tuple(rng.getrandbits(128) for _ in range(64))
+
+
+# Perft's Zobrist numbers, a row per name, built on first use: an import
+# builds none.
+_ZOBRIST = _Table(_zobrist)
+
+
+def _key(square_map) -> int:
+    """A square map's Zobrist key less its en-passant term (_passant_key),
+    from scratch: the numbers of its pieces' slots at their squares and of
+    its rights mask, XORed.  The side to move is not in it: inside one
+    perft call a position's depth decides it."""
+    occ, _, rights = square_map
+    key = _ZOBRIST["rights"][rights]
+    for s, piece in enumerate(occ):
+        if piece is not None:
+            key ^= _ZOBRIST[piece.colour, piece.type][s]
+    return key
+
+
+def _passant_key(passant: dict, pawns: int) -> int:
+    """A position's en-passant term: the number of the square the last
+    ply's double push skipped when one of the side's `pawns` stands beside
+    its landing, on a square of `passant` (_en_passant_targets), else 0."""
+    for s, skipped in passant.items():
+        if pawns >> s & 1:
+            return _ZOBRIST["passant"][skipped]
+    return 0
+
+
+def _move_key(mov: Move) -> tuple:
+    """An entry of _MOVE_KEYS, what a move does to the key wherever it is
+    played: (the mover's number on its square XOR the arriving piece's on
+    its target, the target's square index, the castling rights it keeps,
+    the enemy pawns' slot, and for a double push the squares beside its
+    landing as a mask and the skipped square's number, else 0 and 0)."""
+    mover, arrival = mov.from_, mov.to_
+    f = mover.square.x + 8 * mover.square.y - 9
+    t = arrival.square.x + 8 * arrival.square.y - 9
+    moved = _ZOBRIST[mover.colour, mover.type][f] ^ _ZOBRIST[arrival.colour, arrival.type][t]
+    beside = passant = 0
+    if mover.type is PAWN and abs(t - f) == 16:
+        beside = 1 << t + 1 & _NOT_A_FILE | 1 << t >> 1 & _NOT_H_FILE
+        passant = _ZOBRIST["passant"][f + t >> 1]
+    enemy = _SIDE[opposite_colour(mover.colour)]
+    return moved, t, _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t], enemy, beside, passant
+
+
+# Per interned move, its _move_key entry, made on first use: an import
+# builds none.
+_MOVE_KEYS = _Table(_move_key)
+
+
+def _child_key(key: int, square_map, mov: Move, changes: tuple) -> int:
+    """The full key (_key with its _passant_key term) after a move, from
+    the key before it less its en-passant term: XORed at the squares
+    _child_map patches, at the rights masks when the move changes the
+    rights, and at the skipped square when the move is a double push that
+    lands beside an enemy pawn."""
+    occ, boards, rights = square_map
+    moved, t, kept, enemy, beside, passant = _MOVE_KEYS[mov]
+    key ^= moved
+    dead = occ[t]
+    if dead is not None:
+        key ^= _ZOBRIST[dead.colour, dead.type][t]
+    for s, holder in changes:
+        gone = occ[s]
+        if gone is not None:
+            key ^= _ZOBRIST[gone.colour, gone.type][s]
+        if holder is not None:
+            key ^= _ZOBRIST[holder.colour, holder.type][s]
+    if rights & kept != rights:
+        key ^= _ZOBRIST["rights"][rights] ^ _ZOBRIST["rights"][rights & kept]
+    if boards[enemy] & beside:
+        key ^= passant
+    return key
+
+
+def _perft(square_map, last: Optional[Move], colour: Colour, depth: int, key: int, tables) -> int:
     """perft(depth >= 1) of a square map's position after move `last` (None
-    before the first) with `colour` to move, through the slider memo
-    `slides` (_memo_slide); a depth-1 node only counts."""
+    before the first) with `colour` to move and full key `key`
+    (_child_key), through perft's tables (_divide); a depth-1 node only
+    counts.  A child whose depth is in the tables' probed range is looked
+    up in the count table under its key XOR its depth shifted above the
+    key's 128 bits, and its count kept there.  A tree with no probed depth
+    keeps no keys: `key` stays 0."""
+    slides, counts, probed = tables
     context = _side_context(square_map, last, colour, slides)
     if depth == 1:
         return _legal_for_piece(context, FULL, True)
     occ, enemy, total = context.occ, opposite_colour(colour), 0
+    if probed:
+        key ^= _passant_key(context.passant, context.boards[_SIDE[colour]])
+    salt = depth - 1 << 128 if depth - 1 in probed else None
     for m in _side_moves(context):
-        total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides)
+        changes = _changes(occ, m)
+        child = _child_key(key, square_map, m, changes) if probed else key
+        count = None if salt is None else counts.get(child ^ salt)
+        if count is None:
+            count = _perft(_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables)
+            if salt is not None:
+                counts[child ^ salt] = count
+        total += count
     return total
 
 
 def _divide(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> list:
     """(move, perft count of depth - 1 after it) for each legal move (depth
-    >= 1): _perft on each root move's child square map, which with jobs > 1
-    a pool of that many processes receives."""
+    >= 1): _perft on each root move's child square map and key, which with
+    jobs > 1 a pool of that many processes receives.  perft's tables live
+    for one call, one set per process (a pool pickles them empty with its
+    tasks): the slider memo (_memo_slide), the count table, and the depths
+    whose positions it holds, those from the root's ply 3 on; the first
+    two plies cannot meet a position twice."""
     context = _context(board, to_move)
     occ, square_map, enemy = context.occ, board._contexts[None], opposite_colour(to_move)
     moves = _side_moves(context)
     if depth == 1:
         return [(m, 1) for m in moves]
-    slides = _Table(_memo_slide)  # one per process: a pool pickles it empty with its tasks
-    tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides) for m in moves]
+    probed = range(1, depth - 2)
+    tables = (_Table(_memo_slide), {}, probed)
+    key = _key(square_map) if probed else 0
+    tasks = []
+    for m in moves:
+        changes = _changes(occ, m)
+        child = _child_key(key, square_map, m, changes) if probed else key
+        tasks.append((_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             return list(zip(moves, pool.starmap(_perft, tasks)))

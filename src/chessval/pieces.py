@@ -168,8 +168,9 @@ PAWN_CAPTURE_RAYS = {
 class _Table(dict):
     """The one lazily built table: entries by key (masks by square index,
     pieces by type and colour, the board's moves, perft's slider attacks
-    by occupancy key), each built by `build(key)` on first use and kept: an
-    import builds none."""
+    by occupancy key, its Zobrist numbers and each move's part of the
+    key), each built by `build(key)` on first use and kept: an import
+    builds none."""
 
     __slots__ = ("build",)
 
@@ -285,10 +286,13 @@ def possible_move_direction(
     """The single square one step from p along `direction`.
 
     None when the step leaves the board or lands on a friendly piece; an
-    enemy-held square is returned, since stepping there is a capture.
+    enemy-held square is returned, since stepping there is a capture.  Two
+    obstacles on one square raise ValueError.
     """
+    occ = _occupancy(obstacles)
     target = coordinate_factory(p.square.x + direction[0], p.square.y + direction[1])
-    if any(o.square == target and o.colour is p.colour for o in obstacles):
+    holder = None if target is None else occ[square_index(target)]
+    if holder is not None and holder.colour is p.colour:
         return None
     return target
 

@@ -30,6 +30,8 @@ from chessval.board import (
 from chessval.fen import parse_fen
 from chessval.pieces import Colour, Coordinate, Piece, PieceType, opposite_colour
 
+from positions import KIWIPETE, POSITION_3, POSITION_4, POSITION_4_MIRROR, POSITION_5
+
 W, B = Colour.WHITE, Colour.BLACK
 PAWN, ROOK, KNIGHT = PieceType.PAWN, PieceType.ROOK, PieceType.KNIGHT
 BISHOP, QUEEN, KING = PieceType.BISHOP, PieceType.QUEEN, PieceType.KING
@@ -352,6 +354,26 @@ def test_stateful_moves_for_a_starting_pawn_is_the_double_push():
     board = default_board()
     pawn = P(PAWN, 5, 2)
     assert stateful_possible_moves(board, pawn) == {M(pawn, 5, 4)}
+
+
+def test_a_pawn_s_stateful_moves_are_the_union_of_its_three_special_moves():
+    seen = set()
+    for fen in (KIWIPETE, POSITION_3, POSITION_4, POSITION_4_MIRROR, POSITION_5):
+        game = parse_fen(fen)
+        # the tricky positions and every position one ply on, where en passant opens
+        boards = [game.board] + [move(game.board, m) for m in legal_moves(game.board, game.turn)]
+        for board in boards:
+            state = board.board_state
+            for pawn in (p for p in state if p.type is PAWN):
+                specials = {
+                    "double push": pawn_move_two(state, pawn),
+                    "en passant": en_passant(board, pawn),
+                    "promotion": pawn_promotion(state, pawn),
+                }
+                union = frozenset().union(*specials.values())
+                assert stateful_possible_moves(board, pawn) == union, pawn
+                seen.update(kind for kind, moves in specials.items() if moves)
+    assert seen == {"double push", "en passant", "promotion"}
 
 
 def test_stateful_moves_for_a_castling_ready_king():

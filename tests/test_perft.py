@@ -9,9 +9,13 @@ evasions, pin lines and per-square legal lists of the context, the attack
 probe behind them and the table-driven piece targets are compared with
 the oracle, and the square map a child board inherits (its occupancy,
 bitboards and castling rights) with the one built from its pieces.
-Perft with a pool, which hands its workers square maps, is checked
-against the serial count where the map carries a partial castling-rights
-mask, an en-passant window or a played history.  The
+Perft with a pool, which hands its workers square maps and keys, is
+checked against the serial count where the map carries a partial
+castling-rights mask, an en-passant window or a played history.  Perft's
+incremental Zobrist key is checked against the key from scratch at every
+node it visits, and to give one key to a position reached by two move
+orders and different keys to positions differing only in castling rights
+or a live en-passant capture.  The
 interned move table, the piece rows and the per-square masks are checked
 to start empty, the move table to be a pure cache, the masks to be
 filled by a FEN parse only where its check test reads, and a pickled move
@@ -36,12 +40,17 @@ from chessval.board import (
     _apply,
     _attackers,
     _boards,
+    _changes,
+    _child_key,
     _context,
     _Context,
     _divide,
+    _en_passant_targets,
+    _key,
     _king_context,
     _legal_for_piece,
     _occupancy,
+    _passant_key,
     _square_attacked,
     attacked_squares,
     has_legal_move,
@@ -53,6 +62,7 @@ from chessval.board import (
     perft,
     possible_moves,
 )
+from chessval.cli import _coordinate_text
 from chessval.fen import parse_fen
 from chessval.game import Game, game_move, new_game
 from chessval.pgn import _candidates
@@ -116,20 +126,30 @@ def _sample_positions():
             game, winner = game_move(game, mov)
 
 
-def _move_kinds(board, mov):
-    """The kinds of mov that patch more than its own two squares or move a
-    king: castling (by the king's destination file), en passant, promotion
-    by push or by capture, a rook taken on its corner, any king move."""
+def _move_kinds(occ, mov):
+    """The kinds of mov, against the occupancy before it, that patch more
+    than its own two squares, move a king or open an en-passant window:
+    castling (by the king's destination file), en passant, promotion by
+    push or by capture, a rook taken on its corner, any king move, a double
+    push landing beside an enemy pawn or beside none."""
     origin, target = mov.from_.square, mov.to_.square
-    dead = _context(board, mov.from_.colour).occ[square_at(target.x, target.y)]
+    dead = occ[square_at(target.x, target.y)]
+    pawn, king = mov.from_.type is PieceType.PAWN, mov.from_.type is PieceType.KING
+    beside = [occ[square_at(x, target.y)] for x in (target.x - 1, target.x + 1) if 1 <= x <= 8]
+    enemy_beside = any(
+        p is not None and p.type is PieceType.PAWN and p.colour is not mov.from_.colour
+        for p in beside
+    )
     kinds = {
-        ("castling", target.x): iss_castling(board, mov),
-        "en passant": iss_en_passant(board, mov),
+        ("castling", target.x): king and abs(target.x - origin.x) == 2,
+        "en passant": pawn and target.x != origin.x and dead is None,
         "promotion by push": mov.to_.type is not mov.from_.type and target.x == origin.x,
         "promotion by capture": mov.to_.type is not mov.from_.type and target.x != origin.x,
         "rook taken on its corner": dead is not None and dead.type is PieceType.ROOK
         and target.x in (1, 8) and target.y in (1, 8),
-        "king move": mov.from_.type is PieceType.KING,
+        "king move": king,
+        "double push beside an enemy pawn": pawn and abs(target.y - origin.y) == 2 and enemy_beside,
+        "double push beside none": pawn and abs(target.y - origin.y) == 2 and not enemy_beside,
     }
     return {kind for kind, holds in kinds.items() if holds}
 
@@ -145,7 +165,7 @@ def _rights_from_history(board):
 def test_a_child_inherits_the_square_map_its_pieces_give():
     def check(board, colour, depth):
         for mov, _ in _divide(board, colour, 1):
-            seen.update(_move_kinds(board, mov))
+            seen.update(_move_kinds(_occupancy(board.board_state), mov))
             child = _apply(board, mov)
             occ, boards, rights = child._contexts[None]
             assert occ == _occupancy(child.board_state), mov
@@ -175,7 +195,7 @@ def test_counting_the_last_ply_agrees_with_lifting_it():
             len(_divide(child, enemy, 1)) for _, child in children
         )
         for mov, child in children:
-            seen.update(_move_kinds(board, mov))
+            seen.update(_move_kinds(_occupancy(board.board_state), mov))
             if depth > 1:
                 check(child, enemy, depth - 1)
 
@@ -189,6 +209,103 @@ def test_counting_the_last_ply_agrees_with_lifting_it():
         ("castling", 7), ("castling", 3), "en passant", "promotion by push",
         "promotion by capture", "rook taken on its corner",
     }
+
+
+_KEYED_KINDS = {
+    ("castling", 7), ("castling", 3), "en passant", "promotion by push", "promotion by capture",
+    "rook taken on its corner", "double push beside an enemy pawn", "double push beside none",
+}
+
+
+def _scratch_key(square_map, last, colour):
+    """The full key of a square map's position after `last` with `colour`
+    to move, from scratch."""
+    pawns = square_map[1][board_module._SIDE[colour]]
+    return _key(square_map) ^ _passant_key(_en_passant_targets(last, colour), pawns)
+
+
+def test_the_incremental_key_equals_the_key_from_scratch(monkeypatch):
+    # perft keeps keys in a tree with a depth to look up (depth 4 on); each
+    # node it visits there is checked, and the square map of the node above
+    # tells the kind of move that led to it
+    perft_, parents, seen = board_module._perft, [], set()
+
+    def checking(square_map, last, colour, depth, key, tables):
+        assert key == _scratch_key(square_map, last, colour), last
+        seen.update(_move_kinds(parents[-1][0], last))
+        parents.append(square_map)
+        try:
+            return perft_(square_map, last, colour, depth, key, tables)
+        finally:
+            parents.pop()
+
+    monkeypatch.setattr(board_module, "_perft", checking)
+    # position 4 promotes; the other castles on both wings, takes a rook on
+    # its corner and double-pushes beside an enemy pawn and beside none
+    for fen, nodes in ((POSITION_4, 422333), ("r3k3/8/8/8/1p6/8/P7/4K2R w Kq - 0 1", 71194)):
+        game = parse_fen(fen)
+        _context(game.board, game.turn)
+        parents[:] = [game.board._contexts[None]]
+        assert perft(game.board, game.turn, 4) == nodes
+    assert seen >= _KEYED_KINDS
+
+
+def _key_after(fen, plies):
+    """The key perft's chain gives the position after `plies` (from and to
+    squares, as "g1f3") from a FEN position, checked against the key from
+    scratch there."""
+    game = parse_fen(fen)
+    board, colour = game.board, game.turn
+
+    def from_scratch():
+        _context(board, colour)
+        last = board.history[0] if board.history else None
+        return _scratch_key(board._contexts[None], last, colour)
+
+    key = from_scratch()
+    for ply in plies:
+        context = _context(board, colour)
+        key ^= _passant_key(context.passant, context.boards[board_module._SIDE[colour]])
+        mov = next(m for m in legal_moves(board, colour) if _coordinate_text(m) == ply)
+        key = _child_key(key, board._contexts[None], mov, _changes(context.occ, mov))
+        board, colour = _apply(board, mov), opposite_colour(colour)
+    assert key == from_scratch()
+    return key
+
+
+@pytest.mark.parametrize(
+    "fen, one_order, another",
+    [
+        (
+            "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1",
+            ["g1f3", "g8f6", "b1c3"], ["b1c3", "g8f6", "g1f3"],
+        ),
+        # each order gives up the same three castling rights
+        (
+            "r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1",
+            ["a1b1", "h8g8", "h1h2"], ["h1h2", "h8g8", "a1b1"],
+        ),
+        ("4k3/8/8/3p4/8/2N5/8/4K3 w - - 0 1", ["c3d5", "e8d7", "e1d2"], ["e1d2", "e8d7", "c3d5"]),
+    ],
+    ids=["quiet", "castling-rights", "capture"],
+)
+def test_two_move_orders_reaching_one_position_give_one_key(fen, one_order, another):
+    assert _key_after(fen, one_order) == _key_after(fen, another)
+
+
+@pytest.mark.parametrize(
+    "fen, other, same",
+    [
+        ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", "r3k2r/8/8/8/8/8/8/R3K2R w Kkq - 0 1", False),
+        ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", "r3k2r/8/8/8/8/8/8/R3K2R w - - 0 1", False),
+        # a live en-passant capture, and a window no pawn stands beside
+        ("4k3/8/8/8/3pP3/8/8/4K3 b - e3 0 1", "4k3/8/8/8/3pP3/8/8/4K3 b - - 0 1", False),
+        ("4k3/8/8/8/2p1P3/8/8/4K3 b - e3 0 1", "4k3/8/8/8/2p1P3/8/8/4K3 b - - 0 1", True),
+    ],
+    ids=["one-right", "all-rights", "live-en-passant", "en-passant-window-without-a-pawn"],
+)
+def test_castling_rights_and_a_live_en_passant_capture_are_in_the_key(fen, other, same):
+    assert (_key_after(fen, []) == _key_after(other, [])) is same
 
 
 def test_the_legal_move_list_never_holds_a_move_twice():
@@ -463,17 +580,18 @@ def _played(plies):
 @pytest.mark.parametrize(
     "game, nodes",
     [
-        (parse_fen("r3k2r/8/8/8/8/8/8/R3K2R w Kq - 0 1"), 12647),  # a partial rights mask
-        (parse_fen("8/8/8/KPp4r/8/8/8/7k w - c6 0 1"), 259),  # an en-passant window
-        (_played(4), 7812),
+        (parse_fen("r3k2r/8/8/8/8/8/8/R3K2R w Kq - 0 1"), 287755),  # a partial rights mask
+        (parse_fen("8/8/8/KPp4r/8/8/8/7k w - c6 0 1"), 4225),  # an en-passant window
+        (_played(4), 186356),
     ],
     ids=["partial-rights", "en-passant-window", "four-plies-played"],
 )
 def test_the_pool_receives_each_root_move_s_square_map(game, nodes):
-    # the rights mask and the last move must reach the workers with the map
-    assert perft(game.board, game.turn, 3, jobs=2) == perft(game.board, game.turn, 3) == nodes
-    assert dict(_divide(game.board, game.turn, 3, jobs=2)) == dict(
-        _divide(game.board, game.turn, 3)
+    # the rights mask, the last move and the key must reach the workers with
+    # the map; from depth 4 the workers look positions up in the count table
+    assert perft(game.board, game.turn, 4, jobs=2) == perft(game.board, game.turn, 4) == nodes
+    assert dict(_divide(game.board, game.turn, 4, jobs=2)) == dict(
+        _divide(game.board, game.turn, 4)
     )
 
 
@@ -481,10 +599,11 @@ def test_the_move_table_starts_empty_on_import():
     path = [p for p in sys.path if p]
     code = (
         f"import sys; sys.path[:0] = {path!r}; import chessval.board as b, chessval.pieces as p; "
-        "print([len(t) for t in (b._MOVES, p._ROWS, p._STEPS, p._BETWEEN, p._SLIDES)])"
+        "print([len(t) for t in (b._MOVES, b._MOVE_KEYS, b._ZOBRIST,"
+        " p._ROWS, p._STEPS, p._BETWEEN, p._SLIDES)])"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[0, 0, 0, 0, 0]"
+    assert run.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0]"
 
 
 def test_an_import_fills_no_square_masks_and_a_parse_only_those_it_reads():

@@ -138,6 +138,12 @@ def test_ray_rejects_two_obstacles_on_one_square():
         possible_moves_direction(rook, obstacles((1, 4, W), (1, 4, B)), (0, 1))
 
 
+def test_single_step_rejects_two_obstacles_on_one_square():
+    rook = piece(PieceType.ROOK, 1, 1)
+    with pytest.raises(ValueError, match="share a square"):
+        possible_move_direction(rook, obstacles((1, 2, W), (1, 2, B)), (0, 1))
+
+
 def test_type_based_moves_rejects_two_obstacles_on_one_square():
     rook = piece(PieceType.ROOK, 1, 1)
     with pytest.raises(ValueError, match="share a square"):

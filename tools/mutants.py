@@ -184,12 +184,25 @@ MUTANTS = [
     ("en-passant-not-counted", "board.py",
      "            if pawns >> s & 1:", "            if pawns >> s & 1 and not count:"),
     ("en-passant-window-from-a-stale-ply", "board.py",
-     "total += _perft(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides)",
-     "total += _perft(_child_map(square_map, m, _changes(occ, m)), last, enemy, depth - 1, slides)"),
+     "count = _perft(_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables)",
+     "count = _perft(_child_map(square_map, m, changes), last, enemy, depth - 1, child, tables)"),
     ("divide-hands-its-workers-the-parent's-last-move", "board.py",
-     "tasks = [(_child_map(square_map, m, _changes(occ, m)), m, enemy, depth - 1, slides) for m in moves]",
-     "tasks = [(_child_map(square_map, m, _changes(occ, m)),"
-     " board.history[0] if board.history else None, enemy, depth - 1, slides) for m in moves]"),
+     "tasks.append((_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables))",
+     "tasks.append((_child_map(square_map, m, changes),"
+     " board.history[0] if board.history else None, enemy, depth - 1, child, tables))"),
+    # perft's count table and the incremental Zobrist key it is keyed by
+    ("key-keeps-the-captured-piece", "board.py",
+     "        key ^= _ZOBRIST[dead.colour, dead.type][t]", "        pass"),
+    ("key-without-the-rights-term", "board.py",
+     'key ^= _ZOBRIST["rights"][rights] ^ _ZOBRIST["rights"][rights & kept]', "pass"),
+    ("key-without-the-en-passant-term", "board.py",
+     "        key ^= passant", "        pass"),
+    ("key-without-the-castled-rook", "board.py",
+     "            key ^= _ZOBRIST[holder.colour, holder.type][s]", "            pass"),
+    ("key-keeps-the-node's-en-passant-term", "board.py",
+     "        key ^= _passant_key(context.passant, context.boards[_SIDE[colour]])", "        pass"),
+    ("count-table-keyed-without-the-depth", "board.py",
+     "salt = depth - 1 << 128 if", "salt = 1 << 128 if"),
     ("deep-perft-ends-in-a-traceback", "cli.py",
      "    except RecursionError:", "    except ZeroDivisionError:"),
     # the terminal test
