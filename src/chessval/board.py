@@ -8,6 +8,9 @@ move never mutates anything; it builds a new Board value.
 A Board also carries a derived legality context, filled on first use and
 shared by every query on it; equality, hashing, repr and pickles ignore it,
 and filling it is idempotent, so boards stay safe to share across threads.
+The generated moves are interned (_MOVES) and hold interned pieces, so the
+move() gate, which finds the mover on the context's occupancy and the move
+in its piece's list, mostly decides by identity.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import multiprocessing
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 from .pieces import (
     _A_FILE,
@@ -53,9 +57,6 @@ BISHOP = PieceType.BISHOP
 QUEEN = PieceType.QUEEN
 KING = PieceType.KING
 
-PROMOTABLE_TYPES = frozenset({KNIGHT, BISHOP, ROOK, QUEEN})
-
-
 class IllegalMoveError(ValueError):
     """A move rejected by the legality gate, or a piece that is not on the
     board it is being moved on."""
@@ -68,7 +69,8 @@ class Move:
     The destination is a full Piece rather than a bare square so that
     promotion (a pawn arriving with a new type) needs no extra field.
     Castling is a king move listed in _CASTLINGS; en passant a pawn's
-    diagonal step onto an empty square.  The hash is computed once, when built.
+    diagonal step onto an empty square.  The hash is computed once, when
+    built; equality answers at once for one object or for unequal hashes.
     """
 
     from_: Piece
@@ -87,6 +89,13 @@ class Move:
             raise ValueError("only a pawn reaching the last rank may change type")
         object.__setattr__(self, "_hash", hash((from_, to_)))
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Move:
+            return NotImplemented
+        return self._hash == other._hash and self.from_ == other.from_ and self.to_ == other.to_
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -94,17 +103,25 @@ class Move:
         return Move, (self.from_, self.to_)
 
 
-def _move_row(key: tuple) -> _Table:
-    """The row of _MOVES under key (moving type, arriving type, colour,
-    from-square index): the piece's moves by target square index, each
+# The bitboard slot of each (colour, type), 0-11: _boards and the square
+# map hold a colour's pieces in its six slots in this order.
+_KINDS = (PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING)
+_SLOT = {(c, k): 6 * i + j for i, c in enumerate(Colour) for j, k in enumerate(_KINDS)}
+_SIDE = {colour: _SLOT[colour, PAWN] for colour in Colour}  # a colour's first slot
+
+
+def _move_row(key: int) -> _Table:
+    """The row of _MOVES under key moving slot << 10 | arriving slot << 6 |
+    from-square index: the piece's moves by target square index, each
     built on first use by the public constructor."""
-    kind, arriving, colour, s = key
-    piece, arrivals = _ROWS[kind, colour][s], _ROWS[arriving, colour]
+    slot, arriving, s = key >> 10, key >> 6 & 15, key & 63
+    colour = tuple(Colour)[slot // 6]
+    piece, arrivals = _ROWS[_KINDS[slot % 6], colour][s], _ROWS[_KINDS[arriving % 6], colour]
     return _Table(lambda t: Move(piece, arrivals[t]))
 
 
-# The interned moves, a row per (moving type, arriving type, colour,
-# from-square index), made on first use: an import builds none.
+# The interned moves, a row per (moving slot, arriving slot, from-square
+# index), made on first use: an import builds none.
 _MOVES = _Table(_move_row)
 
 
@@ -144,13 +161,12 @@ _BACK_RANK = (ROOK, KNIGHT, BISHOP, QUEEN, KING, BISHOP, KNIGHT, ROOK)
 
 
 def default_board() -> Board:
-    """The standard initial position with an empty history."""
-    pieces = set()
-    for x, piece_type in enumerate(_BACK_RANK, start=1):
-        pieces.add(Piece(piece_type, Coordinate(x, 1), Colour.WHITE))
-        pieces.add(Piece(PAWN, Coordinate(x, 2), Colour.WHITE))
-        pieces.add(Piece(PAWN, Coordinate(x, 7), Colour.BLACK))
-        pieces.add(Piece(piece_type, Coordinate(x, 8), Colour.BLACK))
+    """The standard initial position with an empty history, of the
+    interned pieces (pieces._ROWS) the generated moves hold."""
+    white, black, pieces = Colour.WHITE, Colour.BLACK, []
+    for s, kind in enumerate(_BACK_RANK):
+        pieces += _ROWS[kind, white][s], _ROWS[PAWN, white][s + 8]
+        pieces += _ROWS[PAWN, black][s + 48], _ROWS[kind, black][s + 56]
     return Board(frozenset(pieces), ())
 
 
@@ -159,13 +175,6 @@ def default_board() -> Board:
 # A square map holds one bitboard (a mask, as chessval.pieces builds them)
 # per (colour, type), in slot _SLOT[colour, type]; they are disjoint, so
 # their sum is their union.
-
-_SLOT = {
-    (colour, kind): 6 * i + j
-    for i, colour in enumerate(Colour)
-    for j, kind in enumerate((PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING))
-}
-_SIDE = {colour: _SLOT[colour, PAWN] for colour in Colour}  # a colour's first slot
 
 
 def _boards(pieces) -> list[int]:
@@ -276,14 +285,10 @@ def _en_passant_targets(last: Optional[Move], colour: Colour) -> dict[int, int]:
     """Pawn square -> the square a `colour` pawn there captures onto en
     passant: the square an enemy pawn's double push on the last ply (None
     before the first) skipped, for the two squares beside where it landed."""
-    if last is None:
+    if last is None or last.from_.type is not PAWN or last.from_.colour is colour:
         return {}
     origin, landing = last.from_.square, last.to_.square
-    if (
-        last.from_.type is not PAWN
-        or last.from_.colour is colour
-        or abs(landing.y - origin.y) != 2
-    ):
+    if abs(landing.y - origin.y) != 2:
         return {}
     skipped = square_at(landing.x, (origin.y + landing.y) // 2)
     return {
@@ -334,7 +339,8 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     check, and neither the crossed square nor the destination is attacked.
     """
     _require_piece(board.board_state, king, KING)
-    row = _MOVES[KING, KING, king.colour, square_index(king.square)]
+    slot = _SLOT[king.colour, KING]
+    row = _MOVES[slot << 10 | slot << 6 | square_index(king.square)]
     return frozenset(row[t] for t in _castling_moves(_context(board, king.colour)))
 
 
@@ -457,11 +463,11 @@ def _context(board: Board, colour: Colour) -> _Context:
 
 def _side_context(square_map, last: Optional[Move], colour: Colour, slides) -> _Context:
     """One side's legality context over a square map, after `last`, with
-    the slider memo `slides`."""
-    return _Context(
+    the slider memo `slides` (tuple.__new__ skips the named tuple's own)."""
+    return tuple.__new__(_Context, (
         *square_map, colour, *_king_context(square_map[1], colour), {},
         _en_passant_targets(last, colour), slides,
-    )
+    ))
 
 
 def _memo_slide(key: int) -> int:
@@ -503,12 +509,12 @@ def _moves_onto(context, kind: PieceType, t: int) -> list[Move]:
     return [m for s in _squares(pieces) for m in moves[s] if m.to_.square is square]
 
 
-def _side_moves(context) -> list[Move]:
+def _side_moves(context) -> Iterator[Move]:
     """Every legal move of the context's side: one walk over its pieces not
-    yet kept by square, then every kept list."""
+    yet kept by square, then every kept list, chained."""
     moves = context.moves
     _legal_for_piece(context, ~_mask(moves))
-    return [m for by_square in moves.values() for m in by_square]
+    return chain.from_iterable(moves.values())
 
 
 def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
@@ -518,8 +524,8 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     _require_piece(board.board_state, piece)
     context = _context(board, piece.colour)
     kind, colour, s = piece.type, piece.colour, square_index(piece.square)
-    targets = _targets(kind, colour, s, context.occupied, context.us)
-    simple = frozenset(_lift(_MOVES[kind, kind, colour, s], targets))
+    slot, targets = _SLOT[colour, kind], _targets(kind, colour, s, context.occupied, context.us)
+    simple = frozenset(map(_MOVES[slot << 10 | slot << 6 | s].__getitem__, _squares(targets)))
     candidates = simple | stateful_possible_moves(board, piece)
     return candidates.difference(_piece_moves(context, s))
 
@@ -538,6 +544,10 @@ _PAWN_SHIFTS = {
     Colour.WHITE: ((8, 0), (7, 0), (9, 0), 0xFF << 16, 0xFF << 56),
     Colour.BLACK: ((0, 8), (0, 9), (0, 7), 0xFF << 40, 0xFF),
 }
+# Per colour, the slots of its knights and sliders, each with its _SLIDES
+# field (None for the knights), and the castling rights it may hold.
+_WALKED = {c: tuple((_SLOT[c, k], _SLIDE_FIELD.get(k)) for k in _KINDS[1:5]) for c in Colour}
+_SIDE_RIGHTS = {c: sum(bit for side, bit, *_ in _CASTLINGS.values() if side is c) for c in Colour}
 
 
 def _legal_for_piece(context, wanted: int, count: bool = False):
@@ -545,50 +555,59 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
     mask, kept in the context's by-square lists, or with `count` only
     their number (a promotion target counts four).
 
-    One walk computes a target mask per piece from the bitboards: a knight
-    its steps, a slider its attacks (_slide, through perft's memo when the
-    context has one), both less the side's own squares, on the pin line
-    and, in check, on an evasion square; the count adds up their
-    bit_count(), the lists lift their set bits through the piece's move
-    rows.  The unpinned pawns' targets are found in bulk, by shifts with
-    file masks, and each pinned pawn's alone on its pin line.  Castling, en
-    passant and king steps are probed a square at a time: a king step must
-    land where the enemy does not attack, and en passant, which also
-    removes the captured pawn, is probed on the square map the applier's
-    patch leaves (_changes, _child_map).  A missing king is never attacked."""
+    One walk computes a target mask per piece from the bitboards, a slot
+    at a time: a knight its steps, a slider its attacks (_slide, through
+    perft's memo when the context has one), both less the side's own
+    squares, on the pin line and, in check, on an evasion square; the count
+    adds up their bit_count(), the lists lift their set bits through the
+    piece's move row (_MOVES under its slot, moving and arriving).  The
+    unpinned pawns' targets are found in bulk, by shifts with file masks,
+    and each pinned pawn's alone on its pin line.  Castling (only while the
+    side holds a right), en passant and king steps are probed a square at
+    a time: a king step must land where the enemy does not attack, and en
+    passant, which also removes the captured pawn, is probed on the square
+    map the applier's patch leaves (_changes, _child_map).  A missing king
+    is never attacked."""
     (occ, boards, rights, colour, us, occupied, attackers, king, checked, pins, evasions, moves,
      passant, slides) = context
     own = _SIDE[colour]
     allowed = evasions & ~us
     total = 0
     pawns, kings = boards[own] & wanted, boards[own + 5] & wanted
-    pieces = us & wanted ^ pawns ^ kings  # the knights and sliders
-    while pieces:
-        s = pieces.bit_length() - 1
-        pieces ^= 1 << s
-        kind = occ[s].type
-        if kind is KNIGHT:
-            targets = _STEPS[s][0] & allowed
-        else:
-            reach, lines, key = _SLIDES[s][_SLIDE_FIELD[kind]]
-            targets = _slide(lines, occupied) if slides is None else slides[occupied & reach | key]
-            targets &= allowed
-        if s in pins:  # a pinned knight's steps never land on its line
-            targets &= pins[s]
-        if count:
-            total += targets.bit_count()
-        else:
-            moves[s] = _lift(_MOVES[kind, kind, colour, s], targets)
+    for slot, part in _WALKED[colour] if us & wanted ^ pawns ^ kings else ():
+        pieces = boards[slot] & wanted
+        while pieces:
+            s = pieces.bit_length() - 1
+            pieces ^= 1 << s
+            if part is None:
+                targets = _STEPS[s][0] & allowed
+            else:
+                reach, lines, key = _SLIDES[s][part]
+                targets = _slide(lines, occupied) if slides is None else slides[occupied & reach | key]
+                targets &= allowed
+            if s in pins:  # a pinned knight's steps never land on its line
+                targets &= pins[s]
+            if count:
+                total += targets.bit_count()
+                continue
+            moves[s] = kept = []
+            row = _MOVES[slot << 10 | slot << 6 | s]
+            while targets:
+                t = targets.bit_length() - 1
+                targets ^= 1 << t
+                kept.append(row[t])
     if pawns:
-        if not count:
-            for s in _squares(pawns):
-                moves[s] = []
+        rest = 0 if count else pawns
+        while rest:
+            s = rest.bit_length() - 1
+            rest ^= 1 << s
+            moves[s] = []
         groups = [(pawns, allowed)]
         if pins:
             groups = [(pawns & ~_mask(pins), allowed)]
             groups += [(1 << s, allowed & line) for s, line in pins.items() if pawns >> s & 1]
         (pl, pr), (al, ar), (hl, hr), double, last = _PAWN_SHIFTS[colour]
-        them, empty = occupied ^ us, ~occupied
+        them, empty, row_key = occupied ^ us, ~occupied, own << 10 | own << 6
         for group, on in groups:
             one = group << pl >> pr & empty
             two = (one & double) << pl >> pr & empty & on
@@ -605,13 +624,13 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                     t = targets.bit_length() - 1
                     targets ^= 1 << t
                     s = t + back
-                    if 1 << t & last:
-                        moves[s] += [_MOVES[PAWN, kind, colour, s][t] for kind in PROMOTABLE_TYPES]
+                    if 1 << t & last:  # to a queen, rook, bishop and knight
+                        moves[s] += [_MOVES[own << 10 | own + j << 6 | s][t] for j in (4, 3, 2, 1)]
                     else:
-                        moves[s].append(_MOVES[PAWN, PAWN, colour, s][t])
+                        moves[s].append(_MOVES[row_key | s][t])
         for s, t in passant.items():
             if pawns >> s & 1:
-                capture = _MOVES[PAWN, PAWN, colour, s][t]
+                capture = _MOVES[row_key | s][t]
                 after = _child_map((occ, boards, rights), capture, _changes(occ, capture))[1]
                 probe = _attackers(after, opposite_colour(colour))
                 if king is None or not _square_attacked(probe, sum(after), king):
@@ -631,23 +650,17 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                 steps ^= 1 << t
                 if _square_attacked(attackers, probed, t):
                     targets ^= 1 << t
-        castlings = _castling_moves(context)
+        castlings = _castling_moves(context) if rights & _SIDE_RIGHTS[colour] else ()
         if count:
             total += targets.bit_count() + len(castlings)
         else:
-            row = _MOVES[KING, KING, colour, s]
-            moves[s] = _lift(row, targets) + [row[t] for t in castlings]
+            row = _MOVES[own + 5 << 10 | own + 5 << 6 | s]
+            moves[s] = kept = [row[t] for t in castlings]
+            while targets:
+                t = targets.bit_length() - 1
+                targets ^= 1 << t
+                kept.append(row[t])
     return total if count else None
-
-
-def _lift(row: _Table, targets: int) -> list[Move]:
-    """The moves of a move row onto a target mask's set bits."""
-    moves = []
-    while targets:
-        t = targets.bit_length() - 1
-        moves.append(row[t])
-        targets ^= 1 << t
-    return moves
 
 
 def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:
@@ -662,8 +675,10 @@ def has_legal_move(board: Board, colour: Colour) -> bool:
     one, which matters when every played move must test the opponent for
     mate or stalemate."""
     context = _context(board, colour)
-    own = _SIDE[colour]
-    return any(_legal_for_piece(context, pieces, True) for pieces in context.boards[own:own + 6])
+    for pieces in context.boards[_SIDE[colour]:_SIDE[colour] + 6]:
+        if _legal_for_piece(context, pieces, True):
+            return True
+    return False
 
 
 # --- move application -------------------------------------------------------
@@ -687,10 +702,15 @@ def move(board: Board, mov: Move) -> Board:
     """Apply a move, first checking it against possible_moves.
 
     This is the engine's single legality gate; illegal moves raise
-    IllegalMoveError.  The input board is untouched.
+    IllegalMoveError.  The input board is untouched.  The mover is looked
+    up on its side's context's occupancy, not hashed into the piece set.
     """
-    _require_piece(board.board_state, mov.from_)
-    if mov not in _piece_moves(_context(board, mov.from_.colour), square_index(mov.from_.square)):
+    mover = mov.from_
+    context, s = _context(board, mover.colour), mover.square.x + 8 * mover.square.y - 9
+    holder = context.occ[s]
+    if holder is not mover and holder != mover:
+        raise IllegalMoveError(f"piece not on the board: {mover}")
+    if mov not in _piece_moves(context, s):
         raise IllegalMoveError(f"illegal move: {mov}")
     return _apply(board, mov)
 
@@ -700,7 +720,8 @@ def _apply(board: Board, mov: Move) -> Board:
     checks: a move on a valid board cannot break them.  The one _changes
     result gives the child's piece set, history and square map, which it
     inherits from its parent's (_child_map)."""
-    occ = _context(board, mov.from_.colour).occ
+    square_map = board._contexts[None]
+    occ = square_map[0]
     changes = _changes(occ, mov)
     target = mov.to_.square
     gone, arrived = {occ[target.x + 8 * target.y - 9], mov.from_}, {mov.to_}
@@ -711,7 +732,7 @@ def _apply(board: Board, mov: Move) -> Board:
     after = object.__new__(Board)
     object.__setattr__(after, "board_state", (board.board_state - gone) | arrived)
     object.__setattr__(after, "history", (mov,) + board.history)
-    object.__setattr__(after, "_contexts", {None: _child_map(board._contexts[None], mov, changes)})
+    object.__setattr__(after, "_contexts", {None: _child_map(square_map, mov, changes)})
     return after
 
 
@@ -931,7 +952,7 @@ def _divide(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> list:
     two plies cannot meet a position twice."""
     context = _context(board, to_move)
     occ, square_map, enemy = context.occ, board._contexts[None], opposite_colour(to_move)
-    moves = _side_moves(context)
+    moves = list(_side_moves(context))
     if depth == 1:
         return [(m, 1) for m in moves]
     probed = range(1, depth - 2)

@@ -186,7 +186,8 @@ def cmd_perft(
     out: Optional[TextIO] = None,
     err: Optional[TextIO] = None,
 ) -> int:
-    """Count move sequences from the initial (or a FEN) position."""
+    """Count move sequences from the initial (or a FEN) position, serially:
+    a pool's task would see only its own root move's transpositions."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     if depth < 0:
@@ -197,17 +198,16 @@ def cmd_perft(
     except FenError as exc:
         print(f"bad FEN: {exc}", file=err)
         return INVALID_EXIT
-    jobs = (os.cpu_count() or 1) if depth >= 4 else 1
     try:  # perft recurses once per ply, so a deep tree can pass Python's limit
         if divide and depth >= 1:
-            counts = _divide(game.board, game.turn, depth, jobs)
+            counts = _divide(game.board, game.turn, depth)
             lines = [
                 f"{_coordinate_text(root)}: {count}"
                 for root, count in sorted(counts, key=lambda pair: _coordinate_text(pair[0]))
             ]
             lines.append(f"total: {sum(count for _, count in counts)}")
         else:
-            lines = [str(perft(game.board, game.turn, depth, jobs=jobs))]
+            lines = [str(perft(game.board, game.turn, depth))]
     except RecursionError:
         print(f"perft depth {depth} is too deep: Python's recursion limit was reached", file=err)
         return INVALID_EXIT

@@ -11,12 +11,13 @@ square on first use, the one movement geometry: the step masks, the
 squares between two squares and the sliders' lines.  moves_with_colours
 reads them for the obstacle API, and the board module's attack probe and
 legal-move walk for the rules.  Moves that need game history (castling,
-en passant, the double push, promotion) live in the board module.
+en passant, the double push, promotion) live in the board module, which
+reads its pieces from _ROWS, one interned Piece per type, colour and square.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -84,9 +85,22 @@ def coordinate_factory(x: int, y: int) -> Optional[Coordinate]:
 
 @dataclass(frozen=True)
 class Piece:
+    """A piece of one type and colour on one square.  The hash is computed
+    once, when built; _ROWS interns one Piece per (type, colour, square)."""
+
     type: PieceType
     square: Coordinate
     colour: Colour
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.type, self.square, self.colour)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # as Move's: the hash holds only in this process
+        return Piece, (self.type, self.square, self.colour)
 
 
 @dataclass(frozen=True)
@@ -167,10 +181,10 @@ PAWN_CAPTURE_RAYS = {
 
 class _Table(dict):
     """The one lazily built table: entries by key (masks by square index,
-    pieces by type and colour, the board's moves, perft's slider attacks
-    by occupancy key, its Zobrist numbers and each move's part of the
-    key), each built by `build(key)` on first use and kept: an import
-    builds none."""
+    pieces by type and colour then square, the board's moves, perft's
+    slider attacks by occupancy key, its Zobrist numbers and each move's
+    part of the key), each built by `build(key)` on first use and kept: an
+    import builds none."""
 
     __slots__ = ("build",)
 
@@ -181,9 +195,9 @@ class _Table(dict):
         return self.setdefault(key, self.build(key))
 
 
-# The Pieces of one type and colour on every square, indexed like SQUARES,
-# by (type, colour).
-_ROWS = _Table(lambda key: tuple(Piece(key[0], s, key[1]) for s in SQUARES))
+# The interned Pieces: per (type, colour), the piece on each square index,
+# built on first use.
+_ROWS = _Table(lambda key: _Table(lambda s: Piece(key[0], SQUARES[s], key[1])))
 
 
 # --- bitboards ---------------------------------------------------------------

@@ -17,9 +17,13 @@ node it visits, and to give one key to a position reached by two move
 orders and different keys to positions differing only in castling rights
 or a live en-passant capture.  The
 interned move table, the piece rows and the per-square masks are checked
-to start empty, the move table to be a pure cache, the masks to be
-filled by a FEN parse only where its check test reads, and a pickled move
-to be hashed afresh where it is unpickled.  The count of per-piece walks
+to start empty, the move table to be a pure cache read under one int key
+per row, the masks to be filled by a FEN parse only where its check test
+reads, and a pickled move or piece to be hashed afresh where it is
+unpickled.  Moves a caller builds from fresh pieces act like the
+generated ones, move equality is not decided by the hash alone, the gate
+refuses a mover not on its square, and castling is probed only while the
+side holds a castling right.  The count of per-piece walks
 one corpus validation makes is checked to be the same in every process.
 """
 
@@ -36,6 +40,7 @@ from chessval import board as board_module
 from chessval.board import (
     FULL,
     Board,
+    IllegalMoveError,
     Move,
     _apply,
     _attackers,
@@ -70,6 +75,7 @@ from chessval.pieces import (
     Coordinate,
     Piece,
     PieceType,
+    _ROWS,
     _Table,
     moves_with_colours,
     opposite_colour,
@@ -645,6 +651,14 @@ def test_a_corpus_validation_walks_the_same_pieces_in_every_process():
     assert len(counts) == 1 and int(counts.pop()) > 0
 
 
+def _row_key(mov):
+    """The key of mov's row in the move table: moving slot << 10 | arriving
+    slot << 6 | from-square index."""
+    slot = board_module._SLOT
+    f = square_at(mov.from_.square.x, mov.from_.square.y)
+    return slot[mov.from_.colour, mov.from_.type] << 10 | slot[mov.to_.colour, mov.to_.type] << 6 | f
+
+
 def test_the_move_table_is_a_pure_cache(monkeypatch):
     for board, colour in _sample_positions():
         moves = [m for m, _ in _divide(board, colour, 1)]
@@ -652,6 +666,10 @@ def test_the_move_table_is_a_pure_cache(monkeypatch):
             fresh = Move(mov.from_, mov.to_)
             assert mov == fresh and hash(mov) == hash(fresh) and repr(mov) == repr(fresh)
             assert again is mov
+            # every kind of move, castling and promotion included, is read from
+            # the row under its (moving slot, arriving slot, from-square) key
+            t = square_at(mov.to_.square.x, mov.to_.square.y)
+            assert board_module._MOVES[_row_key(mov)][t] is mov
         filled = legal_moves(board, colour)
         with monkeypatch.context() as patch:
             patch.setattr(board_module, "_MOVES", _Table(board_module._move_row))
@@ -662,11 +680,78 @@ def test_a_promotion_target_yields_the_four_interned_moves():
     game = parse_fen("4k3/P7/8/8/8/8/8/4K3 w - - 0 1")
     a7, a8 = square_at(1, 7), square_at(1, 8)
     moves = [m for m, _ in _divide(game.board, game.turn, 1) if m.from_.type is PieceType.PAWN]
+    slot = board_module._SLOT
     interned = [
-        board_module._MOVES[PieceType.PAWN, kind, Colour.WHITE, a7][a8]
+        board_module._MOVES[slot[Colour.WHITE, PieceType.PAWN] << 10 | slot[Colour.WHITE, kind] << 6 | a7][a8]
         for kind in (PieceType.QUEEN, PieceType.ROOK, PieceType.BISHOP, PieceType.KNIGHT)
     ]
     assert len(moves) == 4 and {id(m) for m in moves} == {id(m) for m in interned}
+    assert {m.to_.type for m in interned} == {
+        PieceType.QUEEN, PieceType.ROOK, PieceType.BISHOP, PieceType.KNIGHT
+    }
+
+
+def test_the_start_board_holds_the_interned_pieces():
+    pieces = new_game().board.board_state
+    assert len(pieces) == 32
+    for p in pieces:
+        assert p is _ROWS[p.type, p.colour][square_at(p.square.x, p.square.y)]
+        assert p.square is SQUARES[square_at(p.square.x, p.square.y)]
+
+
+def _uninterned(piece):
+    """A Piece equal to `piece` built from a fresh Coordinate, as a caller
+    would build it."""
+    return Piece(piece.type, Coordinate(piece.square.x, piece.square.y), piece.colour)
+
+
+def test_moves_a_caller_builds_from_fresh_pieces_act_like_the_generated_ones():
+    for board, colour in list(_sample_positions())[::7]:
+        # the same position, its pieces not the interned ones
+        rebuilt = Board(frozenset(map(_uninterned, board.board_state)), board.history)
+        assert legal_moves(rebuilt, colour) == legal_moves(board, colour)
+        for mov in legal_moves(board, colour):
+            fresh = Move(_uninterned(mov.from_), _uninterned(mov.to_))
+            assert fresh is not mov and fresh.from_ is not mov.from_
+            assert fresh == mov and mov == fresh and hash(fresh) == hash(mov)
+            assert fresh in legal_moves(board, colour)
+            after = move(board, mov)
+            assert move(board, fresh) == after == move(rebuilt, fresh) == move(rebuilt, mov)
+
+
+def test_move_equality_does_not_answer_from_the_hash_alone():
+    mov, other = sorted(legal_moves(new_game().board, Colour.WHITE), key=repr)[:2]
+    twin = Move(other.from_, other.to_)
+    object.__setattr__(twin, "_hash", mov._hash)  # a hash collision
+    assert twin != mov and mov != twin
+    assert len({mov, twin}) == 2
+
+
+def test_the_gate_refuses_a_mover_that_is_not_on_its_square():
+    board = new_game().board
+    knight = Piece(PieceType.KNIGHT, Coordinate(2, 1), Colour.WHITE)
+    jump = Move(knight, Piece(PieceType.KNIGHT, Coordinate(3, 3), Colour.WHITE))
+    assert move(board, jump).history == (jump,)
+    for mover in (
+        Piece(PieceType.BISHOP, Coordinate(2, 1), Colour.WHITE),  # another piece on b1
+        Piece(PieceType.KNIGHT, Coordinate(2, 1), Colour.BLACK),  # another colour
+        Piece(PieceType.KNIGHT, Coordinate(4, 4), Colour.WHITE),  # an empty square
+    ):
+        stray = Move(mover, Piece(mover.type, Coordinate(3, 3), mover.colour))
+        with pytest.raises(IllegalMoveError, match="piece not on the board"):
+            move(board, stray)
+
+
+def test_castling_is_probed_only_while_the_side_holds_a_right(monkeypatch):
+    probed, probe = [], board_module._castling_moves
+    monkeypatch.setattr(board_module, "_castling_moves", lambda c: probed.append(c.colour) or probe(c))
+    for rights, expected in (("KQkq", 2), ("-", 0), ("k", 0)):
+        probed.clear()
+        game = parse_fen(f"r3k2r/8/8/8/8/8/8/R3K2R w {rights} - 0 1")
+        castlings = [m for m in legal_moves(game.board, game.turn) if board_module.iss_castling(game.board, m)]
+        assert len(castlings) == expected
+        assert has_legal_move(game.board, game.turn)
+        assert probed == ([Colour.WHITE] if expected else [])
 
 
 def _rehashed_where_unpickled(payload: bytes) -> list[bool]:
@@ -679,6 +764,20 @@ def _rehashed_where_unpickled(payload: bytes) -> list[bool]:
         checks += [hash(m) == hash(fresh), m in frozenset({fresh})]
     legal = legal_moves(board, colour)
     return checks + [mov in legal, Move(mov.from_, mov.to_) in legal]
+
+
+def _pieces_hashed_afresh(payload: bytes) -> list[bool]:
+    """Run in a spawned process: unpickle pieces and compare their hashes
+    with those of pieces built in this process."""
+    return [hash(p) == hash(_uninterned(p)) and p in {_uninterned(p)} for p in pickle.loads(payload)]
+
+
+def test_a_pickled_piece_is_hashed_afresh_in_a_spawned_process():
+    pieces = sorted(new_game().board.board_state, key=repr)
+    payload = pickle.dumps(pieces)
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        checks = pool.apply(_pieces_hashed_afresh, (payload,))
+    assert len(checks) == 32 and all(checks)
 
 
 def test_a_pickled_move_is_hashed_afresh_in_a_spawned_process():

@@ -57,7 +57,22 @@ MUTANTS = [
      "_replace(king=None, pins={}, moves={})"),
     # the side's one walk
     ("side-walk-skips-the-knights-and-sliders", "board.py",
-     "pieces = us & wanted ^ pawns ^ kings", "pieces = 0"),
+     "_WALKED[colour] if us & wanted ^ pawns ^ kings else ()",
+     "() if us & wanted ^ pawns ^ kings else ()"),
+    # the move rows, found by one int key: moving slot << 10 | arriving slot << 6 | square
+    ("row-of-the-wrong-type", "board.py",
+     "row = _MOVES[slot << 10 | slot << 6 | s]", "row = _MOVES[slot + 1 << 10 | slot + 1 << 6 | s]"),
+    ("row-of-the-wrong-colour", "board.py",
+     "row = _MOVES[slot << 10 | slot << 6 | s]",
+     "row = _MOVES[(slot + 6) % 12 << 10 | (slot + 6) % 12 << 6 | s]"),
+    ("row-builder-reads-the-wrong-colour", "board.py",
+     "colour = tuple(Colour)[slot // 6]", "colour = tuple(Colour)[1 - slot // 6]"),
+    ("promotion-row-keyed-by-the-moving-slot", "board.py",
+     "_MOVES[own << 10 | own + j << 6 | s][t]", "_MOVES[own << 10 | own << 6 | s][t]"),
+    ("castling-probed-never", "board.py",
+     "if rights & _SIDE_RIGHTS[colour] else ()", "if False else ()"),
+    ("castling-probed-always", "board.py",
+     "if rights & _SIDE_RIGHTS[colour] else ()", "if True else ()"),
     # the king's context: checks, pins and evasions as masks
     ("pin-with-two-shields", "board.py",
      "elif not shields & (shields - 1) and shields & us:", "elif shields & us:"),
@@ -207,7 +222,7 @@ MUTANTS = [
      "    except RecursionError:", "    except ZeroDivisionError:"),
     # the terminal test
     ("terminal-test-skips-the-king", "board.py",
-     "for pieces in context.boards[own:own + 6])", "for pieces in context.boards[own:own + 5])"),
+     "context.boards[_SIDE[colour]:_SIDE[colour] + 6]", "context.boards[_SIDE[colour]:_SIDE[colour] + 5]"),
     # SAN resolution
     ("plain-king-token-matches-a-castling", "pgn.py",
      "or iss_castling(game.board, m) is castle)", "or not castle or iss_castling(game.board, m))"),
@@ -221,9 +236,18 @@ MUTANTS = [
      "words[word.rstrip('+#')] = token = _parse_san_word(word, text, start)"),
     ("san-candidates-miss-the-other-file", "board.py",
      "reach = _STEPS[t][_PAWN_FIELD[colour]] | _A_FILE << (t & 7)", "reach = _A_FILE << (t & 7)"),
-    # the interned moves
+    # the interned moves and pieces, and the gate
     ("cached-hash-pickled", "board.py",
      "def __reduce__(self):", "def _reduce(self):"),
+    ("piece-hash-pickled", "pieces.py",
+     "def __reduce__(self):", "def _reduce(self):"),
+    ("move-equality-from-the-hash-alone", "board.py",
+     "return self._hash == other._hash and self.from_ == other.from_ and self.to_ == other.to_",
+     "return self._hash == other._hash"),
+    ("gate-holder-check-dropped", "board.py",
+     "if holder is not mover and holder != mover:", "if False:"),
+    ("gate-holder-compared-by-identity-only", "board.py",
+     "if holder is not mover and holder != mover:", "if holder is not mover:"),
 ]
 
 
