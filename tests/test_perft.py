@@ -20,11 +20,12 @@ interned move table, the piece rows and the per-square masks are checked
 to start empty, the move table to be a pure cache read under one int key
 per row, the masks to be filled by a FEN parse only where its check test
 reads, and a pickled move or piece to be hashed afresh where it is
-unpickled.  Moves a caller builds from fresh pieces act like the
-generated ones, move equality is not decided by the hash alone, the gate
-refuses a mover not on its square, and castling is probed only while the
-side holds a castling right.  The count of per-piece walks
-one corpus validation makes is checked to be the same in every process.
+unpickled.  The start board holds the interned pieces, moves a caller
+builds from fresh pieces act like the generated ones, move equality is
+not decided by the hash alone, the gate refuses a mover not on its
+square, and castling is probed only while the side holds a castling
+right.  The count of per-piece walks one corpus validation makes is
+checked to be the same in every process.
 """
 
 import multiprocessing
