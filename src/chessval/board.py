@@ -245,21 +245,30 @@ def in_check(state: BoardState, colour: Colour) -> bool:
 # --- special moves ----------------------------------------------------------
 
 
-def _require_piece(state: BoardState, piece: Piece, piece_type=None) -> None:
-    if piece not in state:
+def _held(board: Board, piece: Piece, piece_type=None) -> tuple:
+    """The piece's side's context and the piece's square index, found on the
+    context's occupancy: the one holder check, of the move() gate, the
+    named rules and every per-piece query.  A piece its square does not
+    hold, or one not of `piece_type` when that is given, raises
+    IllegalMoveError."""
+    context, s = _context(board, piece.colour), piece.square.x + 8 * piece.square.y - 9
+    holder = context.occ[s]
+    if holder is not piece and holder != piece:
         raise IllegalMoveError(f"piece not on the board: {piece}")
     if piece_type is not None and piece.type is not piece_type:
         raise IllegalMoveError(f"expected a {piece_type.value}, got {piece.type.value}")
+    return context, s
 
 
-def _unguarded_moves(board: Board, piece: Piece) -> list[Move]:
-    """A piece's moves by the rules of movement alone: _legal_for_piece's
-    walk on its side's context with the king filters cleared, in a list of
-    their own.  Without a king no step or en-passant capture is probed and
-    no castling listed; without pins or evasions no target is pruned.  The
-    pawns' special-move operations are filters over these."""
-    s = square_index(piece.square)
-    context = _context(board, piece.colour)._replace(king=None, pins={}, evasions=FULL, moves={})
+def _unguarded_moves(board: Board, piece: Piece, piece_type=None) -> list[Move]:
+    """A piece's moves by the rules of movement alone, after _held's check:
+    _legal_for_piece's walk on its side's context with the king filters
+    cleared, in a list of their own.  Without a king no step or en-passant
+    capture is probed and no castling listed; without pins or evasions no
+    target is pruned.  The pawns' special-move operations are filters over
+    these."""
+    context, s = _held(board, piece, piece_type)
+    context = context._replace(king=None, pins={}, evasions=FULL, moves={})
     _legal_for_piece(context, 1 << s)
     return context.moves[s]
 
@@ -267,18 +276,15 @@ def _unguarded_moves(board: Board, piece: Piece) -> list[Move]:
 def pawn_move_two(state: BoardState, pawn: Piece) -> frozenset[Move]:
     """The two-square advance, available only from the pawn's initial rank
     with both the skipped and the target square empty."""
-    _require_piece(state, pawn, PAWN)
-    return frozenset(
-        m for m in _unguarded_moves(Board(state), pawn) if abs(m.to_.square.y - pawn.square.y) == 2
-    )
+    moves = _unguarded_moves(Board(state), pawn, PAWN)
+    return frozenset(m for m in moves if abs(m.to_.square.y - pawn.square.y) == 2)
 
 
 def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
     """The en-passant capture, legal exactly one ply after an enemy pawn's
     double push lands beside this pawn; the capture moves onto the square
     the enemy pawn skipped."""
-    _require_piece(board.board_state, pawn, PAWN)
-    return frozenset(m for m in _unguarded_moves(board, pawn) if iss_en_passant(board, m))
+    return frozenset(m for m in _unguarded_moves(board, pawn, PAWN) if iss_en_passant(board, m))
 
 
 def _en_passant_targets(last: Optional[Move], colour: Colour) -> dict[int, int]:
@@ -299,8 +305,8 @@ def _en_passant_targets(last: Optional[Move], colour: Colour) -> dict[int, int]:
 def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
     """Four moves (one per promotable type) for every square the pawn can
     reach on the last rank."""
-    _require_piece(state, pawn, PAWN)
-    return frozenset(m for m in _unguarded_moves(Board(state), pawn) if m.to_.type is not PAWN)
+    moves = _unguarded_moves(Board(state), pawn, PAWN)
+    return frozenset(m for m in moves if m.to_.type is not PAWN)
 
 
 # The one table of castling's squares, as square indices (a1 = 0, h1 = 7,
@@ -338,10 +344,9 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     either square, the squares between them are empty, the king is not in
     check, and neither the crossed square nor the destination is attacked.
     """
-    _require_piece(board.board_state, king, KING)
+    context, s = _held(board, king, KING)
     slot = _SLOT[king.colour, KING]
-    row = _MOVES[slot << 10 | slot << 6 | square_index(king.square)]
-    return frozenset(row[t] for t in _castling_moves(_context(board, king.colour)))
+    return frozenset(_MOVES[slot << 10 | slot << 6 | s][t] for t in _castling_moves(context))
 
 
 def _castling_moves(context) -> list[int]:
@@ -371,7 +376,7 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     promotion for pawns, castling for kings, nothing for the rest.  A
     pawn's are the moves of its one unguarded walk that pawn_move_two,
     en_passant or pawn_promotion keeps."""
-    _require_piece(board.board_state, piece)
+    _held(board, piece)
     if piece.type is KING:
         return castling_possible(board, piece)
     if piece.type is not PAWN:
@@ -521,9 +526,8 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """The candidate moves the rules forbid: any move that leaves the
     mover's own king in check, and any pawn move onto the last rank that
     keeps the pawn a pawn (promotion is mandatory)."""
-    _require_piece(board.board_state, piece)
-    context = _context(board, piece.colour)
-    kind, colour, s = piece.type, piece.colour, square_index(piece.square)
+    context, s = _held(board, piece)
+    kind, colour = piece.type, piece.colour
     slot, targets = _SLOT[colour, kind], _targets(kind, colour, s, context.occupied, context.us)
     simple = frozenset(map(_MOVES[slot << 10 | slot << 6 | s].__getitem__, _squares(targets)))
     candidates = simple | stateful_possible_moves(board, piece)
@@ -533,8 +537,7 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
 def possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     """Every legal move for one piece: its simple moves lifted to Move
     values, plus its special moves, minus the impossible ones."""
-    _require_piece(board.board_state, piece)
-    return frozenset(_piece_moves(_context(board, piece.colour), square_index(piece.square)))
+    return frozenset(_piece_moves(*_held(board, piece)))
 
 
 # Per colour, the pawn's shifts as (left, right) shift pairs, x << left >> right:
@@ -685,11 +688,10 @@ def has_legal_move(board: Board, colour: Colour) -> bool:
 
 
 def iss_castling(board: Board, mov: Move) -> bool:
-    """Whether a (legal) move is a castling: a king move from its colour's
-    home square to a destination of one of that colour's wings (_WINGS).
-    Any other king jump, a two-file one included, is an ordinary move."""
-    wings = _WINGS.get((mov.from_.colour, square_index(mov.from_.square)), {})
-    return mov.from_.type is KING and square_index(mov.to_.square) in wings
+    """Whether a (legal) move is a castling: one whose changes beyond its
+    own two squares (_changes) are its rook's two.  Any other king jump, a
+    two-file one included, is an ordinary move."""
+    return len(_changes(_context(board, mov.from_.colour).occ, mov)) == 2
 
 
 def iss_en_passant(board: Board, mov: Move) -> bool:
@@ -705,11 +707,7 @@ def move(board: Board, mov: Move) -> Board:
     IllegalMoveError.  The input board is untouched.  The mover is looked
     up on its side's context's occupancy, not hashed into the piece set.
     """
-    mover = mov.from_
-    context, s = _context(board, mover.colour), mover.square.x + 8 * mover.square.y - 9
-    holder = context.occ[s]
-    if holder is not mover and holder != mover:
-        raise IllegalMoveError(f"piece not on the board: {mover}")
+    context, s = _held(board, mov.from_)
     if mov not in _piece_moves(context, s):
         raise IllegalMoveError(f"illegal move: {mov}")
     return _apply(board, mov)
@@ -740,7 +738,7 @@ def move_other(board: Board, mov: Move) -> Board:
     """An ordinary move: drop whatever sat on the target square and the
     moving piece, then add the arriving piece.  Promotion needs no special
     handling because the arriving piece already carries its new type."""
-    if _changes(_context(board, mov.from_.colour).occ, mov):
+    if _changes(_held(board, mov.from_)[0].occ, mov):
         raise IllegalMoveError(f"not an ordinary move: {mov}")
     return _apply(board, mov)
 
@@ -748,7 +746,7 @@ def move_other(board: Board, mov: Move) -> Board:
 def move_castling(board: Board, mov: Move) -> Board:
     """Castling (_CASTLINGS): the king leaves its home square, and its own
     rook leaves the wing's corner for the square the king crossed."""
-    occ = _context(board, mov.from_.colour).occ
+    occ = _held(board, mov.from_)[0].occ
     changes = _changes(occ, mov)
     rook = occ[changes[0][0]] if len(changes) == 2 else None
     if rook is None or rook.type is not ROOK or rook.colour is not mov.from_.colour:
@@ -759,10 +757,11 @@ def move_castling(board: Board, mov: Move) -> Board:
 def move_en_passant(board: Board, mov: Move) -> Board:
     """En passant: the pawn moves diagonally while the captured enemy pawn
     disappears from the square beside it."""
-    occ = _context(board, mov.from_.colour).occ
+    occ = _held(board, mov.from_)[0].occ
     changes = _changes(occ, mov)
-    if len(changes) != 1 or occ[changes[0][0]] is None:
-        raise IllegalMoveError(f"not an en-passant capture beside a pawn: {mov}")
+    victim = occ[changes[0][0]] if len(changes) == 1 else None
+    if victim is None or victim.type is not PAWN or victim.colour is mov.from_.colour:
+        raise IllegalMoveError(f"not an en-passant capture of an enemy pawn: {mov}")
     return _apply(board, mov)
 
 
@@ -771,8 +770,9 @@ def _changes(occ: Occupancy, mov: Move) -> tuple:
     its own two squares, read against the occupancy before it: castling's
     rook (a king move from its (colour, home) onto a wing's destination in
     _WINGS) and en passant's victim (a pawn changing file onto an empty
-    square; its square is worked out only here).  It is the only move-kind dispatch: the
-    applier, perft, iss_en_passant and the en-passant probe all read it."""
+    square; its square is worked out only here).  It is the only move-kind
+    dispatch: the applier, perft, iss_castling, iss_en_passant and the
+    en-passant probe all read it."""
     origin, target, kind = mov.from_.square, mov.to_.square, mov.from_.type
     if kind is KING:
         wing = _WINGS.get((mov.from_.colour, square_index(origin)), {}).get(square_index(target))
@@ -828,42 +828,36 @@ def perft(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> int:
     return sum(count for _, count in _divide(board, to_move, depth, jobs))
 
 
-def _zobrist(name) -> tuple:
+def _zobrist(slot) -> tuple:
     """A row of perft's Zobrist numbers, 64 random 128-bit ints from a seed
-    fixed by the row's name, so that every process draws the same: under a
-    (colour, type) slot, its pieces' by square index; under "rights", the
-    castling-rights masks' by mask; under "passant", the en-passant
-    targets' by the square a double push skipped."""
-    rng = random.Random(f"chessval zobrist {name}")
+    fixed by the row's (colour, type) slot, so that every process draws the
+    same: its pieces' by square index."""
+    rng = random.Random(f"chessval zobrist {slot}")
     return tuple(rng.getrandbits(128) for _ in range(64))
 
 
-# Perft's Zobrist numbers, a row per name, built on first use: an import
-# builds none.
+# Perft's Zobrist numbers, a row per (colour, type), built on first use: an
+# import builds none.
 _ZOBRIST = _Table(_zobrist)
+# Perft's key holds the pieces' numbers XORed in its low 128 bits, the
+# castling-rights mask in bits 128-131 and in bits 132-137 the square an
+# en-passant capture lands on, set only while a pawn of the side to move
+# stands beside the pawn that double-pushed (never square 0, so 0 is none).
+# The count table salts it with the depth above them, at bit 138.
+_LESS_PASSANT = (1 << 132) - 1
 
 
 def _key(square_map) -> int:
-    """A square map's Zobrist key less its en-passant term (_passant_key),
-    from scratch: the numbers of its pieces' slots at their squares and of
-    its rights mask, XORed.  The side to move is not in it: inside one
-    perft call a position's depth decides it."""
+    """A square map's perft key with its en-passant field clear, from
+    scratch: its rights mask above its pieces' numbers, XORed at their
+    squares.  The side to move is not in it: inside one perft call a
+    position's depth decides it."""
     occ, _, rights = square_map
-    key = _ZOBRIST["rights"][rights]
+    key = rights << 128
     for s, piece in enumerate(occ):
         if piece is not None:
             key ^= _ZOBRIST[piece.colour, piece.type][s]
     return key
-
-
-def _passant_key(passant: dict, pawns: int) -> int:
-    """A position's en-passant term: the number of the square the last
-    ply's double push skipped when one of the side's `pawns` stands beside
-    its landing, on a square of `passant` (_en_passant_targets), else 0."""
-    for s, skipped in passant.items():
-        if pawns >> s & 1:
-            return _ZOBRIST["passant"][skipped]
-    return 0
 
 
 def _move_key(mov: Move) -> tuple:
@@ -871,17 +865,16 @@ def _move_key(mov: Move) -> tuple:
     played: (the mover's number on its square XOR the arriving piece's on
     its target, the target's square index, the castling rights it keeps,
     the enemy pawns' slot, and for a double push the squares beside its
-    landing as a mask and the skipped square's number, else 0 and 0)."""
+    landing as a mask and the skipped square in the en-passant field, else
+    0 and 0)."""
     mover, arrival = mov.from_, mov.to_
     f = mover.square.x + 8 * mover.square.y - 9
     t = arrival.square.x + 8 * arrival.square.y - 9
     moved = _ZOBRIST[mover.colour, mover.type][f] ^ _ZOBRIST[arrival.colour, arrival.type][t]
-    beside = passant = 0
-    if mover.type is PAWN and abs(t - f) == 16:
-        beside = 1 << t + 1 & _NOT_A_FILE | 1 << t >> 1 & _NOT_H_FILE
-        passant = _ZOBRIST["passant"][f + t >> 1]
-    enemy = _SIDE[opposite_colour(mover.colour)]
-    return moved, t, _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t], enemy, beside, passant
+    enemy = opposite_colour(mover.colour)
+    targets = _en_passant_targets(mov, enemy)  # each square beside -> the one skipped square
+    beside, passant = _mask(targets), max(targets.values(), default=0) << 132
+    return moved, t, _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t], _SIDE[enemy], beside, passant
 
 
 # Per interned move, its _move_key entry, made on first use: an import
@@ -890,11 +883,10 @@ _MOVE_KEYS = _Table(_move_key)
 
 
 def _child_key(key: int, square_map, mov: Move, changes: tuple) -> int:
-    """The full key (_key with its _passant_key term) after a move, from
-    the key before it less its en-passant term: XORed at the squares
-    _child_map patches, at the rights masks when the move changes the
-    rights, and at the skipped square when the move is a double push that
-    lands beside an enemy pawn."""
+    """The full key after a move, from the key before it with its
+    en-passant field clear: XORed at the squares _child_map patches and at
+    the rights the move ends, and with the skipped square in the en-passant
+    field when the move is a double push that lands beside an enemy pawn."""
     occ, boards, rights = square_map
     moved, t, kept, enemy, beside, passant = _MOVE_KEYS[mov]
     key ^= moved
@@ -908,7 +900,7 @@ def _child_key(key: int, square_map, mov: Move, changes: tuple) -> int:
         if holder is not None:
             key ^= _ZOBRIST[holder.colour, holder.type][s]
     if rights & kept != rights:
-        key ^= _ZOBRIST["rights"][rights] ^ _ZOBRIST["rights"][rights & kept]
+        key ^= (rights & ~kept) << 128
     if boards[enemy] & beside:
         key ^= passant
     return key
@@ -920,7 +912,7 @@ def _perft(square_map, last: Optional[Move], colour: Colour, depth: int, key: in
     (_child_key), through perft's tables (_divide); a depth-1 node only
     counts.  A child whose depth is in the tables' probed range is looked
     up in the count table under its key XOR its depth shifted above the
-    key's 128 bits, and its count kept there.  A tree with no probed depth
+    key's fields, and its count kept there.  A tree with no probed depth
     keeps no keys: `key` stays 0."""
     slides, counts, probed = tables
     context = _side_context(square_map, last, colour, slides)
@@ -928,8 +920,8 @@ def _perft(square_map, last: Optional[Move], colour: Colour, depth: int, key: in
         return _legal_for_piece(context, FULL, True)
     occ, enemy, total = context.occ, opposite_colour(colour), 0
     if probed:
-        key ^= _passant_key(context.passant, context.boards[_SIDE[colour]])
-    salt = depth - 1 << 128 if depth - 1 in probed else None
+        key &= _LESS_PASSANT
+    salt = depth - 1 << 138 if depth - 1 in probed else None
     for m in _side_moves(context):
         changes = _changes(occ, m)
         child = _child_key(key, square_map, m, changes) if probed else key

@@ -314,11 +314,6 @@ def _is_capture(mov: Move, held: bool) -> bool:
     return held or mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x
 
 
-def _candidates(game: Game, piece_type: PieceType, target: Coordinate) -> list[Move]:
-    """The legal moves of the mover's pieces of one type that land on target."""
-    return _moves_onto(_context(game.board, game.turn), piece_type, square_index(target))
-
-
 def _step(game: Game, mov: Move) -> tuple[Game, Winner, CheckMark]:
     """Play a move through game_move's move() gate, the only legality check:
     the game after it, its winner and the check mark it earns."""
@@ -385,7 +380,8 @@ def _play_move(mov: Move, game: Game) -> tuple[Move, Game, Winner, CheckMark, li
     """Play a move as _play_san plays a token: the move, the game after it,
     its winner, its check mark and its rivals; it raises only game_move's
     IllegalMoveError (the side to move, then the move() gate)."""
-    rivals = _candidates(game, mov.from_.type, mov.to_.square)
+    context = _context(game.board, game.turn)
+    rivals = _moves_onto(context, mov.from_.type, square_index(mov.to_.square))
     return (mov, *_step(game, mov), rivals)
 
 

@@ -5,14 +5,14 @@ pieces occupy (the obstacles), compute the squares it could step to.
 Squares are indexed (x - 1) + 8 * (y - 1) (square_at and square_index;
 SQUARES maps them back), a 64-slot occupancy holds anything with a colour
 (a Piece or an Obstacle), and a mask is an int with one bit per square
-index.  The knight targets and per direction each square's distance to
-the edge (the rays) are built at import.  From them this module fills, per
-square on first use, the one movement geometry: the step masks, the
-squares between two squares and the sliders' lines.  moves_with_colours
-reads them for the obstacle API, and the board module's attack probe and
-legal-move walk for the rules.  Moves that need game history (castling,
-en passant, the double push, promotion) live in the board module, which
-reads its pieces from _ROWS, one interned Piece per type, colour and square.
+index.  One walker steps from a square along a direction to the board's
+edge; from its walks this module fills, per square on first use, the one
+movement geometry: the step masks, the squares between two squares and
+the sliders' lines.  moves_with_colours reads them for the obstacle API,
+and the board module's attack probe and legal-move walk for the rules.
+Moves that need game history (castling, en passant, the double push,
+promotion) live in the board module, which reads its pieces from _ROWS,
+one interned Piece per type, colour and square.
 """
 
 from __future__ import annotations
@@ -145,40 +145,6 @@ def _occupancy(holders: Iterable[Piece | Obstacle]) -> Occupancy:
     return occ
 
 
-# Per square, the squares a knight jumps to.
-KNIGHT_TARGETS: tuple[bytes, ...] = tuple(
-    bytes([
-        x + dx + 8 * (y + dy)
-        for dx, dy in KNIGHT_OFFSETS
-        if 0 <= x + dx < 8 and 0 <= y + dy < 8
-    ])
-    for y in range(8)
-    for x in range(8)
-)
-
-# One (index step, steps to the edge per square) pair per direction of
-# ALL_DIRECTIONS, orthogonal first: the ray from s runs over
-# range(s + step, s + step * (edge[s] + 1), step), and s + step is on the
-# board when edge[s] is not 0.
-RAYS: tuple[tuple[int, bytes], ...] = tuple(
-    (
-        dx + 8 * dy,
-        bytes([
-            min(7 - x if dx > 0 else x if dx else 7,
-                7 - y if dy > 0 else y if dy else 7)
-            for y in range(8)
-            for x in range(8)
-        ]),
-    )
-    for dx, dy in ALL_DIRECTIONS
-)
-# Per colour, the two diagonal rays a pawn captures along.
-PAWN_CAPTURE_RAYS = {
-    colour: tuple(ray for (dx, dy), ray in zip(ALL_DIRECTIONS, RAYS) if dx and dy == forward)
-    for colour, forward in ((Colour.WHITE, 1), (Colour.BLACK, -1))
-}
-
-
 class _Table(dict):
     """The one lazily built table: entries by key (masks by square index,
     pieces by type and colour then square, the board's moves, perft's
@@ -240,9 +206,25 @@ def _slide(lines: tuple, occupied: int) -> int:
     return attacks
 
 
+def _walk(s: int, direction: Direction) -> list[int]:
+    """The square indices from square index s along `direction` up to the
+    board's edge, nearest first."""
+    dx, dy = direction
+    x, y, walk = s % 8 + dx, s // 8 + dy, []
+    while 0 <= x < 8 and 0 <= y < 8:
+        walk.append(x + 8 * y)
+        x, y = x + dx, y + dy
+    return walk
+
+
 def _rays(s: int) -> list[int]:
-    """Square index s's rays as masks, in the order of RAYS."""
-    return [_mask(range(s + step, s + step * (edge[s] + 1), step)) for step, edge in RAYS]
+    """Square index s's rays as masks, in the order of ALL_DIRECTIONS."""
+    return [_mask(_walk(s, direction)) for direction in ALL_DIRECTIONS]
+
+
+def _first_steps(s: int, directions: Iterable[Direction]) -> int:
+    """The first square of each walk from square index s, as a mask."""
+    return _mask(t for direction in directions for t in _walk(s, direction)[:1])
 
 
 def _steps(s: int) -> tuple:
@@ -251,10 +233,10 @@ def _steps(s: int) -> tuple:
     from; a rook's and a bishop's reach from s on an empty board."""
     rays = _rays(s)
     return (
-        _mask(KNIGHT_TARGETS[s]), _mask(s + step for step, edge in RAYS if edge[s]),
+        _first_steps(s, KNIGHT_OFFSETS), _first_steps(s, ALL_DIRECTIONS),
         *(  # a white pawn attacks s from where a black pawn on s would attack
-            _mask(s + step for step, edge in PAWN_CAPTURE_RAYS[colour] if edge[s])
-            for colour in (Colour.BLACK, Colour.WHITE)
+            _first_steps(s, [d for d in DIAGONAL_DIRECTIONS if d[1] == forward])
+            for forward in (-1, 1)
         ),
         sum(rays[:4]), sum(rays[4:]),
     )
@@ -264,9 +246,10 @@ def _between(s: int) -> tuple:
     """Per square index t, the squares strictly between s and t; 0 for a t
     off s's lines."""
     between = [0] * 64
-    for step, edge in RAYS:
-        for n in range(1, edge[s] + 1):
-            between[s + n * step] = _mask(range(s + step, s + n * step, step))
+    for direction in ALL_DIRECTIONS:
+        walk = _walk(s, direction)
+        for n, t in enumerate(walk):
+            between[t] = _mask(walk[:n])
     return tuple(between)
 
 
@@ -316,26 +299,20 @@ def possible_moves_direction(
 ) -> frozenset[Coordinate]:
     """Every square along the ray from p in `direction`.
 
-    The ray stops at the board edge, in front of a friendly piece, or on
-    the first enemy piece (a capture square ends the ray and is included).
-    At most seven steps are taken, the longest line on an 8x8 board.
+    The ray stops at the board edge (_walk), in front of a friendly piece,
+    or on the first enemy piece (a capture square ends the ray and is
+    included).
     """
     if direction == (0, 0):
         raise ValueError("ray direction must be non-zero")
     occ = _occupancy(obstacles)
     out = []
-    x, y = p.square.x, p.square.y
-    for _ in range(7):
-        x, y = x + direction[0], y + direction[1]
-        square = coordinate_factory(x, y)
-        if square is None:
-            break
-        holder = occ[square_index(square)]
+    for t in _walk(square_index(p.square), direction):
+        holder = occ[t]
+        if holder is None or holder.colour is not p.colour:
+            out.append(SQUARES[t])
         if holder is not None:
-            if holder.colour is not p.colour:
-                out.append(square)
             break
-        out.append(square)
     return frozenset(out)
 
 

@@ -7,6 +7,7 @@ from chessval.board import (
     Board,
     IllegalMoveError,
     Move,
+    _context,
     attacked_squares,
     board_to_ascii,
     castling_possible,
@@ -465,6 +466,18 @@ def test_operations_reject_a_piece_that_is_not_on_the_board():
         pawn_move_two(board.board_state, P(PAWN, 4, 4))
 
 
+def test_special_move_operations_reject_a_piece_of_another_type():
+    board = default_board()
+    knight, queen = P(KNIGHT, 2, 1), P(QUEEN, 4, 1)
+    for operation in (pawn_move_two, pawn_promotion):
+        with pytest.raises(IllegalMoveError, match="expected a pawn"):
+            operation(board.board_state, knight)
+    with pytest.raises(IllegalMoveError, match="expected a pawn"):
+        en_passant(board, knight)
+    with pytest.raises(IllegalMoveError, match="expected a king"):
+        castling_possible(board, queen)
+
+
 # --- move classification ----------------------------------------------------
 
 
@@ -600,12 +613,15 @@ def test_en_passant_removes_the_bypassed_pawn():
         (move_en_passant, "king step"),
         (move_en_passant, "castling"),
         (move_en_passant, "en passant without a victim"),
+        (move_en_passant, "en passant beside its own knight"),
+        (move_en_passant, "en passant beside its own pawn"),
+        (move_en_passant, "en passant beside an enemy knight"),
         (move_other, "castling"),
         (move_other, "en passant"),
     ],
 )
 def test_a_named_rule_rejects_a_move_of_another_kind(rule, kind):
-    king, pawn = P(KING, 5, 1), P(PAWN, 5, 5)
+    king, pawn, black_king = P(KING, 5, 1), P(PAWN, 5, 5), P(KING, 5, 8, B)
     double_push = M(P(PAWN, 4, 7, B), 4, 5)
     board = Board({king, P(ROOK, 8, 1), pawn, double_push.to_}, (double_push,))
     moves = {
@@ -614,12 +630,69 @@ def test_a_named_rule_rejects_a_move_of_another_kind(rule, kind):
         "castling without its rook": M(king, 3, 1),
         "en passant": M(pawn, 4, 6),
         "en passant without a victim": M(pawn, 6, 6),
+        "en passant beside its own knight": M(pawn, 4, 6),
+        "en passant beside its own pawn": M(pawn, 4, 6),
+        "en passant beside an enemy knight": M(pawn, 4, 6),
         "castling with an enemy rook on the corner": M(king, 7, 1),
     }
-    if kind == "castling with an enemy rook on the corner":
-        board = Board({king, P(ROOK, 8, 1, B), P(KING, 5, 8, B)})
+    other_boards = {
+        "castling with an enemy rook on the corner": {king, P(ROOK, 8, 1, B), black_king},
+        "en passant beside its own knight": {king, pawn, P(KNIGHT, 4, 5), black_king},
+        "en passant beside its own pawn": {king, pawn, P(PAWN, 4, 5), black_king},
+        "en passant beside an enemy knight": {king, pawn, P(KNIGHT, 4, 5, B), black_king},
+    }
+    if kind in other_boards:
+        board = Board(other_boards[kind])
     with pytest.raises(IllegalMoveError):
         rule(board, moves[kind])
+
+
+def test_a_named_rule_refuses_a_mover_that_is_not_on_its_square():
+    # each move meets its rule's pre-condition but for the mover's absence
+    rook = P(ROOK, 1, 3)  # a3 is empty at the start
+    king, white_rook, black_king = P(KING, 4, 1), P(ROOK, 8, 1), P(KING, 5, 8, B)
+    double_push = M(P(PAWN, 4, 7, B), 4, 5)
+    cases = [
+        (move_other, default_board(), M(rook, 1, 5)),
+        (move_castling, Board({king, white_rook, black_king}), M(P(KING, 5, 1), 7, 1)),
+        (move_en_passant, Board({P(KING, 5, 1), double_push.to_, black_king}, (double_push,)),
+         M(P(PAWN, 5, 5), 4, 6)),
+    ]
+    for rule, board, stray in cases:
+        with pytest.raises(IllegalMoveError, match="piece not on the board"):
+            rule(board, stray)
+        with pytest.raises(IllegalMoveError, match="piece not on the board"):
+            move(board, stray)
+
+
+def _named_rule(board, mov):
+    if iss_castling(board, mov):
+        return move_castling
+    return move_en_passant if iss_en_passant(board, mov) else move_other
+
+
+def _rebuilt_square_map(board):
+    """The square map a board built afresh from the same pieces and history
+    computes."""
+    fresh = Board(board.board_state, board.history)
+    _context(fresh, W)
+    return fresh._contexts[None]
+
+
+def test_the_gate_and_the_named_rules_return_boards_whose_square_map_their_pieces_give():
+    rules = set()
+    for fen in (KIWIPETE, POSITION_3, POSITION_4, POSITION_5):
+        game = parse_fen(fen)
+        for mov in legal_moves(game.board, game.turn):
+            child = move(game.board, mov)
+            for reply in legal_moves(child, opposite_colour(game.turn)):
+                for board, m in ((game.board, mov), (child, reply)):
+                    rule = _named_rule(board, m)
+                    rules.add(rule)
+                    for after in (move(board, m), rule(board, m)):
+                        _context(after, W)
+                        assert after._contexts[None] == _rebuilt_square_map(after), m
+    assert rules == {move_other, move_castling, move_en_passant}
 
 
 def test_a_king_jump_from_the_other_colour_s_home_is_no_castling():

@@ -55,8 +55,8 @@ from chessval.board import (
     _key,
     _king_context,
     _legal_for_piece,
+    _moves_onto,
     _occupancy,
-    _passant_key,
     _square_attacked,
     attacked_squares,
     has_legal_move,
@@ -68,8 +68,7 @@ from chessval.board import (
 )
 from chessval.cli import _coordinate_text
 from chessval.fen import parse_fen
-from chessval.game import Game, game_move, new_game
-from chessval.pgn import _candidates
+from chessval.game import game_move, new_game
 from chessval.pieces import (
     SQUARES,
     Colour,
@@ -82,6 +81,7 @@ from chessval.pieces import (
     opposite_colour,
     pieces_to_obstacles,
     square_at,
+    square_index,
     type_based_moves,
 )
 
@@ -218,9 +218,20 @@ def test_counting_the_last_ply_agrees_with_lifting_it():
 
 def _scratch_key(square_map, last, colour):
     """The full key of a square map's position after `last` with `colour`
-    to move, from scratch."""
-    pawns = square_map[1][board_module._SIDE[colour]]
-    return _key(square_map) ^ _passant_key(_en_passant_targets(last, colour), pawns)
+    to move, from scratch, field by field: the pieces' Zobrist numbers
+    XORed, the castling-rights mask at bit 128 and, while one of the side's
+    pawns stands beside the pawn that double-pushed, the square it captures
+    onto at bit 132."""
+    occ, boards, rights = square_map
+    key = rights << 128
+    for s, piece in enumerate(occ):
+        if piece is not None:
+            key ^= board_module._ZOBRIST[piece.colour, piece.type][s]
+    pawns = boards[board_module._SIDE[colour]]
+    for s, t in _en_passant_targets(last, colour).items():
+        if pawns >> s & 1:
+            key |= t << 132
+    return key
 
 
 def test_the_incremental_key_equals_the_key_from_scratch(monkeypatch):
@@ -268,7 +279,7 @@ def _key_after(fen, plies):
     key = from_scratch()
     for ply in plies:
         context = _context(board, colour)
-        key ^= _passant_key(context.passant, context.boards[board_module._SIDE[colour]])
+        key &= board_module._LESS_PASSANT  # the en-passant field cleared, as _perft clears it
         mov = next(m for m in legal_moves(board, colour) if _coordinate_text(m) == ply)
         key = _child_key(key, board._contexts[None], mov, _changes(context.occ, mov))
         board, colour = _apply(board, mov), opposite_colour(colour)
@@ -301,11 +312,16 @@ def test_two_move_orders_reaching_one_position_give_one_key(fen, one_order, anot
     [
         ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", "r3k2r/8/8/8/8/8/8/R3K2R w Kkq - 0 1", False),
         ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", "r3k2r/8/8/8/8/8/8/R3K2R w - - 0 1", False),
-        # a live en-passant capture, and a window no pawn stands beside
+        # a live en-passant capture, one on another file, and a window no
+        # pawn stands beside
         ("4k3/8/8/8/3pP3/8/8/4K3 b - e3 0 1", "4k3/8/8/8/3pP3/8/8/4K3 b - - 0 1", False),
+        ("4k3/8/8/8/3PpP2/8/8/4K3 b - d3 0 1", "4k3/8/8/8/3PpP2/8/8/4K3 b - f3 0 1", False),
         ("4k3/8/8/8/2p1P3/8/8/4K3 b - e3 0 1", "4k3/8/8/8/2p1P3/8/8/4K3 b - - 0 1", True),
     ],
-    ids=["one-right", "all-rights", "live-en-passant", "en-passant-window-without-a-pawn"],
+    ids=[
+        "one-right", "all-rights", "live-en-passant", "live-en-passant-on-another-file",
+        "en-passant-window-without-a-pawn",
+    ],
 )
 def test_castling_rights_and_a_live_en_passant_capture_are_in_the_key(fen, other, same):
     assert (_key_after(fen, []) == _key_after(other, [])) is same
@@ -537,7 +553,7 @@ def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
         fillers = [
             lambda b: has_legal_move(b, colour),
             lambda b: move(b, mov),
-            lambda b: _candidates(Game(b, colour), mov.from_.type, mov.to_.square),
+            lambda b: _moves_onto(_context(b, colour), mov.from_.type, square_index(mov.to_.square)),
             lambda b: has_legal_move(b, opposite_colour(colour)),
         ]
         for fill in fillers:

@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chessval.pieces import (
+    _BETWEEN,
+    _SLIDES,
+    _STEPS,
     ALL_DIRECTIONS,
+    DIAGONAL_DIRECTIONS,
     KNIGHT_OFFSETS,
-    KNIGHT_TARGETS,
-    PAWN_CAPTURE_RAYS,
-    RAYS,
+    ORTHOGONAL_DIRECTIONS,
     SQUARES,
     Colour,
     Coordinate,
     Obstacle,
     Piece,
     PieceType,
+    _rays,
     coordinate_factory,
     opposite_colour,
     pieces_to_obstacles,
@@ -294,7 +297,7 @@ def test_movement_is_symmetric_under_board_mirroring(p, os):
     assert type_based_moves(mirrored_piece, mirrored_os) == expected
 
 
-def _walk(square, dx, dy, limit):
+def _walk(square, dx, dy, limit=7):
     """Square indices from `square` stepping (dx, dy), by coordinates."""
     out = []
     x, y = square.x + dx, square.y + dy
@@ -304,16 +307,41 @@ def _walk(square, dx, dy, limit):
     return out
 
 
+def _bits(squares):
+    return sum(1 << t for t in squares)
+
+
 def test_the_step_and_ray_tables_match_a_coordinate_walk():
     assert len(SQUARES) == 64
     for s, square in enumerate(SQUARES):
         assert square_index(square) == square_at(square.x, square.y) == s
         assert coordinate_factory(square.x, square.y) is square
-        for (step, edge), (dx, dy) in zip(RAYS, ALL_DIRECTIONS, strict=True):
-            ray = range(s + step, s + step * (edge[s] + 1), step)
-            assert list(ray) == _walk(square, dx, dy, 7)
-        jumps = [t for dx, dy in KNIGHT_OFFSETS for t in _walk(square, dx, dy, 1)]
-        assert sorted(KNIGHT_TARGETS[s]) == sorted(jumps)
-    for colour, dy in ((W, 1), (B, -1)):
-        steps = sorted(step for step, _ in PAWN_CAPTURE_RAYS[colour])
-        assert steps == sorted(dx + 8 * dy for dx in (-1, 1))
+        walks = {(dx, dy): _walk(square, dx, dy) for dx, dy in ALL_DIRECTIONS}
+        assert _rays(s) == [_bits(walks[d]) for d in ALL_DIRECTIONS]
+
+        def steps(offsets):
+            return _bits(t for dx, dy in offsets for t in _walk(square, dx, dy, 1))
+
+        # a white pawn attacks s from the diagonals below it, a black one from above
+        below = [(dx, -1) for dx in (-1, 1)]
+        above = [(dx, 1) for dx in (-1, 1)]
+        assert _STEPS[s] == (
+            steps(KNIGHT_OFFSETS), steps(ALL_DIRECTIONS), steps(below), steps(above),
+            _bits(t for d in ORTHOGONAL_DIRECTIONS for t in walks[d]),
+            _bits(t for d in DIAGONAL_DIRECTIONS for t in walks[d]),
+        )
+        between = [0] * 64
+        for walk in walks.values():
+            for n, t in enumerate(walk):
+                between[t] = _bits(walk[:n])
+        assert _BETWEEN[s] == tuple(between)
+        # each slider's lines run through s, the upward ray first
+        rook = [((0, 1), (0, -1)), ((1, 0), (-1, 0))]
+        bishop = [((1, 1), (-1, -1)), ((-1, 1), (1, -1))]
+        for field, pairs in enumerate((rook, bishop, rook + bishop)):
+            lines = [
+                (_bits(walks[up] + walks[down]), _bits(walks[down]), _bits(walks[up]))
+                for up, down in pairs
+            ]
+            reach = _bits(t for up, down in pairs for t in walks[up] + walks[down])
+            assert _SLIDES[s][field] == (reach, lines, (s << 2 | field) << 64)

@@ -93,7 +93,7 @@ MUTANTS = [
      "_PAWN_FIELD = {Colour.WHITE: 3, Colour.BLACK: 2}"),
     # the per-square masks and the slide
     ("between-entry-one-square-short", "pieces.py",
-     "_mask(range(s + step, s + n * step, step))", "_mask(range(s + 2 * step, s + n * step, step))"),
+     "between[t] = _mask(walk[:n])", "between[t] = _mask(walk[1:n])"),
     ("slide-stops-short-of-the-blocker-above", "pieces.py",
      "((above & -above) * 2 - (1 << below.bit_length() - 1))",
      "((above & -above) - (1 << below.bit_length() - 1))"),
@@ -104,16 +104,16 @@ MUTANTS = [
      "_NOT_H_FILE = _A_FILE * 127", "_NOT_H_FILE = _A_FILE * 255"),
     ("memo-key-misses-a-ray", "board.py",
      "slides[occupied & reach | key]", "slides[occupied & (reach ^ lines[0][2]) | key]"),
-    # the geometry tables
+    # the one walker the geometry is built from
     ("rays-capped-at-6-steps", "pieces.py",
-     "min(7 - x if dx > 0 else x if dx else 7,",
-     "min(6, 7 - x if dx > 0 else x if dx else 7,"),
+     "while 0 <= x < 8 and 0 <= y < 8:", "while len(walk) < 6 and 0 <= x < 8 and 0 <= y < 8:"),
+    ("walk-stops-short-of-the-a-file", "pieces.py",
+     "while 0 <= x < 8 and 0 <= y < 8:", "while 0 < x < 8 and 0 <= y < 8:"),
     ("knight-offset-dropped", "pieces.py",
      "(1, 2), (-1, 2), (1, -2), (-1, -2), (2, 1), (-2, 1), (2, -1), (-2, -1),",
      "(1, 2), (-1, 2), (1, -2), (-1, -2), (2, 1), (-2, 1), (2, -1),"),
     ("pawn-capture-rays-of-the-wrong-colour", "pieces.py",
-     "for colour, forward in ((Colour.WHITE, 1), (Colour.BLACK, -1))",
-     "for colour, forward in ((Colour.WHITE, -1), (Colour.BLACK, 1))"),
+     "for forward in (-1, 1)", "for forward in (1, -1)"),
     # the obstacle API's geometry
     ("pawn-pushes-onto-a-held-square", "pieces.py",
      "return ahead & ~occupied | captures", "return ahead | captures"),
@@ -183,7 +183,16 @@ MUTANTS = [
     ("en-passant-victim-stays-in-the-piece-set", "board.py",
      "gone.add(occ[s])", "gone.add(occ[s] if len(changes) == 2 else None)"),
     ("move-other-pre-condition-dropped", "board.py",
-     "if _changes(_context(board, mov.from_.colour).occ, mov):", "if False:"),
+     "if _changes(_held(board, mov.from_)[0].occ, mov):", "if False:"),
+    ("move-other-holder-check-dropped", "board.py",
+     "if _changes(_held(board, mov.from_)[0].occ, mov):",
+     "if _changes(_context(board, mov.from_.colour).occ, mov):"),
+    ("move-castling-holder-check-dropped", "board.py",
+     "occ = _held(board, mov.from_)[0].occ\n    changes = _changes(occ, mov)\n    rook",
+     "occ = _context(board, mov.from_.colour).occ\n    changes = _changes(occ, mov)\n    rook"),
+    ("move-en-passant-holder-check-dropped", "board.py",
+     "occ = _held(board, mov.from_)[0].occ\n    changes = _changes(occ, mov)\n    victim",
+     "occ = _context(board, mov.from_.colour).occ\n    changes = _changes(occ, mov)\n    victim"),
     ("move-castling-pre-condition-dropped", "board.py",
      "if rook is None or rook.type is not ROOK or rook.colour is not mov.from_.colour:",
      "if False:"),
@@ -191,7 +200,14 @@ MUTANTS = [
      "if rook is None or rook.type is not ROOK or rook.colour is not mov.from_.colour:",
      "if rook is None or rook.type is not ROOK:"),
     ("move-en-passant-pre-condition-dropped", "board.py",
-     "if len(changes) != 1 or occ[changes[0][0]] is None:", "if False:"),
+     "if victim is None or victim.type is not PAWN or victim.colour is mov.from_.colour:",
+     "if False:"),
+    ("move-en-passant-victim-colour-unchecked", "board.py",
+     "if victim is None or victim.type is not PAWN or victim.colour is mov.from_.colour:",
+     "if victim is None or victim.type is not PAWN:"),
+    ("move-en-passant-victim-type-unchecked", "board.py",
+     "if victim is None or victim.type is not PAWN or victim.colour is mov.from_.colour:",
+     "if victim is None or victim.colour is mov.from_.colour:"),
     # perft's square-map recursion, its counted last ply and the root maps _divide hands on
     ("promotion-counted-once", "board.py",
      "total += 3 * (((one | left) & last).bit_count() + (right & last).bit_count())",
@@ -209,15 +225,23 @@ MUTANTS = [
     ("key-keeps-the-captured-piece", "board.py",
      "        key ^= _ZOBRIST[dead.colour, dead.type][t]", "        pass"),
     ("key-without-the-rights-term", "board.py",
-     'key ^= _ZOBRIST["rights"][rights] ^ _ZOBRIST["rights"][rights & kept]', "pass"),
+     "key ^= (rights & ~kept) << 128", "pass"),
+    ("key-rights-field-xored-with-the-kept-rights", "board.py",
+     "key ^= (rights & ~kept) << 128", "key ^= (rights & kept) << 128"),
+    ("key-from-scratch-without-the-rights-field", "board.py",
+     "    key = rights << 128", "    key = 0"),
+    ("key-en-passant-field-never-set", "board.py",
+     "max(targets.values(), default=0) << 132", "0"),
+    ("key-en-passant-field-over-the-rights", "board.py",
+     "max(targets.values(), default=0) << 132", "max(targets.values(), default=0) << 128"),
     ("key-without-the-en-passant-term", "board.py",
      "        key ^= passant", "        pass"),
     ("key-without-the-castled-rook", "board.py",
      "            key ^= _ZOBRIST[holder.colour, holder.type][s]", "            pass"),
     ("key-keeps-the-node's-en-passant-term", "board.py",
-     "        key ^= _passant_key(context.passant, context.boards[_SIDE[colour]])", "        pass"),
+     "        key &= _LESS_PASSANT", "        pass"),
     ("count-table-keyed-without-the-depth", "board.py",
-     "salt = depth - 1 << 128 if", "salt = 1 << 128 if"),
+     "salt = depth - 1 << 138 if", "salt = 1 << 138 if"),
     ("deep-perft-ends-in-a-traceback", "cli.py",
      "    except RecursionError:", "    except ZeroDivisionError:"),
     # the terminal test
@@ -245,9 +269,11 @@ MUTANTS = [
      "return self._hash == other._hash and self.from_ == other.from_ and self.to_ == other.to_",
      "return self._hash == other._hash"),
     ("gate-holder-check-dropped", "board.py",
-     "if holder is not mover and holder != mover:", "if False:"),
+     "if holder is not piece and holder != piece:", "if False:"),
     ("gate-holder-compared-by-identity-only", "board.py",
-     "if holder is not mover and holder != mover:", "if holder is not mover:"),
+     "if holder is not piece and holder != piece:", "if holder is not piece:"),
+    ("held-piece-type-unchecked", "board.py",
+     "if piece_type is not None and piece.type is not piece_type:", "if False:"),
 ]
 
 
