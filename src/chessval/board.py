@@ -8,6 +8,8 @@ move never mutates anything; it builds a new Board value.
 A Board also carries a derived legality context, filled on first use and
 shared by every query on it; equality, hashing, repr and pickles ignore it,
 and filling it is idempotent, so boards stay safe to share across threads.
+A board built by a move inherits its parent's square map, and derives its
+piece set from it only on first read: the rules read the square map.
 The generated moves are interned (_MOVES) and hold interned pieces, so the
 move() gate, which finds the mover on the context's occupancy and the move
 in its piece's list, mostly decides by identity.
@@ -133,7 +135,9 @@ History = tuple[Move, ...]
 @dataclass(frozen=True)
 class Board:
     """An immutable board: the pieces on it plus the moves that led there,
-    most recent move first."""
+    most recent move first.  A board _apply built derives the piece set
+    from its occupancy on first read (__getattr__) and keeps it; equality,
+    hashing, repr, pickles and dataclasses.replace all read the field."""
 
     board_state: BoardState
     history: History = ()
@@ -141,6 +145,13 @@ class Board:
 
     def __getstate__(self):
         return {"board_state": self.board_state, "history": self.history}
+
+    def __getattr__(self, name):  # only a board _apply built lacks its piece set
+        if name != "board_state":
+            raise AttributeError(name)
+        state = frozenset(p for p in self._contexts[None][0] if p is not None)
+        object.__setattr__(self, "board_state", state)
+        return state
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "board_state", frozenset(self.board_state))
@@ -673,11 +684,14 @@ def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:
 
 
 def has_legal_move(board: Board, colour: Colour) -> bool:
-    """Whether the side has any legal move: its pieces are counted a type at
-    a time, pawns first and the king last, up to the first type that has
-    one, which matters when every played move must test the opponent for
-    mate or stalemate."""
-    context = _context(board, colour)
+    """Whether the side has any legal move, asked of the opponent after every
+    played move.  Out of check an unpinned pawn's push onto an empty square
+    cannot expose its king: that one mask answers first.  Otherwise the
+    pieces are counted a type at a time, pawns first, up to one that moves."""
+    context, (pl, pr) = _context(board, colour), _PAWN_SHIFTS[colour][0]
+    pawns = context.boards[_SIDE[colour]] & ~_mask(context.pins)
+    if not context.checked and pawns << pl >> pr & FULL & ~context.occupied:
+        return True
     for pieces in context.boards[_SIDE[colour]:_SIDE[colour] + 6]:
         if _legal_for_piece(context, pieces, True):
             return True
@@ -715,22 +729,15 @@ def move(board: Board, mov: Move) -> Board:
 
 def _apply(board: Board, mov: Move) -> Board:
     """The board after an already-validated move, built without Board's
-    checks: a move on a valid board cannot break them.  The one _changes
-    result gives the child's piece set, history and square map, which it
-    inherits from its parent's (_child_map)."""
+    checks: a move on a valid board cannot break them.  It holds the
+    history and the square map, patched from its parent's by the one
+    _changes result (_child_map); its piece set is left out, for Board to
+    derive from the occupancy on first read."""
     square_map = board._contexts[None]
-    occ = square_map[0]
-    changes = _changes(occ, mov)
-    target = mov.to_.square
-    gone, arrived = {occ[target.x + 8 * target.y - 9], mov.from_}, {mov.to_}
-    for s, holder in changes:
-        gone.add(occ[s])
-        if holder is not None:
-            arrived.add(holder)
+    child = _child_map(square_map, mov, _changes(square_map[0], mov))
     after = object.__new__(Board)
-    object.__setattr__(after, "board_state", (board.board_state - gone) | arrived)
     object.__setattr__(after, "history", (mov,) + board.history)
-    object.__setattr__(after, "_contexts", {None: _child_map(square_map, mov, changes)})
+    object.__setattr__(after, "_contexts", {None: child})
     return after
 
 

@@ -283,9 +283,11 @@ def possible_move_direction(
     """The single square one step from p along `direction`.
 
     None when the step leaves the board or lands on a friendly piece; an
-    enemy-held square is returned, since stepping there is a capture.  Two
-    obstacles on one square raise ValueError.
+    enemy-held square is returned, since stepping there is a capture.  The
+    direction (0, 0) and two obstacles on one square raise ValueError.
     """
+    if direction == (0, 0):
+        raise ValueError("ray direction must be non-zero")
     occ = _occupancy(obstacles)
     target = coordinate_factory(p.square.x + direction[0], p.square.y + direction[1])
     holder = None if target is None else occ[square_index(target)]

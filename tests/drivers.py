@@ -62,20 +62,22 @@ def check_game_invariants(seed: int, max_plies: int = 200) -> int:
         game, winner = game_move(game, rng.choice(options))
         plies += 1
         state = game.board.board_state
-        squares = [(p.square.x, p.square.y) for p in state]
-        assert len(set(squares)) == len(squares), "two pieces share a square"
+        # one pass over the pieces for the four piece-set invariants
+        squares, kings, pawns, pawn_ranks = set(), [], [], set()
+        for p in state:
+            squares.add((p.square.x, p.square.y))
+            if p.type is PieceType.KING:
+                kings.append(p.colour)
+            elif p.type is PieceType.PAWN:
+                pawns.append(p.colour)
+                pawn_ranks.add(p.square.y)
+        assert len(squares) == len(state), "two pieces share a square"
         for colour in Colour:
-            kings = sum(
-                1 for p in state if p.type is PieceType.KING and p.colour is colour
-            )
-            assert kings == 1, f"{colour.value} has {kings} kings"
-            pawns = sum(
-                1 for p in state if p.type is PieceType.PAWN and p.colour is colour
-            )
-            assert pawns <= 8, f"{colour.value} has {pawns} pawns"
-        assert not any(
-            p.type is PieceType.PAWN and p.square.y in (1, 8) for p in state
-        ), "pawn on a terminal rank"
+            count = kings.count(colour)
+            assert count == 1, f"{colour.value} has {count} kings"
+            count = pawns.count(colour)
+            assert count <= 8, f"{colour.value} has {count} pawns"
+        assert not pawn_ranks & {1, 8}, "pawn on a terminal rank"
         assert len(game.board.history) == history_before + 1, "history must grow"
         assert not in_check(state, mover), "mover left itself in check"
     return plies

@@ -1,4 +1,10 @@
-"""Board fixtures: special moves, check, legality filtering, application."""
+"""Board fixtures: special moves, check, legality filtering, application,
+the terminal test and the piece set an applied board derives."""
+
+import pickle
+from copy import deepcopy
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +19,7 @@ from chessval.board import (
     castling_possible,
     default_board,
     en_passant,
+    has_legal_move,
     in_check,
     iss_castling,
     iss_en_passant,
@@ -28,9 +35,12 @@ from chessval.board import (
     stateful_impossible_moves,
     stateful_possible_moves,
 )
+from chessval.cli import _coordinate_text
 from chessval.fen import parse_fen
+from chessval.pgn import parse_pgn, replay
 from chessval.pieces import Colour, Coordinate, Piece, PieceType, opposite_colour
 
+from drivers import play_random_game
 from positions import KIWIPETE, POSITION_3, POSITION_4, POSITION_4_MIRROR, POSITION_5
 
 W, B = Colour.WHITE, Colour.BLACK
@@ -816,3 +826,144 @@ def test_legal_moves_round_trip_through_the_gate(state, colour):
         delta = len(board.board_state) - len(after.board_state)
         assert delta == (1 if captured else 0)
         assert not in_check(after.board_state, colour)
+
+
+# --- the terminal test and the derived piece set -----------------------------
+
+
+@given(states_with_kings())
+def test_the_terminal_test_agrees_with_the_legal_moves_on_sparse_boards(state):
+    board = Board(state, ())
+    for colour in (W, B):
+        assert has_legal_move(board, colour) == bool(legal_moves(board, colour))
+
+
+def _seeded_boards(seeds):
+    """Every board along seeded random games, as move() builds them."""
+    for seed in seeds:
+        board = default_board()
+        for m in play_random_game(seed)[0]:
+            board = move(board, m)
+            yield board
+
+
+def test_the_terminal_test_agrees_with_the_legal_moves_along_games_and_perft_positions():
+    boards = [default_board(), *_seeded_boards(range(4))]
+    for fen in (KIWIPETE, POSITION_3, POSITION_4, POSITION_4_MIRROR, POSITION_5):
+        game = parse_fen(fen)
+        boards += [game.board] + [move(game.board, m) for m in legal_moves(game.board, game.turn)]
+    for board in boards:
+        for colour in (W, B):
+            assert has_legal_move(board, colour) == bool(legal_moves(board, colour)), board
+
+
+def _free_pushes(board, colour):
+    """The side's pawns whose square ahead is on the board and empty,
+    pinned or not."""
+    held, ahead = {p.square for p in board.board_state}, 1 if colour is W else -1
+    return {
+        p for p in board.board_state
+        if p.type is PAWN and p.colour is colour and 1 <= p.square.y + ahead <= 8
+        and C(p.square.x, p.square.y + ahead) not in held
+    }
+
+
+# White to move in each: (the FEN, a piece no FEN may hold or None, white's
+# legal moves in coordinate notation or None for "at least one", whether a
+# white pawn has an empty square ahead).
+_TERMINAL_CASES = {
+    # fool's mate: mated, with pushes to spare
+    "mate-with-free-pushes": (
+        "rnb1kbnr/pppp1ppp/8/4p3/6Pq/5P2/PPPPP2P/RNBQKBNR w KQkq - 1 3", None, set(), True,
+    ),
+    # the h8 bishop checks along the long diagonal; only c2-c3 blocks it
+    "check-blocked-by-a-push": ("4k2b/8/8/8/8/8/P1P5/KB6 w - - 0 1", None, {"c2c3"}, True),
+    # the e4 rook pins the e2 pawn along its file, which its push stays on
+    "only-a-file-pinned-push": ("3r1r1k/8/8/8/4r3/8/4P3/4K3 w - - 0 1", None, {"e2e3"}, True),
+    # the a5 bishop pins the d2 pawn off its file: stalemate
+    "stalemate-with-a-diagonally-pinned-pawn": (
+        "7k/8/8/b7/8/4n3/3P3r/4K3 w - - 0 1", None, set(), True,
+    ),
+    # the b3 pawn is blocked, with the square behind it empty: stalemate
+    "stalemate-with-a-blocked-pawn": ("8/8/8/8/1p6/1P4p1/5k2/7K w - - 0 1", None, set(), False),
+    # a pawn on its last rank has no square ahead: still stalemate
+    "stalemate-with-a-pawn-on-its-last-rank": (
+        "8/8/8/8/1p6/1P4p1/5k2/7K w - - 0 1", P(PAWN, 1, 8), set(), False,
+    ),
+    # a blocked pawn, and a knight that moves
+    "a-blocked-pawn-and-a-knight": ("8/8/8/8/1p6/1P4p1/5k2/N6K w - - 0 1", None, None, False),
+}
+
+
+def _fen_board(fen, extra):
+    state = parse_fen(fen).board.board_state
+    return Board(state if extra is None else state | {extra})
+
+
+@pytest.mark.parametrize("name", _TERMINAL_CASES)
+def test_the_terminal_test_at_the_limits_of_its_pawn_push_mask(name):
+    fen, extra, expected, pushes = _TERMINAL_CASES[name]
+    board = _fen_board(fen, extra)
+    assert bool(_free_pushes(board, W)) == pushes
+    moves = legal_moves(board, W)
+    if expected is not None:
+        assert set(map(_coordinate_text, moves)) == expected
+    else:
+        assert moves
+    assert has_legal_move(_fen_board(fen, extra), W) == bool(moves)
+
+
+def _fold(held, m):
+    """Play a move from a game's start on a square -> piece dict, from the
+    move alone: a castling's rook and an en-passant victim included."""
+    origin, target = m.from_.square, m.to_.square
+    del held[origin]
+    if m.from_.type is KING and abs(target.x - origin.x) == 2:
+        rook = held.pop(C(8 if target.x == 7 else 1, origin.y))
+        crossed = C((origin.x + target.x) // 2, origin.y)
+        held[crossed] = Piece(ROOK, crossed, rook.colour)
+    elif m.from_.type is PAWN and target.x != origin.x and target not in held:
+        del held[C(target.x, origin.y)]
+    held[target] = m.to_
+
+
+def _corpus_moves(games):
+    """The moves of the corpus's first games."""
+    text = (Path(__file__).parent / "data" / "corpus.pgn").read_text()
+    return [[mov for mov, *_ in replay(game.tokens)] for game in parse_pgn(text)[:games]]
+
+
+def test_an_applied_board_derives_its_piece_set_on_first_read_as_the_value_it_was():
+    games = [play_random_game(seed)[0] for seed in range(2)] + _corpus_moves(3)
+    for moves in games:
+        board = default_board()
+        held = {p.square: p for p in board.board_state}
+        for m in moves:
+            child = move(board, m)
+            assert "board_state" not in vars(child)  # derived, not built eagerly
+            state = child.board_state
+            assert "board_state" in vars(child)  # and kept
+            _fold(held, m)
+            assert state == frozenset(held.values())
+            fresh = Board(state, child.history)
+            # each reader, on a board whose piece set nothing read yet
+            for reads in (
+                lambda b: b == fresh and fresh == b,
+                lambda b: hash(b) == hash(fresh),
+                lambda b: repr(b) == repr(fresh),
+                lambda b: pickle.loads(pickle.dumps(b)) == fresh,
+                lambda b: replace(b) == fresh,
+            ):
+                unread = move(board, m)
+                assert "board_state" not in vars(unread)
+                assert reads(unread), m
+            board = child
+
+
+def test_an_applied_board_derives_no_attribute_but_its_piece_set():
+    child = move(default_board(), M(P(PAWN, 5, 2), 5, 4))
+    for name in ("history_", "__deepcopy__", "_boards"):  # copy.deepcopy asks for __deepcopy__
+        with pytest.raises(AttributeError):
+            getattr(child, name)
+    assert "board_state" not in vars(child)
+    assert deepcopy(child) == child

@@ -134,6 +134,16 @@ def test_ray_rejects_zero_direction():
         possible_moves_direction(rook, frozenset(), (0, 0))
 
 
+@pytest.mark.parametrize("others", [frozenset(), obstacles((5, 5, B))])
+def test_single_step_rejects_zero_direction_as_the_ray_does(others):
+    # the step once returned the piece's own square for (0, 0)
+    knight = piece(PieceType.KNIGHT, 2, 1)
+    with pytest.raises(ValueError, match="ray direction must be non-zero"):
+        possible_move_direction(knight, others, (0, 0))
+    with pytest.raises(ValueError, match="ray direction must be non-zero"):
+        possible_moves_direction(knight, others, (0, 0))
+
+
 def test_ray_rejects_two_obstacles_on_one_square():
     # which of them stops the ray would otherwise depend on the set's order
     rook = piece(PieceType.ROOK, 1, 1)

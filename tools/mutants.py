@@ -177,11 +177,12 @@ MUTANTS = [
     ("en-passant-probe-reads-the-parent-occupancy", "board.py",
      "if king is None or not _square_attacked(probe, sum(after), king):",
      "if king is None or not _square_attacked(attackers, occupied, king):"),
-    # the one applier's piece set, and the named rules' pre-conditions
+    # the occupancy an applied board derives its piece set from, and the
+    # named rules' pre-conditions
     ("castled-rook-never-joins-the-piece-set", "board.py",
-     "arrived.add(holder)", "arrived.add(mov.to_)"),
+     "        occ[s] = holder", "        occ[s] = None"),
     ("en-passant-victim-stays-in-the-piece-set", "board.py",
-     "gone.add(occ[s])", "gone.add(occ[s] if len(changes) == 2 else None)"),
+     "        occ[s] = holder", "        occ[s] = holder if len(changes) == 2 else occ[s]"),
     ("move-other-pre-condition-dropped", "board.py",
      "if _changes(_held(board, mov.from_)[0].occ, mov):", "if False:"),
     ("move-other-holder-check-dropped", "board.py",
@@ -247,6 +248,29 @@ MUTANTS = [
     # the terminal test
     ("terminal-test-skips-the-king", "board.py",
      "context.boards[_SIDE[colour]:_SIDE[colour] + 6]", "context.boards[_SIDE[colour]:_SIDE[colour] + 5]"),
+    # its pawn-push mask
+    ("push-mask-tried-in-check", "board.py",
+     "if not context.checked and pawns << pl", "if pawns << pl"),
+    ("push-mask-keeps-pinned-pawns", "board.py",
+     "pawns = context.boards[_SIDE[colour]] & ~_mask(context.pins)", "pawns = context.boards[_SIDE[colour]]"),
+    ("push-mask-of-the-wrong-colour", "board.py",
+     "_context(board, colour), _PAWN_SHIFTS[colour][0]",
+     "_context(board, colour), _PAWN_SHIFTS[opposite_colour(colour)][0]"),
+    ("push-mask-off-the-board", "board.py",
+     "pawns << pl >> pr & FULL & ~context.occupied:", "pawns << pl >> pr & ~context.occupied:"),
+    ("push-mask-onto-held-squares", "board.py",
+     "pawns << pl >> pr & FULL & ~context.occupied:", "pawns << pl >> pr & FULL:"),
+    # the piece set an applied board derives on first read
+    ("derived-set-keeps-empty-squares", "board.py",
+     "frozenset(p for p in self._contexts[None][0] if p is not None)",
+     "frozenset(self._contexts[None][0])"),
+    ("derived-set-not-kept", "board.py",
+     '        object.__setattr__(self, "board_state", state)', "        pass"),
+    ("every-missing-attribute-derives-the-set", "board.py",
+     'if name != "board_state":', "if False:"),
+    ("applier-builds-the-set-eagerly", "board.py",
+     '    object.__setattr__(after, "history", (mov,) + board.history)',
+     '    object.__setattr__(after, "history", (mov,) + board.history); after.board_state'),
     # SAN resolution
     ("plain-king-token-matches-a-castling", "pgn.py",
      "or iss_castling(game.board, m) is castle)", "or not castle or iss_castling(game.board, m))"),
