@@ -5,11 +5,11 @@ first).  The history is the only record of the past: castling rights and
 en-passant windows are derived from it rather than stored.  Applying a
 move never mutates anything; it builds a new Board value.
 
-A Board also carries a derived legality context, filled on first use and
-shared by every query on it; equality, hashing, repr and pickles ignore it,
-and filling it is idempotent, so boards stay safe to share across threads.
-A board built by a move inherits its parent's square map, and derives its
-piece set from it only on first read: the rules read the square map.
+A Board also carries derived legality contexts, which equality, hashing,
+repr and pickles ignore.  Its square map holds from birth: the constructor
+builds it, and a board a move builds inherits its parent's, patched, and
+derives its piece set from it only on first read.  The per-side contexts
+are filled on first use, idempotently, so boards stay safe to share.
 The generated moves are interned (_MOVES) and hold interned pieces, so the
 move() gate, which finds the mover on the context's occupancy and the move
 in its piece's list, mostly decides by identity.
@@ -135,16 +135,18 @@ History = tuple[Move, ...]
 @dataclass(frozen=True)
 class Board:
     """An immutable board: the pieces on it plus the moves that led there,
-    most recent move first.  A board _apply built derives the piece set
-    from its occupancy on first read (__getattr__) and keeps it; equality,
-    hashing, repr, pickles and dataclasses.replace all read the field."""
+    most recent move first.  Its square map (_contexts[None]) holds from
+    birth: the constructor builds it and checks it; _apply patches the
+    parent's and leaves the piece set for __getattr__ to derive on first
+    read and keep.  Equality, hashing, repr, pickles, copies and
+    dataclasses.replace read the field; pickles and copies construct."""
 
     board_state: BoardState
     history: History = ()
-    _contexts: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
+    _contexts: dict = field(init=False, compare=False, repr=False)
 
-    def __getstate__(self):
-        return {"board_state": self.board_state, "history": self.history}
+    def __reduce__(self):  # as Move's: an unpickled board builds its square map
+        return Board, (self.board_state, self.history)
 
     def __getattr__(self, name):  # only a board _apply built lacks its piece set
         if name != "board_state":
@@ -154,18 +156,20 @@ class Board:
         return state
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "board_state", frozenset(self.board_state))
-        object.__setattr__(self, "history", tuple(self.history))
-        if not self.board_state:
+        state, history = frozenset(self.board_state), tuple(self.history)
+        object.__setattr__(self, "board_state", state)
+        object.__setattr__(self, "history", history)
+        if not state:
             raise ValueError("a board must hold at least one piece")
-        _occupancy(self.board_state)  # raises if two pieces share a square
+        occ = _occupancy(state)  # raises if two pieces share a square
+        boards, rights = _boards(state), 15
         for colour in Colour:
-            kings = [
-                p for p in self.board_state
-                if p.type is KING and p.colour is colour
-            ]
-            if len(kings) > 1:
+            kings = boards[_SIDE[colour] + 5]
+            if kings & (kings - 1):
                 raise ValueError(f"more than one {colour.value} king")
+        for m in history:
+            rights &= _RIGHTS_KEPT[square_index(m.from_.square)] & _RIGHTS_KEPT[square_index(m.to_.square)]
+        object.__setattr__(self, "_contexts", {None: (occ, boards, rights)})
 
 
 _BACK_RANK = (ROOK, KNIGHT, BISHOP, QUEEN, KING, BISHOP, KNIGHT, ROOK)
@@ -457,20 +461,11 @@ def _context(board: Board, colour: Colour) -> _Context:
     perft's slider memo (None on a board).  The occupancy (a 64-slot list
     indexed (x - 1) + 8 * (y - 1)) and the bitboards are the one square map
     of the position: both sides share it, the geometry, the applier and SAN
-    read the occupancy, and the legality masks the bitboards.  It is kept
-    under key None with a 4-bit castling-rights mask; a board _apply builds
-    inherits all three (_child_map), and only other boards build them from
-    the pieces and the history.  Other modules read the fields by name;
-    only this one knows their order."""
+    read the occupancy, and the legality masks the bitboards.  Every board
+    holds it, with a 4-bit castling-rights mask, under key None from birth
+    (Board, _apply); this only adds the side's part.  Other modules read
+    the fields by name; only this one knows their order."""
     contexts = board._contexts
-    if contexts is None:
-        rights = 15
-        for m in board.history:
-            rights &= _RIGHTS_KEPT[square_index(m.from_.square)]
-            rights &= _RIGHTS_KEPT[square_index(m.to_.square)]
-        state = board.board_state
-        contexts = {None: (_occupancy(state), _boards(state), rights)}
-        object.__setattr__(board, "_contexts", contexts)
     if colour not in contexts:
         last = board.history[0] if board.history else None
         contexts[colour] = _side_context(contexts[None], last, colour, None)
@@ -582,7 +577,7 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
     passant, which also removes the captured pawn, is probed on the square
     map the applier's patch leaves (_changes, _child_map).  A missing king
     is never attacked."""
-    (occ, boards, rights, colour, us, occupied, attackers, king, checked, pins, evasions, moves,
+    (occ, boards, rights, colour, us, occupied, attackers, king, _, pins, evasions, moves,
      passant, slides) = context
     own = _SIDE[colour]
     allowed = evasions & ~us
@@ -655,10 +650,7 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
         s = kings.bit_length() - 1
         targets = _STEPS[s][1] & ~us
         if king is not None:
-            # Out of check no enemy ray reaches the king's square, so the king
-            # shields nothing and is lifted off for the probes only in check.
-            probed = occupied ^ kings if checked else occupied
-            steps = targets
+            probed, steps = occupied ^ kings, targets
             while steps:
                 t = steps.bit_length() - 1
                 steps ^= 1 << t
@@ -686,16 +678,14 @@ def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:
 def has_legal_move(board: Board, colour: Colour) -> bool:
     """Whether the side has any legal move, asked of the opponent after every
     played move.  Out of check an unpinned pawn's push onto an empty square
-    cannot expose its king: that one mask answers first.  Otherwise the
-    pieces are counted a type at a time, pawns first, up to one that moves."""
+    cannot expose its king: that one mask answers first.  Otherwise one count
+    walk over all but the king, then the king's (steps and castling)."""
     context, (pl, pr) = _context(board, colour), _PAWN_SHIFTS[colour][0]
     pawns = context.boards[_SIDE[colour]] & ~_mask(context.pins)
     if not context.checked and pawns << pl >> pr & FULL & ~context.occupied:
         return True
-    for pieces in context.boards[_SIDE[colour]:_SIDE[colour] + 6]:
-        if _legal_for_piece(context, pieces, True):
-            return True
-    return False
+    kings = context.boards[_SIDE[colour] + 5]
+    return bool(_legal_for_piece(context, FULL ^ kings, True) or _legal_for_piece(context, kings, True))
 
 
 # --- move application -------------------------------------------------------
@@ -729,8 +719,8 @@ def move(board: Board, mov: Move) -> Board:
 
 def _apply(board: Board, mov: Move) -> Board:
     """The board after an already-validated move, built without Board's
-    checks: a move on a valid board cannot break them.  It holds the
-    history and the square map, patched from its parent's by the one
+    constructor: a move on a valid board cannot break its checks.  It
+    holds the history and the parent's square map patched by the one
     _changes result (_child_map); its piece set is left out, for Board to
     derive from the occupancy on first read."""
     square_map = board._contexts[None]

@@ -277,45 +277,39 @@ _PAWN_FIELD = {Colour.WHITE: 2, Colour.BLACK: 3}
 _SLIDE_FIELD = {PieceType.ROOK: 0, PieceType.BISHOP: 1, PieceType.QUEEN: 2}
 
 
+def _ray(p: Piece, obstacles: ObstacleSet, direction: Direction) -> list[Coordinate]:
+    """The squares along the ray from p in `direction`, nearest first, up
+    to the board edge (_walk), a friendly piece (excluded) or the first
+    enemy piece (a capture, included).  The direction (0, 0) and two
+    obstacles on one square raise ValueError."""
+    if direction == (0, 0):
+        raise ValueError("ray direction must be non-zero")
+    occ, ray = _occupancy(obstacles), []
+    for t in _walk(square_index(p.square), direction):
+        holder = occ[t]
+        if holder is None or holder.colour is not p.colour:
+            ray.append(SQUARES[t])
+        if holder is not None:
+            break
+    return ray
+
+
 def possible_move_direction(
     p: Piece, obstacles: ObstacleSet, direction: Direction
 ) -> Optional[Coordinate]:
-    """The single square one step from p along `direction`.
-
-    None when the step leaves the board or lands on a friendly piece; an
-    enemy-held square is returned, since stepping there is a capture.  The
-    direction (0, 0) and two obstacles on one square raise ValueError.
-    """
-    if direction == (0, 0):
-        raise ValueError("ray direction must be non-zero")
-    occ = _occupancy(obstacles)
-    target = coordinate_factory(p.square.x + direction[0], p.square.y + direction[1])
-    holder = None if target is None else occ[square_index(target)]
-    if holder is not None and holder.colour is p.colour:
-        return None
-    return target
+    """The single square one step from p along `direction`: the ray's
+    nearest square (_ray).  None when the step leaves the board or lands on
+    a friendly piece; an enemy-held square is returned, since stepping
+    there is a capture."""
+    ray = _ray(p, obstacles, direction)
+    return ray[0] if ray else None
 
 
 def possible_moves_direction(
     p: Piece, obstacles: ObstacleSet, direction: Direction
 ) -> frozenset[Coordinate]:
-    """Every square along the ray from p in `direction`.
-
-    The ray stops at the board edge (_walk), in front of a friendly piece,
-    or on the first enemy piece (a capture square ends the ray and is
-    included).
-    """
-    if direction == (0, 0):
-        raise ValueError("ray direction must be non-zero")
-    occ = _occupancy(obstacles)
-    out = []
-    for t in _walk(square_index(p.square), direction):
-        holder = occ[t]
-        if holder is None or holder.colour is not p.colour:
-            out.append(SQUARES[t])
-        if holder is not None:
-            break
-    return frozenset(out)
+    """Every square along the ray from p in `direction` (_ray)."""
+    return frozenset(_ray(p, obstacles, direction))
 
 
 def type_based_moves(p: Piece, obstacles: ObstacleSet) -> frozenset[Coordinate]:

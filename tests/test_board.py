@@ -1,8 +1,10 @@
 """Board fixtures: special moves, check, legality filtering, application,
-the terminal test and the piece set an applied board derives."""
+the terminal test, the square map every board holds from birth and the
+piece set an applied board derives."""
 
 import pickle
-from copy import deepcopy
+import re
+from copy import copy, deepcopy
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from chessval.board import (
     Board,
     IllegalMoveError,
     Move,
-    _context,
+    _apply,
     attacked_squares,
     board_to_ascii,
     castling_possible,
@@ -103,13 +105,16 @@ def test_move_type_change_needs_a_promoting_pawn():
 
 
 def test_board_rejects_shared_squares():
-    with pytest.raises(ValueError, match="share"):
+    message = re.escape(f"two pieces share a square: {C(1, 1)}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         Board({P(ROOK, 1, 1), P(KNIGHT, 1, 1)})
 
 
 def test_board_rejects_two_kings_of_one_colour():
-    with pytest.raises(ValueError, match="king"):
-        Board({P(KING, 1, 1), P(KING, 3, 3)})
+    for colour in (W, B):
+        kings = {P(KING, 1, 1, colour), P(KING, 8, 8, colour), P(KING, 5, 5, opposite_colour(colour))}
+        with pytest.raises(ValueError, match=f"^more than one {colour.value} king$"):
+            Board(kings)
 
 
 def test_board_rejects_an_empty_state():
@@ -684,9 +689,7 @@ def _named_rule(board, mov):
 def _rebuilt_square_map(board):
     """The square map a board built afresh from the same pieces and history
     computes."""
-    fresh = Board(board.board_state, board.history)
-    _context(fresh, W)
-    return fresh._contexts[None]
+    return Board(board.board_state, board.history)._contexts[None]
 
 
 def test_the_gate_and_the_named_rules_return_boards_whose_square_map_their_pieces_give():
@@ -700,7 +703,6 @@ def test_the_gate_and_the_named_rules_return_boards_whose_square_map_their_piece
                     rule = _named_rule(board, m)
                     rules.add(rule)
                     for after in (move(board, m), rule(board, m)):
-                        _context(after, W)
                         assert after._contexts[None] == _rebuilt_square_map(after), m
     assert rules == {move_other, move_castling, move_en_passant}
 
@@ -967,3 +969,61 @@ def test_an_applied_board_derives_no_attribute_but_its_piece_set():
             getattr(child, name)
     assert "board_state" not in vars(child)
     assert deepcopy(child) == child
+
+
+# Per castling-rights bit (KQkq), the square indices whose leaving or
+# entering ends it.
+_RIGHTS_SQUARES = {1: {4, 7}, 2: {4, 0}, 4: {60, 63}, 8: {60, 56}}
+
+
+def _square_map_from(state, history):
+    """A board's square map worked out here from its pieces and history
+    alone: the occupancy, the bitboards in slot order (white's pawns,
+    knights, bishops, rooks, queens and king, then black's) and the
+    castling rights no recorded move ended."""
+    occ, boards = [None] * 64, [0] * 12
+    for p in state:
+        s = p.square.x - 1 + 8 * (p.square.y - 1)
+        occ[s] = p
+        boards[6 * (p.colour is B) + (PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING).index(p.type)] |= 1 << s
+    touched = {sq.x - 1 + 8 * (sq.y - 1) for m in history for sq in (m.from_.square, m.to_.square)}
+    return occ, boards, sum(bit for bit, squares in _RIGHTS_SQUARES.items() if not touched & squares)
+
+
+# Every way a board comes to exist from another, besides move().
+_REMADE = {
+    "constructor": lambda b: Board(b.board_state, b.history),
+    "replace": replace,
+    "pickle": lambda b: pickle.loads(pickle.dumps(b)),
+    "copy": copy,
+    "deepcopy": deepcopy,
+}
+
+
+def test_every_way_a_board_comes_to_exist_holds_its_square_map_from_birth():
+    def check(board, way):
+        assert set(vars(board)["_contexts"]) == {None}, way  # built at birth, nothing more
+        assert board._contexts[None] == _square_map_from(board.board_state, board.history), way
+
+    fens = (KIWIPETE, POSITION_3, POSITION_4, POSITION_5, "r3k2r/8/8/8/8/8/8/R3K2R w Kq - 0 1")
+    made = [default_board()] + [parse_fen(fen).board for fen in fens]
+    check(made[0], "default_board")
+    for board in made[1:]:
+        check(board, "parse_fen")
+    for seed in range(2):
+        board = default_board()
+        for m in play_random_game(seed)[0]:
+            board = move(board, m)
+            check(board, "move")
+            made.append(board)
+    for board in made:
+        for way, remake in _REMADE.items():
+            check(remake(board), way)
+
+
+def test_a_freshly_constructed_board_that_nothing_queried_can_be_applied_to():
+    for fen in (KIWIPETE, POSITION_3, POSITION_4, POSITION_5):
+        game = parse_fen(fen)
+        for m in legal_moves(game.board, game.turn):
+            fresh = Board(game.board.board_state, game.board.history)
+            assert _apply(fresh, m) == move(game.board, m), m

@@ -162,9 +162,7 @@ def _move_kinds(occ, mov):
 def _rights_from_history(board):
     """The castling-rights mask a board built afresh from the same pieces
     and history computes."""
-    fresh = Board(board.board_state, board.history)
-    _context(fresh, Colour.WHITE)
-    return fresh._contexts[None][2]
+    return Board(board.board_state, board.history)._contexts[None][2]
 
 
 def test_a_child_inherits_the_square_map_its_pieces_give():
@@ -254,7 +252,6 @@ def test_the_incremental_key_equals_the_key_from_scratch(monkeypatch):
     # its corner and double-pushes beside an enemy pawn and beside none
     for fen, nodes in ((POSITION_4, 422333), ("r3k3/8/8/8/1p6/8/P7/4K2R w Kq - 0 1", 71194)):
         game = parse_fen(fen)
-        _context(game.board, game.turn)
         parents[:] = [game.board._contexts[None]]
         assert perft(game.board, game.turn, 4) == nodes
     assert seen >= {
@@ -272,7 +269,6 @@ def _key_after(fen, plies):
     board, colour = game.board, game.turn
 
     def from_scratch():
-        _context(board, colour)
         last = board.history[0] if board.history else None
         return _scratch_key(board._contexts[None], last, colour)
 

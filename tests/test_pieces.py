@@ -157,6 +157,31 @@ def test_single_step_rejects_two_obstacles_on_one_square():
         possible_move_direction(rook, obstacles((1, 2, W), (1, 2, B)), (0, 1))
 
 
+@given(
+    st.frozensets(st.tuples(st.integers(0, 63), st.sampled_from([W, B])), max_size=16),
+    st.sampled_from([W, B]),
+)
+def test_the_step_is_the_ray_s_nearest_square(holders, colour):
+    others = frozenset(Obstacle(SQUARES[s], c) for s, c in holders)
+    shared = len({s for s, _ in holders}) < len(holders)
+    for s in range(64):
+        p = Piece(PieceType.QUEEN, SQUARES[s], colour)
+        for step in (possible_move_direction, possible_moves_direction):
+            with pytest.raises(ValueError, match="ray direction must be non-zero"):
+                step(p, others, (0, 0))
+        for direction in ALL_DIRECTIONS + KNIGHT_OFFSETS:
+            if shared:
+                for step in (possible_move_direction, possible_moves_direction):
+                    with pytest.raises(ValueError, match="share a square"):
+                        step(p, others, direction)
+                continue
+            ray = possible_moves_direction(p, others, direction)
+            nearest = min(
+                ray, key=lambda c: max(abs(c.x - p.square.x), abs(c.y - p.square.y)), default=None
+            )
+            assert possible_move_direction(p, others, direction) == nearest
+
+
 def test_type_based_moves_rejects_two_obstacles_on_one_square():
     rook = piece(PieceType.ROOK, 1, 1)
     with pytest.raises(ValueError, match="share a square"):

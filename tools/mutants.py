@@ -30,6 +30,9 @@ SLOW = (
 
 # (name, module, the line's text, its mutated text)
 MUTANTS = [
+    # the board's checks at birth
+    ("second-king-accepted", "board.py",
+     "if kings & (kings - 1):", "if False:"),
     # the legality filter
     ("evasions-ignored", "board.py",
      "allowed = evasions & ~us", "allowed = FULL & ~us"),
@@ -40,11 +43,7 @@ MUTANTS = [
     ("king-steps-unprobed", "board.py",
      "if _square_attacked(attackers, probed, t):", "if False:"),
     ("king-not-lifted", "board.py",
-     "probed = occupied ^ kings if checked else occupied",
-     "probed = occupied if checked else occupied"),
-    ("king-lifted-only-out-of-check", "board.py",
-     "probed = occupied ^ kings if checked else occupied",
-     "probed = occupied ^ kings if not checked else occupied"),
+     "probed, steps = occupied ^ kings, targets", "probed, steps = occupied, targets"),
     # the special moves' walk, with the king filters cleared
     ("special-moves-filtered-by-the-king", "board.py",
      "_replace(king=None, pins={}, evasions=FULL, moves={})",
@@ -121,6 +120,8 @@ MUTANTS = [
      "ahead = 1 << s + 8 & FULL if", "ahead = 1 << s + 8 if"),
     ("pawn-captures-with-the-wrong-colour's-field", "pieces.py",
      "_STEPS[s][_PAWN_FIELD[opposite_colour(colour)]]", "_STEPS[s][_PAWN_FIELD[colour]]"),
+    ("step-is-the-ray's-last-square", "pieces.py",
+     "return ray[0] if ray else None", "return ray[-1] if ray else None"),
     ("pawn-captures-its-own-side", "pieces.py",
      "& occupied & ~own", "& occupied"),
     ("own-pieces-not-masked-out", "pieces.py",
@@ -161,7 +162,9 @@ MUTANTS = [
      "return occ, boards, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]",
      "return occ, boards, rights & _RIGHTS_KEPT[t]"),
     ("rights-not-read-from-the-history", "board.py",
-     "for m in board.history:", "for m in board.history[:0]:"),
+     "for m in history:", "for m in history[:0]:"),
+    ("birth-map-keeps-every-right", "board.py",
+     '"_contexts", {None: (occ, boards, rights)}', '"_contexts", {None: (occ, boards, 15)}'),
     ("castling-without-the-rights-test", "board.py",
      "            rights & bit\n", "            True\n"),
     ("castling-wing-colour-ignored", "board.py",
@@ -247,7 +250,10 @@ MUTANTS = [
      "    except RecursionError:", "    except ZeroDivisionError:"),
     # the terminal test
     ("terminal-test-skips-the-king", "board.py",
-     "context.boards[_SIDE[colour]:_SIDE[colour] + 6]", "context.boards[_SIDE[colour]:_SIDE[colour] + 5]"),
+     "_legal_for_piece(context, FULL ^ kings, True) or _legal_for_piece(context, kings, True))",
+     "_legal_for_piece(context, FULL ^ kings, True))"),
+    ("terminal-test-in-one-full-walk", "board.py",
+     "_legal_for_piece(context, FULL ^ kings, True) or", "_legal_for_piece(context, FULL, True) or"),
     # its pawn-push mask
     ("push-mask-tried-in-check", "board.py",
      "if not context.checked and pawns << pl", "if pawns << pl"),
@@ -265,7 +271,8 @@ MUTANTS = [
      "frozenset(p for p in self._contexts[None][0] if p is not None)",
      "frozenset(self._contexts[None][0])"),
     ("derived-set-not-kept", "board.py",
-     '        object.__setattr__(self, "board_state", state)', "        pass"),
+     'if p is not None)\n        object.__setattr__(self, "board_state", state)',
+     "if p is not None)\n        pass"),
     ("every-missing-attribute-derives-the-set", "board.py",
      'if name != "board_state":', "if False:"),
     ("applier-builds-the-set-eagerly", "board.py",
@@ -286,7 +293,9 @@ MUTANTS = [
      "reach = _STEPS[t][_PAWN_FIELD[colour]] | _A_FILE << (t & 7)", "reach = _A_FILE << (t & 7)"),
     # the interned moves and pieces, and the gate
     ("cached-hash-pickled", "board.py",
-     "def __reduce__(self):", "def _reduce(self):"),
+     "def __reduce__(self):  # pickle the pieces", "def _reduce(self):  # pickle the pieces"),
+    ("board-pickled-with-its-contexts", "board.py",
+     "def __reduce__(self):  # as Move's", "def _reduce(self):  # as Move's"),
     ("piece-hash-pickled", "pieces.py",
      "def __reduce__(self):", "def _reduce(self):"),
     ("move-equality-from-the-hash-alone", "board.py",
