@@ -212,11 +212,8 @@ def _square_attacked(attackers: tuple, occupied: int, s: int) -> bool:
     """Whether the pieces of `attackers` (_attackers) attack square index s
     over the `occupied` mask, probing outward from it: the knights, king and
     pawns by their step masks, and each slider on a line with s whose
-    squares between are empty.
-
-    Equivalent to membership in attacked_squares for any square not held
-    by one of the attacking colour's pieces; kept separate because the
-    per-candidate legality filter calls it millions of times in perft runs.
+    squares between are empty.  It is the one statement of attack: the
+    legality filter, castling and attacked_squares all ask it.
     """
     pawns, knights, diagonal, straight, king, pawn_field = attackers
     steps = _STEPS[s]
@@ -232,21 +229,18 @@ def _square_attacked(attackers: tuple, occupied: int, s: int) -> bool:
 
 
 def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
-    """Every square colour `by` attacks: the union of its pieces' movement
-    patterns, except that pawns attack only their two forward diagonals
-    (occupied or not) and never the square in front of them."""
+    """Every square colour `by` attacks, each asked of the attack probe
+    (_square_attacked): pawns attack only their two forward diagonals
+    (occupied or not), never the square in front of them.  A square the
+    side holds counts only where one of its pawns attacks it: a pawn
+    defends, but no other piece's pattern covers its own side's squares."""
     boards = _boards(state)
-    us, occupied = sum(boards[_SIDE[by]:_SIDE[by] + 6]), sum(boards)
-    attacked = 0
-    for p in state:
-        if p.colour is not by:
-            continue
-        s = square_index(p.square)
-        if p.type is PAWN:  # a pawn on s attacks where enemy pawns attack s from
-            attacked |= _STEPS[s][_PAWN_FIELD[opposite_colour(by)]]
-        else:
-            attacked |= _targets(p.type, by, s, occupied, us)
-    return frozenset(SQUARES[s] for s in _squares(attacked))
+    us, occupied, attackers = sum(boards[_SIDE[by]:_SIDE[by] + 6]), sum(boards), _attackers(boards, by)
+    pawns_only = attackers[:1] + (0, 0, 0, 0) + attackers[5:]
+    return frozenset(
+        SQUARES[s] for s in range(64)
+        if _square_attacked(pawns_only if us >> s & 1 else attackers, occupied, s)
+    )
 
 
 def in_check(state: BoardState, colour: Colour) -> bool:
@@ -325,30 +319,23 @@ def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
 
 
 # The one table of castling's squares, as square indices (a1 = 0, h1 = 7,
-# h8 = 63), keyed by the king's (home, destination): the colour, the
-# castling-rights bit, the rook's corner, the squares between king and rook,
-# and the square the king crosses, where the rook lands.  In KQkq order.
+# h8 = 63), keyed by the king's (colour, home square), then by its
+# destination: the castling-rights bit, the rook's corner, the squares
+# between king and rook as a mask, and the square the king crosses, where
+# the rook lands.  In KQkq order.
 _CASTLINGS = {
-    (4, 6): (Colour.WHITE, 1, 7, (5, 6), 5),
-    (4, 2): (Colour.WHITE, 2, 0, (1, 2, 3), 3),
-    (60, 62): (Colour.BLACK, 4, 63, (61, 62), 61),
-    (60, 58): (Colour.BLACK, 8, 56, (57, 58, 59), 59),
+    (Colour.WHITE, 4): {6: (1, 7, _mask((5, 6)), 5), 2: (2, 0, _mask((1, 2, 3)), 3)},
+    (Colour.BLACK, 60): {62: (4, 63, _mask((61, 62)), 61), 58: (8, 56, _mask((57, 58, 59)), 59)},
 }
 # Per square index, the rights a move leaving or entering it keeps: a king's
 # home square ends both of its side's rights, a corner its wing's.
 _RIGHTS_KEPT = bytes(
-    15 & ~sum(bit for (home, _), (_, bit, corner, _, _) in _CASTLINGS.items() if s in (home, corner))
+    15 & ~sum(
+        bit for (_, home), wings in _CASTLINGS.items() for bit, corner, _, _ in wings.values()
+        if s in (home, corner)
+    )
     for s in range(64)
 )
-# _CASTLINGS by the king's (colour, home): destination -> the entry less its
-# colour, with the squares between king and rook as a mask.
-_WINGS = {
-    (side, home): {
-        dest: (bit, corner, _mask(between), crossed)
-        for (h, dest), (_, bit, corner, between, crossed) in _CASTLINGS.items() if h == home
-    }
-    for (home, _), (side, *_) in _CASTLINGS.items()
-}
 
 
 def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
@@ -366,11 +353,11 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
 
 def _castling_moves(context) -> list[int]:
     """castling_possible's destinations as square indices: the wings of the
-    king's (colour, square) in _WINGS whose bit the square map's rights mask
-    holds, with the side's rook on the corner.  A king off its colour's home
-    square or in check returns at once."""
+    king's (colour, square) in _CASTLINGS whose bit the square map's rights
+    mask holds, with the side's rook on the corner.  A king off its colour's
+    home square or in check returns at once."""
     _, boards, rights, colour, _, occupied, attackers, king, checked = context[:9]
-    wings = _WINGS.get((colour, king))
+    wings = _CASTLINGS.get((colour, king))
     if wings is None or checked:
         return []
     rooks, dests = boards[_SIDE[colour] + 3], []
@@ -556,7 +543,7 @@ _PAWN_SHIFTS = {
 # Per colour, the slots of its knights and sliders, each with its _SLIDES
 # field (None for the knights), and the castling rights it may hold.
 _WALKED = {c: tuple((_SLOT[c, k], _SLIDE_FIELD.get(k)) for k in _KINDS[1:5]) for c in Colour}
-_SIDE_RIGHTS = {c: sum(bit for side, bit, *_ in _CASTLINGS.values() if side is c) for c in Colour}
+_SIDE_RIGHTS = {side: sum(bit for bit, *_ in wings.values()) for (side, _), wings in _CASTLINGS.items()}
 
 
 def _legal_for_piece(context, wanted: int, count: bool = False):
@@ -766,13 +753,13 @@ def _changes(occ: Occupancy, mov: Move) -> tuple:
     """The (square index, new holder or None) changes a move makes beyond
     its own two squares, read against the occupancy before it: castling's
     rook (a king move from its (colour, home) onto a wing's destination in
-    _WINGS) and en passant's victim (a pawn changing file onto an empty
+    _CASTLINGS) and en passant's victim (a pawn changing file onto an empty
     square; its square is worked out only here).  It is the only move-kind
     dispatch: the applier, perft, iss_castling, iss_en_passant and the
     en-passant probe all read it."""
     origin, target, kind = mov.from_.square, mov.to_.square, mov.from_.type
     if kind is KING:
-        wing = _WINGS.get((mov.from_.colour, square_index(origin)), {}).get(square_index(target))
+        wing = _CASTLINGS.get((mov.from_.colour, square_index(origin)), {}).get(square_index(target))
         if wing is not None:
             _, corner, _, crossed = wing
             return (corner, None), (crossed, _ROWS[ROOK, mov.from_.colour][crossed])
@@ -840,21 +827,10 @@ _ZOBRIST = _Table(_zobrist)
 # castling-rights mask in bits 128-131 and in bits 132-137 the square an
 # en-passant capture lands on, set only while a pawn of the side to move
 # stands beside the pawn that double-pushed (never square 0, so 0 is none).
-# The count table salts it with the depth above them, at bit 138.
+# The count table salts it with the depth above them, at bit 138.  Keys meet
+# only inside one perft call and every update is an XOR, so the root's key is
+# 0: each is this key XOR the root's with its en-passant field clear.
 _LESS_PASSANT = (1 << 132) - 1
-
-
-def _key(square_map) -> int:
-    """A square map's perft key with its en-passant field clear, from
-    scratch: its rights mask above its pieces' numbers, XORed at their
-    squares.  The side to move is not in it: inside one perft call a
-    position's depth decides it."""
-    occ, _, rights = square_map
-    key = rights << 128
-    for s, piece in enumerate(occ):
-        if piece is not None:
-            key ^= _ZOBRIST[piece.colour, piece.type][s]
-    return key
 
 
 def _move_key(mov: Move) -> tuple:
@@ -883,7 +859,8 @@ def _child_key(key: int, square_map, mov: Move, changes: tuple) -> int:
     """The full key after a move, from the key before it with its
     en-passant field clear: XORed at the squares _child_map patches and at
     the rights the move ends, and with the skipped square in the en-passant
-    field when the move is a double push that lands beside an enemy pawn."""
+    field when the move is a double push that lands beside an enemy pawn.
+    Every key is made so, from the root's, which is 0."""
     occ, boards, rights = square_map
     moved, t, kept, enemy, beside, passant = _MOVE_KEYS[mov]
     key ^= moved
@@ -938,7 +915,8 @@ def _divide(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> list:
     for one call, one set per process (a pool pickles them empty with its
     tasks): the slider memo (_memo_slide), the count table, and the depths
     whose positions it holds, those from the root's ply 3 on; the first
-    two plies cannot meet a position twice."""
+    two plies cannot meet a position twice.  The root's key is 0, so each
+    child's is _child_key from 0."""
     context = _context(board, to_move)
     occ, square_map, enemy = context.occ, board._contexts[None], opposite_colour(to_move)
     moves = list(_side_moves(context))
@@ -946,11 +924,10 @@ def _divide(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> list:
         return [(m, 1) for m in moves]
     probed = range(1, depth - 2)
     tables = (_Table(_memo_slide), {}, probed)
-    key = _key(square_map) if probed else 0
     tasks = []
     for m in moves:
         changes = _changes(occ, m)
-        child = _child_key(key, square_map, m, changes) if probed else key
+        child = _child_key(0, square_map, m, changes) if probed else 0
         tasks.append((_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:

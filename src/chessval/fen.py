@@ -5,8 +5,8 @@ en-passant fields are honoured when present by synthesizing a history
 that makes the history-derived rules agree with them: the double push
 the en-passant square names, then, in KQkq order, for each wing whose
 letter is absent a rook move off that wing's corner, read from the
-board's castling table (board._CASTLINGS).  Move counters are accepted
-and ignored.
+board's one castling table (board._CASTLINGS, by the king's colour and
+home square).  Move counters are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -106,11 +106,12 @@ def parse_fen(text: str) -> Game:
         if not set(letters) <= _RIGHTS.keys() or len(set(letters)) < len(letters):
             raise FenError(f"bad castling rights {rights!r}")
         granted = sum(_RIGHTS[letter] for letter in letters)
-        for colour, bit, corner, _, _ in _CASTLINGS.values():
-            if not granted & bit:  # a rook move off the corner revokes the wing
-                off = corner + 8 if colour is Colour.WHITE else corner - 8
-                rook, moved = (Piece(PieceType.ROOK, SQUARES[s], colour) for s in (corner, off))
-                history.append(Move(rook, moved))
+        for (colour, _), wings in _CASTLINGS.items():
+            for bit, corner, _, _ in wings.values():
+                if not granted & bit:  # a rook move off the corner revokes the wing
+                    off = corner + 8 if colour is Colour.WHITE else corner - 8
+                    rook, moved = (Piece(PieceType.ROOK, SQUARES[s], colour) for s in (corner, off))
+                    history.append(Move(rook, moved))
 
     for counter in fields[4:6]:
         if not (counter.isascii() and counter.isdigit()):

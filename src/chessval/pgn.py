@@ -334,8 +334,8 @@ def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, CheckMar
     if castle:  # the king's destination on the token's wing
         kingside = token.kind is SanKind.KINGSIDE_CASTLE
         piece_type, t = PieceType.KING, next(
-            dest for (home, dest), wing in _CASTLINGS.items()
-            if wing[0] is game.turn and (dest > home) is kingside
+            dest for (side, home), wings in _CASTLINGS.items() if side is game.turn
+            for dest in wings if (dest > home) is kingside
         )
     else:
         t = square_index(token.target)

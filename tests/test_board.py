@@ -15,7 +15,10 @@ from chessval.board import (
     Board,
     IllegalMoveError,
     Move,
+    _RIGHTS_KEPT,
+    _SIDE_RIGHTS,
     _apply,
+    _changes,
     attacked_squares,
     board_to_ascii,
     castling_possible,
@@ -160,6 +163,13 @@ def test_lone_rook_attacks_fourteen_squares():
 
 def test_lone_pawn_attacks_its_two_diagonals_even_when_empty():
     assert attacked_squares(frozenset({P(PAWN, 5, 2)}), W) == {C(4, 3), C(6, 3)}
+
+
+def test_a_side_attacks_its_own_squares_only_with_its_pawns():
+    state = frozenset({P(PAWN, 5, 2), P(KNIGHT, 4, 3), P(ROOK, 1, 1), P(PAWN, 1, 2)})
+    attacked = attacked_squares(state, W)
+    assert C(4, 3) in attacked  # the e2 pawn defends the d3 knight
+    assert C(1, 2) not in attacked  # the a1 rook does not attack its own a2 pawn
 
 
 def test_no_check_at_the_start():
@@ -360,6 +370,14 @@ def test_castling_both_wings_when_open():
     assert castling_possible(board, king) == {M(king, 3, 1), M(king, 7, 1)}
 
 
+def test_a_king_on_the_other_colour_home_square_never_castles():
+    # an empty history keeps every right, and each king has its rooks on
+    # the corners beside it, but the wings there are the other colour's
+    white, black = P(KING, 5, 8), P(KING, 5, 1, B)
+    board = Board({white, black, P(ROOK, 1, 8), P(ROOK, 8, 8), P(ROOK, 1, 1, B), P(ROOK, 8, 1, B)})
+    assert castling_possible(board, white) == castling_possible(board, black) == frozenset()
+
+
 def test_stateful_moves_empty_for_ordinary_pieces():
     board = default_board()
     assert stateful_possible_moves(board, P(KNIGHT, 2, 1)) == frozenset()
@@ -508,6 +526,27 @@ def test_a_two_file_king_jump_off_the_home_square_is_an_ordinary_move():
     jump = M(king, 7, 2)  # no generator makes it; built by hand
     assert not iss_castling(board, jump)
     assert move_other(board, jump).board_state == {P(KING, 7, 2), rook, black_king}
+
+
+def test_the_castling_table_keeps_its_rights_masks_and_rook_changes():
+    # square indices, a1 = 0 to h8 = 63: a king's home ends both of its
+    # side's rights, a corner its wing's; bits 1, 2, 4 and 8 are K, Q, k, q
+    assert _RIGHTS_KEPT == bytes(
+        [13, 15, 15, 15, 12, 15, 15, 14] + [15] * 48 + [7, 15, 15, 15, 3, 15, 15, 11]
+    )
+    assert _SIDE_RIGHTS == {W: 3, B: 12}
+    occ = [None] * 64
+    castlings = {
+        M(P(KING, 5, 1), 7, 1): ((7, None), (5, P(ROOK, 6, 1))),
+        M(P(KING, 5, 1), 3, 1): ((0, None), (3, P(ROOK, 4, 1))),
+        M(P(KING, 5, 8, B), 7, 8): ((63, None), (61, P(ROOK, 6, 8, B))),
+        M(P(KING, 5, 8, B), 3, 8): ((56, None), (59, P(ROOK, 4, 8, B))),
+    }
+    for mov, changes in castlings.items():
+        assert _changes(occ, mov) == changes
+    # two-file king jumps off the king's own home square change nothing else
+    for jump in (M(P(KING, 5, 2), 7, 2), M(P(KING, 5, 8), 7, 8), M(P(KING, 5, 1, B), 3, 1)):
+        assert _changes(occ, jump) == ()
 
 
 def test_iss_en_passant_on_a_diagonal_pawn_move_to_an_empty_square():

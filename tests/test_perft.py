@@ -52,7 +52,6 @@ from chessval.board import (
     _Context,
     _divide,
     _en_passant_targets,
-    _key,
     _king_context,
     _legal_for_piece,
     _moves_onto,
@@ -235,11 +234,13 @@ def _scratch_key(square_map, last, colour):
 def test_the_incremental_key_equals_the_key_from_scratch(monkeypatch):
     # perft keeps keys in a tree with a depth to look up (depth 4 on); each
     # node it visits there is checked, and the square map of the node above
-    # tells the kind of move that led to it
-    perft_, parents, seen = board_module._perft, [], set()
+    # tells the kind of move that led to it.  Keys are relative to the root,
+    # whose key is 0: a node's is its key from scratch XOR the root's with
+    # the en-passant field clear
+    perft_, parents, seen, root = board_module._perft, [], set(), []
 
     def checking(square_map, last, colour, depth, key, tables):
-        assert key == _scratch_key(square_map, last, colour), last
+        assert key == _scratch_key(square_map, last, colour) ^ root[0], last
         seen.update(_move_kinds(parents[-1][0], last))
         parents.append(square_map)
         try:
@@ -248,11 +249,19 @@ def test_the_incremental_key_equals_the_key_from_scratch(monkeypatch):
             parents.pop()
 
     monkeypatch.setattr(board_module, "_perft", checking)
-    # position 4 promotes; the other castles on both wings, takes a rook on
-    # its corner and double-pushes beside an enemy pawn and beside none
-    for fen, nodes in ((POSITION_4, 422333), ("r3k3/8/8/8/1p6/8/P7/4K2R w Kq - 0 1", 71194)):
+    # position 4 promotes; the second castles on both wings, takes a rook on
+    # its corner and double-pushes beside an enemy pawn and beside none; the
+    # third's root holds a live en-passant capture (its count is the oracle's)
+    for fen, nodes in (
+        (POSITION_4, 422333),
+        ("r3k3/8/8/8/1p6/8/P7/4K2R w Kq - 0 1", 71194),
+        ("r3k3/8/8/8/3pP3/8/8/4K2R b Kq e3 0 1", 72442),
+    ):
         game = parse_fen(fen)
-        parents[:] = [game.board._contexts[None]]
+        square_map, history = game.board._contexts[None], game.board.history
+        last = history[0] if history else None
+        root[:] = [_scratch_key(square_map, last, game.turn) & board_module._LESS_PASSANT]
+        parents[:] = [square_map]
         assert perft(game.board, game.turn, 4) == nodes
     assert seen >= {
         ("castling", 7), ("castling", 3), "en passant", "promotion by push",
@@ -438,20 +447,28 @@ def test_sparse_positions_in_check_or_with_a_pin_match_the_oracle():
 
 
 def test_the_attack_probe_agrees_with_attacked_squares_and_the_oracle():
+    # on a square the side holds only its pawns count: there attacked_squares
+    # answers the oracle's pawn rule alone, and the probe is not asked
     rng = random.Random(7)
+    defended = 0
     for _ in range(1000):
         board, _ = random_sparse_board(rng, max_extra=10)
         grid = {(p.square.x, p.square.y): p for p in board.board_state}
+        pawns = {xy: p for xy, p in grid.items() if p.type is PieceType.PAWN}
         boards = _boards(board.board_state)
         for by in Colour:
             listed = attacked_squares(board.board_state, by)
             for x in range(1, 9):
                 for y in range(1, 9):
                     if (x, y) in grid and grid[x, y].colour is by:
+                        expected = oracle_attacked(pawns, x, y, by)
+                        assert (Coordinate(x, y) in listed) == expected, (x, y, by)
+                        defended += expected
                         continue
                     probe = _square_attacked(_attackers(boards, by), sum(boards), square_at(x, y))
                     expected = oracle_attacked(grid, x, y, by)
                     assert probe == (Coordinate(x, y) in listed) == expected, (x, y, by)
+    assert defended
 
 
 def _oracle_targets(grid, piece):

@@ -126,9 +126,13 @@ MUTANTS = [
      "& occupied & ~own", "& occupied"),
     ("own-pieces-not-masked-out", "pieces.py",
      "return targets & ~own", "return targets"),
+    # attacked_squares asks the probe; on the side's own squares only its pawns count
     ("attacked-squares-include-the-side's-own", "board.py",
-     "attacked |= _targets(p.type, by, s, occupied, us)",
-     "attacked |= _targets(p.type, by, s, occupied, 0)"),
+     "_square_attacked(pawns_only if us >> s & 1 else attackers, occupied, s)",
+     "_square_attacked(attackers, occupied, s)"),
+    ("attacked-squares-skip-the-side's-own", "board.py",
+     "pawns_only = attackers[:1] + (0, 0, 0, 0) + attackers[5:]",
+     "pawns_only = (0, 0, 0, 0, 0) + attackers[5:]"),
     # the pawns' bulk shifts
     ("pawn-shift-wraps-from-the-a-file", "board.py",
      "left = (group & _NOT_A_FILE) << al >> ar", "left = group << al >> ar"),
@@ -167,11 +171,15 @@ MUTANTS = [
      '"_contexts", {None: (occ, boards, rights)}', '"_contexts", {None: (occ, boards, 15)}'),
     ("castling-without-the-rights-test", "board.py",
      "            rights & bit\n", "            True\n"),
+    # the one castling table, keyed by the king's (colour, home)
     ("castling-wing-colour-ignored", "board.py",
-     "for (home, _), (side, *_) in _CASTLINGS.items()",
-     "for (home, _) in _CASTLINGS for side in Colour"),
+     "wings = _CASTLINGS.get((colour, king))",
+     "wings = _CASTLINGS.get((Colour.WHITE, king)) or _CASTLINGS.get((Colour.BLACK, king))"),
+    ("castling-table-read-under-the-wrong-colour", "board.py",
+     "_CASTLINGS.get((mov.from_.colour, square_index(origin)), {})",
+     "_CASTLINGS.get((opposite_colour(mov.from_.colour), square_index(origin)), {})"),
     ("rights-mask-ignores-corners", "board.py",
-     "if s in (home, corner))", "if s == home)"),
+     "        if s in (home, corner)\n", "        if s == home\n"),
     ("fen-accepts-a-repeated-rights-letter", "fen.py",
      "if not set(letters) <= _RIGHTS.keys() or len(set(letters)) < len(letters):",
      "if not set(letters) <= _RIGHTS.keys():"),
@@ -232,8 +240,9 @@ MUTANTS = [
      "key ^= (rights & ~kept) << 128", "pass"),
     ("key-rights-field-xored-with-the-kept-rights", "board.py",
      "key ^= (rights & ~kept) << 128", "key ^= (rights & kept) << 128"),
-    ("key-from-scratch-without-the-rights-field", "board.py",
-     "    key = rights << 128", "    key = 0"),
+    ("root-key-not-0", "board.py",
+     "child = _child_key(0, square_map, m, changes) if probed else 0",
+     "child = _child_key(square_map[2] << 128, square_map, m, changes) if probed else 0"),
     ("key-en-passant-field-never-set", "board.py",
      "max(targets.values(), default=0) << 132", "0"),
     ("key-en-passant-field-over-the-rights", "board.py",
