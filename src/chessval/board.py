@@ -22,17 +22,20 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .pieces import (
     _A_FILE,
     _BETWEEN,
+    _KINDS,
     _NOT_A_FILE,
     _NOT_H_FILE,
     _PAWN_FIELD,
     _ROWS,
     _SLIDE_FIELD,
     _SLIDES,
+    _SLOT,
     _STEPS,
     FULL,
     SQUARES,
@@ -49,7 +52,6 @@ from .pieces import (
     _targets,
     opposite_colour,
     square_at,
-    square_index,
 )
 
 PAWN = PieceType.PAWN
@@ -105,11 +107,10 @@ class Move:
         return Move, (self.from_, self.to_)
 
 
-# The bitboard slot of each (colour, type), 0-11: _boards and the square
-# map hold a colour's pieces in its six slots in this order.
-_KINDS = (PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING)
-_SLOT = {(c, k): 6 * i + j for i, c in enumerate(Colour) for j, k in enumerate(_KINDS)}
-_SIDE = {colour: _SLOT[colour, PAWN] for colour in Colour}  # a colour's first slot
+_SIDE = {colour: _SLOT[colour, PAWN] for colour in Colour}  # a colour's first slot (pieces._SLOT)
+# Per colour, its first slot, its enemy's first slot and the _STEPS field of
+# the squares the enemy's pawns attack from: what _king_context reads.
+_SIDES = {c: (_SIDE[c], _SIDE[opposite_colour(c)], _PAWN_FIELD[opposite_colour(c)]) for c in Colour}
 
 
 def _move_row(key: int) -> _Table:
@@ -168,7 +169,7 @@ class Board:
             if kings & (kings - 1):
                 raise ValueError(f"more than one {colour.value} king")
         for m in history:
-            rights &= _RIGHTS_KEPT[square_index(m.from_.square)] & _RIGHTS_KEPT[square_index(m.to_.square)]
+            rights &= _RIGHTS_KEPT[m.from_._s] & _RIGHTS_KEPT[m.to_._s]
         object.__setattr__(self, "_contexts", {None: (occ, boards, rights)})
 
 
@@ -188,32 +189,24 @@ def default_board() -> Board:
 # --- bitboards ---------------------------------------------------------------
 #
 # A square map holds one bitboard (a mask, as chessval.pieces builds them)
-# per (colour, type), in slot _SLOT[colour, type]; they are disjoint, so
-# their sum is their union.
+# per (colour, type), in the slot its pieces carry (_slot); they are
+# disjoint, so their sum is their union.
 
 
 def _boards(pieces) -> list[int]:
     """The twelve bitboards of a set of Pieces."""
     boards = [0] * 12
     for p in pieces:
-        boards[_SLOT[p.colour, p.type]] |= 1 << p.square.x + 8 * p.square.y - 9
+        boards[p._slot] |= 1 << p._s
     return boards
 
 
-def _attackers(boards: list, by: Colour) -> tuple:
-    """Colour `by`'s pieces as an attack probe reads them: (pawns, knights,
-    bishops and queens, rooks and queens, king, the _STEPS field of the
-    squares its pawns attack from)."""
-    pawns, knights, bishops, rooks, queens, king = boards[_SIDE[by]:_SIDE[by] + 6]
-    return pawns, knights, bishops | queens, rooks | queens, king, _PAWN_FIELD[by]
-
-
 def _square_attacked(attackers: tuple, occupied: int, s: int) -> bool:
-    """Whether the pieces of `attackers` (_attackers) attack square index s
-    over the `occupied` mask, probing outward from it: the knights, king and
-    pawns by their step masks, and each slider on a line with s whose
-    squares between are empty.  It is the one statement of attack: the
-    legality filter, castling and attacked_squares all ask it.
+    """Whether the pieces of `attackers` (as _king_context lays them out)
+    attack square index s over the `occupied` mask, probing outward from
+    it: the knights, king and pawns by their step masks, and each slider on
+    a line with s whose squares between are empty.  It is the one statement
+    of attack: the legality filter, castling and attacked_squares all ask it.
     """
     pawns, knights, diagonal, straight, king, pawn_field = attackers
     steps = _STEPS[s]
@@ -235,7 +228,8 @@ def attacked_squares(state: BoardState, by: Colour) -> frozenset[Coordinate]:
     side holds counts only where one of its pawns attacks it: a pawn
     defends, but no other piece's pattern covers its own side's squares."""
     boards = _boards(state)
-    us, occupied, attackers = sum(boards[_SIDE[by]:_SIDE[by] + 6]), sum(boards), _attackers(boards, by)
+    them, occupied, attackers = _king_context(boards, opposite_colour(by))[:3]
+    us = occupied ^ them
     pawns_only = attackers[:1] + (0, 0, 0, 0) + attackers[5:]
     return frozenset(
         SQUARES[s] for s in range(64)
@@ -260,7 +254,7 @@ def _held(board: Board, piece: Piece, piece_type=None) -> tuple:
     named rules and every per-piece query.  A piece its square does not
     hold, or one not of `piece_type` when that is given, raises
     IllegalMoveError."""
-    context, s = _context(board, piece.colour), piece.square.x + 8 * piece.square.y - 9
+    context, s = _context(board, piece.colour), piece._s
     holder = context.occ[s]
     if holder is not piece and holder != piece:
         raise IllegalMoveError(f"piece not on the board: {piece}")
@@ -296,15 +290,18 @@ def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
     return frozenset(m for m in _unguarded_moves(board, pawn, PAWN) if iss_en_passant(board, m))
 
 
-def _en_passant_targets(last: Optional[Move], colour: Colour) -> dict[int, int]:
+_NO_PASSANT = MappingProxyType({})  # the en-passant captures of most plies: shared, never written
+
+
+def _en_passant_targets(last: Optional[Move], colour: Colour) -> Mapping[int, int]:
     """Pawn square -> the square a `colour` pawn there captures onto en
     passant: the square an enemy pawn's double push on the last ply (None
     before the first) skipped, for the two squares beside where it landed."""
     if last is None or last.from_.type is not PAWN or last.from_.colour is colour:
-        return {}
+        return _NO_PASSANT
     origin, landing = last.from_.square, last.to_.square
     if abs(landing.y - origin.y) != 2:
-        return {}
+        return _NO_PASSANT
     skipped = square_at(landing.x, (origin.y + landing.y) // 2)
     return {
         square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1) if 1 <= x <= 8
@@ -347,7 +344,7 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     check, and neither the crossed square nor the destination is attacked.
     """
     context, s = _held(board, king, KING)
-    slot = _SLOT[king.colour, KING]
+    slot = king._slot
     return frozenset(_MOVES[slot << 10 | slot << 6 | s][t] for t in _castling_moves(context))
 
 
@@ -396,22 +393,25 @@ def stateful_possible_moves(board: Board, piece: Piece) -> frozenset[Move]:
 
 def _king_context(boards: list, colour: Colour):
     """The squares the side holds and all the held squares, the enemy's
-    pieces as the attack probe reads them (_attackers), the king's square
-    (None without one: synthetic positions are never in check), whether the
-    enemy checks it, its pin lines and its check evasions, as masks.  An
-    enemy slider on a line with the king whose squares between hold nothing
-    checks; holding one piece of the king's colour, it pins that piece,
-    whose pin line runs from the king up to and including the pinner.  The
-    evasions are the checker's square and the squares between it and the
-    king (none in double check), or FULL out of check."""
-    own = _SIDE[colour]
+    pieces as the attack probe reads them (laid out here only: pawns,
+    knights, bishops and queens, rooks and queens, king, the _STEPS field
+    of the squares its pawns attack from), the king's square (None without
+    one: synthetic positions are never in check), whether the enemy checks
+    it, its pin lines and its check evasions, as masks.  An enemy slider on
+    a line with the king whose squares between hold nothing checks; holding
+    one piece of the king's colour, it pins that piece, whose pin line runs
+    from the king up to and including the pinner.  The evasions are the
+    checker's square and the squares between it and the king (none in
+    double check), or FULL out of check."""
+    own, enemy, pawn_field = _SIDES[colour]
     us, occupied = sum(boards[own:own + 6]), sum(boards)
-    attackers = _attackers(boards, opposite_colour(colour))
+    pawns, knights, bishops, rooks, queens, enemy_king = boards[enemy:enemy + 6]
+    diagonal, straight = bishops | queens, rooks | queens
+    attackers = pawns, knights, diagonal, straight, enemy_king, pawn_field
     king = boards[own + 5]
     if not king:
         return us, occupied, attackers, None, False, {}, FULL
     k = king.bit_length() - 1
-    pawns, knights, diagonal, straight, enemy_king, pawn_field = attackers
     steps = _STEPS[k]
     checkers = steps[0] & knights | steps[1] & enemy_king | steps[pawn_field] & pawns
     evasions, pins = checkers, {}
@@ -461,10 +461,11 @@ def _context(board: Board, colour: Colour) -> _Context:
 
 def _side_context(square_map, last: Optional[Move], colour: Colour, slides) -> _Context:
     """One side's legality context over a square map, after `last`, with
-    the slider memo `slides` (tuple.__new__ skips the named tuple's own)."""
+    the slider memo `slides`: one _king_context call, and _en_passant_targets
+    only after a pawn's move (tuple.__new__ skips the named tuple's own)."""
+    passant = _NO_PASSANT if last is None or last.from_.type is not PAWN else _en_passant_targets(last, colour)
     return tuple.__new__(_Context, (
-        *square_map, colour, *_king_context(square_map[1], colour), {},
-        _en_passant_targets(last, colour), slides,
+        *square_map, colour, *_king_context(square_map[1], colour), {}, passant, slides,
     ))
 
 
@@ -502,17 +503,18 @@ def _moves_onto(context, kind: PieceType, t: int) -> list[Move]:
     else:
         reach = FULL if kind is KING else _SLIDES[t][_SLIDE_FIELD[kind]][0]
     pieces = context.boards[_SLOT[colour, kind]] & reach
-    _legal_for_piece(context, pieces & ~_mask(moves))
+    _legal_for_piece(context, pieces & ~_mask(tuple(moves)))  # a snapshot: other threads may add
     square = SQUARES[t]  # generated moves hold these
     return [m for s in _squares(pieces) for m in moves[s] if m.to_.square is square]
 
 
 def _side_moves(context) -> Iterator[Move]:
     """Every legal move of the context's side: one walk over its pieces not
-    yet kept by square, then every kept list, chained."""
+    yet kept by square, then every kept list, chained; both read a snapshot
+    of the kept lists, which other threads may add to."""
     moves = context.moves
-    _legal_for_piece(context, ~_mask(moves))
-    return chain.from_iterable(moves.values())
+    _legal_for_piece(context, ~_mask(tuple(moves)))
+    return chain.from_iterable(list(moves.values()))
 
 
 def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
@@ -520,8 +522,7 @@ def stateful_impossible_moves(board: Board, piece: Piece) -> frozenset[Move]:
     mover's own king in check, and any pawn move onto the last rank that
     keeps the pawn a pawn (promotion is mandatory)."""
     context, s = _held(board, piece)
-    kind, colour = piece.type, piece.colour
-    slot, targets = _SLOT[colour, kind], _targets(kind, colour, s, context.occupied, context.us)
+    slot, targets = piece._slot, _targets(piece.type, piece.colour, s, context.occupied, context.us)
     simple = frozenset(map(_MOVES[slot << 10 | slot << 6 | s].__getitem__, _squares(targets)))
     candidates = simple | stateful_possible_moves(board, piece)
     return candidates.difference(_piece_moves(context, s))
@@ -586,18 +587,18 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
             if count:
                 total += targets.bit_count()
                 continue
-            moves[s] = kept = []
-            row = _MOVES[slot << 10 | slot << 6 | s]
+            kept, row = [], _MOVES[slot << 10 | slot << 6 | s]
             while targets:
                 t = targets.bit_length() - 1
                 targets ^= 1 << t
                 kept.append(row[t])
+            moves[s] = kept
     if pawns:
-        rest = 0 if count else pawns
+        rest, lists = 0 if count else pawns, {}
         while rest:
             s = rest.bit_length() - 1
             rest ^= 1 << s
-            moves[s] = []
+            lists[s] = []
         groups = [(pawns, allowed)]
         if pins:
             groups = [(pawns & ~_mask(pins), allowed)]
@@ -621,18 +622,18 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                     targets ^= 1 << t
                     s = t + back
                     if 1 << t & last:  # to a queen, rook, bishop and knight
-                        moves[s] += [_MOVES[own << 10 | own + j << 6 | s][t] for j in (4, 3, 2, 1)]
+                        lists[s] += [_MOVES[own << 10 | own + j << 6 | s][t] for j in (4, 3, 2, 1)]
                     else:
-                        moves[s].append(_MOVES[row_key | s][t])
+                        lists[s].append(_MOVES[row_key | s][t])
         for s, t in passant.items():
             if pawns >> s & 1:
                 capture = _MOVES[row_key | s][t]
                 after = _child_map((occ, boards, rights), capture, _changes(occ, capture))[1]
-                probe = _attackers(after, opposite_colour(colour))
-                if king is None or not _square_attacked(probe, sum(after), king):
+                if king is None or not _king_context(after, colour)[4]:
                     total += 1
                     if not count:
-                        moves[s].append(capture)
+                        lists[s].append(capture)
+        moves.update(lists)
     if kings:
         s = kings.bit_length() - 1
         targets = _STEPS[s][1] & ~us
@@ -648,11 +649,12 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
             total += targets.bit_count() + len(castlings)
         else:
             row = _MOVES[own + 5 << 10 | own + 5 << 6 | s]
-            moves[s] = kept = [row[t] for t in castlings]
+            kept = [row[t] for t in castlings]
             while targets:
                 t = targets.bit_length() - 1
                 targets ^= 1 << t
                 kept.append(row[t])
+            moves[s] = kept
     return total if count else None
 
 
@@ -751,43 +753,46 @@ def move_en_passant(board: Board, mov: Move) -> Board:
 
 def _changes(occ: Occupancy, mov: Move) -> tuple:
     """The (square index, new holder or None) changes a move makes beyond
-    its own two squares, read against the occupancy before it: castling's
-    rook (a king move from its (colour, home) onto a wing's destination in
-    _CASTLINGS) and en passant's victim (a pawn changing file onto an empty
-    square; its square is worked out only here).  It is the only move-kind
-    dispatch: the applier, perft, iss_castling, iss_en_passant and the
-    en-passant probe all read it."""
-    origin, target, kind = mov.from_.square, mov.to_.square, mov.from_.type
+    its own two squares (the square indices its pieces carry, _s), read
+    against the occupancy before it: castling's rook (a king move from its
+    (colour, home) onto a wing's destination in _CASTLINGS) and en passant's
+    victim (a pawn changing file, (f ^ t) & 7, onto an empty square; its
+    square is worked out only here).  It is the only move-kind dispatch:
+    the applier, perft, iss_castling, iss_en_passant and the en-passant
+    probe all read it."""
+    mover = mov.from_
+    f, t, kind = mover._s, mov.to_._s, mover.type
     if kind is KING:
-        wing = _CASTLINGS.get((mov.from_.colour, square_index(origin)), {}).get(square_index(target))
+        wing = _CASTLINGS.get((mover.colour, f), {}).get(t)
         if wing is not None:
             _, corner, _, crossed = wing
-            return (corner, None), (crossed, _ROWS[ROOK, mov.from_.colour][crossed])
-    elif kind is PAWN and target.x != origin.x and occ[square_index(target)] is None:
-        return ((square_at(target.x, origin.y), None),)
+            return (corner, None), (crossed, _ROWS[ROOK, mover.colour][crossed])
+    elif kind is PAWN and (f ^ t) & 7 and occ[t] is None:
+        return ((t & 7 | f & 56, None),)  # the target's file on the origin's rank
     return ()
 
 
 def _child_map(square_map, mov: Move, changes: tuple):
     """The square map after a move: the occupancy with the mover moved and
-    `changes` made, the bitboards patched by XOR at the same squares, and
-    the castling rights less those of the move's two squares."""
+    `changes` made, the bitboards patched by XOR at the same squares in the
+    slots their pieces carry (_slot, _s: no table lookup), and the castling
+    rights less those of the move's two squares."""
     occ, boards, rights = square_map
     occ, boards = occ.copy(), boards.copy()
-    origin, target = mov.from_.square, mov.to_.square
-    f, t = origin.x + 8 * origin.y - 9, target.x + 8 * target.y - 9
+    mover, arrival = mov.from_, mov.to_
+    f, t = mover._s, arrival._s
     dead = occ[t]
     if dead is not None:
-        boards[_SLOT[dead.colour, dead.type]] ^= 1 << t
-    boards[_SLOT[mov.from_.colour, mov.from_.type]] ^= 1 << f
-    boards[_SLOT[mov.to_.colour, mov.to_.type]] ^= 1 << t
-    occ[f], occ[t] = None, mov.to_
+        boards[dead._slot] ^= 1 << t
+    boards[mover._slot] ^= 1 << f
+    boards[arrival._slot] ^= 1 << t
+    occ[f], occ[t] = None, arrival
     for s, holder in changes:
         gone = occ[s]
         if gone is not None:
-            boards[_SLOT[gone.colour, gone.type]] ^= 1 << s
+            boards[gone._slot] ^= 1 << s
         if holder is not None:
-            boards[_SLOT[holder.colour, holder.type]] ^= 1 << s
+            boards[holder._slot] ^= 1 << s
         occ[s] = holder
     return occ, boards, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]
 
@@ -841,8 +846,7 @@ def _move_key(mov: Move) -> tuple:
     landing as a mask and the skipped square in the en-passant field, else
     0 and 0)."""
     mover, arrival = mov.from_, mov.to_
-    f = mover.square.x + 8 * mover.square.y - 9
-    t = arrival.square.x + 8 * arrival.square.y - 9
+    f, t = mover._s, arrival._s
     moved = _ZOBRIST[mover.colour, mover.type][f] ^ _ZOBRIST[arrival.colour, arrival.type][t]
     enemy = opposite_colour(mover.colour)
     targets = _en_passant_targets(mov, enemy)  # each square beside -> the one skipped square
@@ -880,18 +884,26 @@ def _child_key(key: int, square_map, mov: Move, changes: tuple) -> int:
     return key
 
 
+def _leaves(square_map, last: Optional[Move], colour: Colour, slides) -> int:
+    """perft(1) of a square map's position after move `last` with `colour`
+    to move and the slider memo `slides`: one count walk on its side's
+    context.  A leaf-parent counts each child so, as do _divide's tasks."""
+    return _legal_for_piece(_side_context(square_map, last, colour, slides), FULL, True)
+
+
 def _perft(square_map, last: Optional[Move], colour: Colour, depth: int, key: int, tables) -> int:
     """perft(depth >= 1) of a square map's position after move `last` (None
     before the first) with `colour` to move and full key `key`
-    (_child_key), through perft's tables (_divide); a depth-1 node only
-    counts.  A child whose depth is in the tables' probed range is looked
-    up in the count table under its key XOR its depth shifted above the
-    key's fields, and its count kept there.  A tree with no probed depth
-    keeps no keys: `key` stays 0."""
+    (_child_key), through perft's tables (_divide).  A depth-1 node only
+    counts, and a depth-2 node counts each child itself (_leaves) in its
+    loop, with no frame of the child's own.  A child whose depth is in the
+    tables' probed range is looked up in the count table under its key XOR
+    its depth shifted above the key's fields, and its count kept there.  A
+    tree with no probed depth keeps no keys: `key` stays 0."""
     slides, counts, probed = tables
-    context = _side_context(square_map, last, colour, slides)
     if depth == 1:
-        return _legal_for_piece(context, FULL, True)
+        return _leaves(square_map, last, colour, slides)
+    context = _side_context(square_map, last, colour, slides)
     occ, enemy, total = context.occ, opposite_colour(colour), 0
     if probed:
         key &= _LESS_PASSANT
@@ -901,7 +913,11 @@ def _perft(square_map, last: Optional[Move], colour: Colour, depth: int, key: in
         child = _child_key(key, square_map, m, changes) if probed else key
         count = None if salt is None else counts.get(child ^ salt)
         if count is None:
-            count = _perft(_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables)
+            after = _child_map(square_map, m, changes)
+            if depth == 2:
+                count = _leaves(after, m, enemy, slides)
+            else:
+                count = _perft(after, m, enemy, depth - 1, child, tables)
             if salt is not None:
                 counts[child ^ salt] = count
         total += count

@@ -83,18 +83,29 @@ def coordinate_factory(x: int, y: int) -> Optional[Coordinate]:
     return None
 
 
+# The bitboard slot of each (colour, type), 0-11: white's six, then black's, in _KINDS order.
+_KINDS = (PieceType.PAWN, PieceType.KNIGHT, PieceType.BISHOP, PieceType.ROOK, PieceType.QUEEN, PieceType.KING)
+_SLOT = {(c, k): 6 * i + j for i, c in enumerate(Colour) for j, k in enumerate(_KINDS)}
+
+
 @dataclass(frozen=True)
 class Piece:
-    """A piece of one type and colour on one square.  The hash is computed
-    once, when built; _ROWS interns one Piece per (type, colour, square)."""
+    """A piece of one type and colour on one square.  Its hash, its
+    bitboard slot (_slot, _SLOT[colour, type]) and its square index (_s)
+    are worked out once, when built, for the board's hot loops to read;
+    _ROWS interns one Piece per (type, colour, square)."""
 
     type: PieceType
     square: Coordinate
     colour: Colour
     _hash: int = field(init=False, compare=False, repr=False)
+    _slot: int = field(init=False, compare=False, repr=False)
+    _s: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.type, self.square, self.colour)))
+        object.__setattr__(self, "_slot", _SLOT[self.colour, self.type])
+        object.__setattr__(self, "_s", self.square.x + 8 * self.square.y - 9)
 
     def __hash__(self) -> int:
         return self._hash

@@ -4,6 +4,8 @@ piece set an applied board derives."""
 
 import pickle
 import re
+import sys
+import threading
 from copy import copy, deepcopy
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +21,7 @@ from chessval.board import (
     _SIDE_RIGHTS,
     _apply,
     _changes,
+    _context,
     attacked_squares,
     board_to_ascii,
     castling_possible,
@@ -105,6 +108,13 @@ def test_move_type_change_needs_a_promoting_pawn():
     # a pawn arriving on the last rank may change type
     Move(P(PAWN, 1, 7), P(QUEEN, 1, 8))
     Move(P(PAWN, 1, 2, B), P(KNIGHT, 1, 1, B))
+
+
+def test_move_equality_defers_to_the_other_operand_for_a_non_move():
+    pawn = P(PAWN, 5, 2)
+    mov = M(pawn, 5, 4)
+    assert mov.__eq__(pawn) is NotImplemented
+    assert mov != (pawn, mov.to_) and mov == M(pawn, 5, 4)
 
 
 def test_board_rejects_shared_squares():
@@ -1066,3 +1076,88 @@ def test_a_freshly_constructed_board_that_nothing_queried_can_be_applied_to():
         for m in legal_moves(game.board, game.turn):
             fresh = Board(game.board.board_state, game.board.history)
             assert _apply(fresh, m) == move(game.board, m), m
+
+
+# --- concurrent calls on one board ------------------------------------------
+
+
+def _shared_board_trial(boards, expected) -> list:
+    """One trial of four threads sharing fresh copies of `boards`: two first
+    pass every legal move through the move() gate, then all four list every
+    board's legal moves.  Returns what went wrong: an exception raised in a
+    thread, a refused legal move or a listing unequal to `expected`."""
+    fresh = [(Board(b.board_state, b.history), turn) for b, turn in boards]
+    start, failures = threading.Barrier(4), []
+
+    def call(gate: bool) -> None:
+        try:
+            start.wait(timeout=10)
+            for (board, _), listed in zip(fresh, expected):
+                for m in listed if gate else ():
+                    move(board, m)
+            for (board, turn), listed in zip(fresh, expected):
+                got = legal_moves(board, turn)
+                if got != listed:
+                    failures.append(("listed", len(got), len(listed)))
+        except Exception as error:  # a refused move, or a dict changed in iteration
+            failures.append(error)
+
+    threads = [threading.Thread(target=call, args=(n < 2,)) for n in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    return failures
+
+
+def test_concurrent_calls_on_one_board_agree_with_a_serial_call():
+    # Boards are shared values that fill their contexts on first use: a
+    # thread must never see a move list before it is whole, nor walk a dict
+    # another thread adds to.  A 1-us switch interval makes the threads
+    # interleave inside the walk; at the default 5 ms a race is rarely seen.
+    games = [play_random_game(seed, max_plies=30)[2] for seed in range(20)]
+    boards = [(game.board, game.turn) for game in games]
+    expected = [legal_moves(Board(b.board_state, b.history), turn) for b, turn in boards]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            failures = _shared_board_trial(boards, expected)
+            assert not failures, failures[:3]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_thread_switch_at_any_line_of_the_walk_shows_only_whole_lists():
+    # The threaded test above depends on the scheduler; this one stands a
+    # trace hook in for a thread switch at every line the walk and the
+    # mask helper run.  There another thread reads each kept list, which
+    # must be whole, and stores one whole list not yet kept, which must not
+    # break a reader walking the kept lists.
+    for seed in range(20):
+        game = play_random_game(seed, max_plies=30)[2]
+        serial = Board(game.board.board_state, game.board.history)
+        listed = legal_moves(serial, game.turn)
+        whole, seen = dict(_context(serial, game.turn).moves), []
+        board = Board(game.board.board_state, game.board.history)
+        kept = _context(board, game.turn).moves
+
+        def switch(frame, event, arg):
+            if frame.f_code.co_name not in ("_legal_for_piece", "_mask"):
+                return None
+            if event == "line":
+                seen.extend(s for s, moves in list(kept.items()) if moves != whole[s])
+                missing = sorted(whole.keys() - kept.keys())
+                if missing and frame.f_code.co_name == "_mask":
+                    kept[missing[0]] = whole[missing[0]]
+            return switch
+
+        previous = sys.gettrace()
+        sys.settrace(switch)
+        try:
+            answer = legal_moves(board, game.turn)
+        finally:
+            sys.settrace(previous)
+        assert not seen, (seed, seen[:3])
+        assert answer == listed, seed

@@ -233,6 +233,15 @@ def test_perft_divide_lists_all_root_moves(capsys):
     assert lines[-1] == "total: 400"
 
 
+def test_perft_divide_spells_each_promotion_with_its_type(capsys):
+    assert main(["perft", "--depth", "1", "--divide", "--fen", "8/1P6/8/8/8/8/8/K6k w - - 0 1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line for line in lines if line.startswith("b7b8")] == [
+        "b7b8b: 1", "b7b8n: 1", "b7b8q: 1", "b7b8r: 1",
+    ]
+    assert lines[-1] == "total: 7"
+
+
 def test_perft_accepts_a_fen_position(capsys):
     code = main(["perft", "--depth", "1", "--fen", "8/8/8/8/8/8/8/K6k w - -"])
     assert code == 0

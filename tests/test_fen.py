@@ -113,6 +113,12 @@ def test_bad_fens_are_rejected(bad):
         parse_fen(bad)
 
 
+def test_an_en_passant_square_held_or_with_a_pawn_s_origin_held_is_inconsistent():
+    # d7 still holds a black pawn, so none can have pushed from it to d5
+    with pytest.raises(FenError, match="is inconsistent"):
+        parse_fen("4k3/3p4/8/3pP3/8/8/8/4K3 w - d6 0 1")
+
+
 def test_en_passant_square_rank_depends_on_side_to_move():
     with pytest.raises(FenError, match="rank"):
         parse_fen("4k3/8/8/3pP3/8/8/8/4K3 b d6 d6")

@@ -44,7 +44,6 @@ from chessval.board import (
     IllegalMoveError,
     Move,
     _apply,
-    _attackers,
     _boards,
     _changes,
     _child_key,
@@ -465,7 +464,7 @@ def test_the_attack_probe_agrees_with_attacked_squares_and_the_oracle():
                         assert (Coordinate(x, y) in listed) == expected, (x, y, by)
                         defended += expected
                         continue
-                    probe = _square_attacked(_attackers(boards, by), sum(boards), square_at(x, y))
+                    probe = _square_attacked(_king_context(boards, opposite_colour(by))[2], sum(boards), square_at(x, y))
                     expected = oracle_attacked(grid, x, y, by)
                     assert probe == (Coordinate(x, y) in listed) == expected, (x, y, by)
     assert defended
@@ -492,7 +491,7 @@ def _unfiltered(occ, colour):
     return _Context(
         occ=occ, boards=boards, rights=15, colour=colour,
         us=sum(boards[:6] if colour is Colour.WHITE else boards[6:]), occupied=sum(boards),
-        attackers=_attackers(boards, opposite_colour(colour)), king=None, checked=False,
+        attackers=_king_context(boards, colour)[2], king=None, checked=False,
         pins={}, evasions=FULL, moves={}, passant={}, slides=None,
     )
 

@@ -59,11 +59,13 @@ MUTANTS = [
      "_WALKED[colour] if us & wanted ^ pawns ^ kings else ()",
      "() if us & wanted ^ pawns ^ kings else ()"),
     # the move rows, found by one int key: moving slot << 10 | arriving slot << 6 | square
+    # (the walk's row line also starts the piece's list, kept in a local)
     ("row-of-the-wrong-type", "board.py",
-     "row = _MOVES[slot << 10 | slot << 6 | s]", "row = _MOVES[slot + 1 << 10 | slot + 1 << 6 | s]"),
+     "kept, row = [], _MOVES[slot << 10 | slot << 6 | s]",
+     "kept, row = [], _MOVES[slot + 1 << 10 | slot + 1 << 6 | s]"),
     ("row-of-the-wrong-colour", "board.py",
-     "row = _MOVES[slot << 10 | slot << 6 | s]",
-     "row = _MOVES[(slot + 6) % 12 << 10 | (slot + 6) % 12 << 6 | s]"),
+     "kept, row = [], _MOVES[slot << 10 | slot << 6 | s]",
+     "kept, row = [], _MOVES[(slot + 6) % 12 << 10 | (slot + 6) % 12 << 6 | s]"),
     ("row-builder-reads-the-wrong-colour", "board.py",
      "colour = tuple(Colour)[slot // 6]", "colour = tuple(Colour)[1 - slot // 6]"),
     ("promotion-row-keyed-by-the-moving-slot", "board.py",
@@ -84,9 +86,12 @@ MUTANTS = [
     ("probe-misses-the-king", "board.py",
      "if steps[0] & knights or steps[1] & king or steps[pawn_field] & pawns:",
      "if steps[0] & knights or steps[pawn_field] & pawns:"),
+    # (the enemy's pieces are laid out in _king_context now; _attackers is gone)
     ("attackers-without-diagonal-sliders", "board.py",
-     "return pawns, knights, bishops | queens, rooks | queens, king, _PAWN_FIELD[by]",
-     "return pawns, knights, queens, rooks | queens, king, _PAWN_FIELD[by]"),
+     "diagonal, straight = bishops | queens, rooks | queens",
+     "diagonal, straight = queens, rooks | queens"),
+    ("attackers-pawn-field-swapped", "board.py",
+     "_PAWN_FIELD[opposite_colour(c)]) for c in Colour}", "_PAWN_FIELD[c]) for c in Colour}"),
     ("pawn-attack-direction-flipped", "pieces.py",
      "_PAWN_FIELD = {Colour.WHITE: 2, Colour.BLACK: 3}",
      "_PAWN_FIELD = {Colour.WHITE: 3, Colour.BLACK: 2}"),
@@ -148,17 +153,25 @@ MUTANTS = [
      "square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1)"),
     # the square map a child inherits, and the move-kind dispatch behind it
     ("rook-not-patched-on-castling", "board.py",
-     "return (corner, None), (crossed, _ROWS[ROOK, mov.from_.colour][crossed])",
-     "return (corner, occ[corner]), (crossed, _ROWS[ROOK, mov.from_.colour][crossed])"),
+     "return (corner, None), (crossed, _ROWS[ROOK, mover.colour][crossed])",
+     "return (corner, occ[corner]), (crossed, _ROWS[ROOK, mover.colour][crossed])"),
+    # (_changes reads the pieces' square indices now)
     ("en-passant-victim-not-patched", "board.py",
-     "return ((square_at(target.x, origin.y), None),)",
-     "return ((square_at(target.x, origin.y), occ[square_at(target.x, origin.y)]),)"),
+     "return ((t & 7 | f & 56, None),)", "return ((t & 7 | f & 56, occ[t & 7 | f & 56]),)"),
+    ("en-passant-file-test-reads-the-rank", "board.py",
+     "(f ^ t) & 7 and occ[t] is None", "(f ^ t) & 56 and occ[t] is None"),
+    # (_child_map reads the slots the pieces carry now)
     ("castled-rook-missing-from-the-xor-update", "board.py",
-     "            boards[_SLOT[holder.colour, holder.type]] ^= 1 << s", "            pass"),
+     "            boards[holder._slot] ^= 1 << s", "            pass"),
     ("captured-piece-left-on-its-bitboard", "board.py",
-     "        boards[_SLOT[dead.colour, dead.type]] ^= 1 << t", "        pass"),
+     "        boards[dead._slot] ^= 1 << t", "        pass"),
     ("origin-not-cleared", "board.py",
-     "occ[f], occ[t] = None, mov.to_", "occ[t] = mov.to_"),
+     "occ[f], occ[t] = None, arrival", "occ[t] = arrival"),
+    # the slot and square index each piece carries from its construction
+    ("piece-slot-of-the-other-colour", "pieces.py",
+     '"_slot", _SLOT[self.colour, self.type]', '"_slot", _SLOT[opposite_colour(self.colour), self.type]'),
+    ("piece-square-index-a-rank-off", "pieces.py",
+     '"_s", self.square.x + 8 * self.square.y - 9', '"_s", self.square.x + 8 * self.square.y - 1'),
     ("rights-not-cleared-by-the-to-square", "board.py",
      "return occ, boards, rights & _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t]",
      "return occ, boards, rights & _RIGHTS_KEPT[f]"),
@@ -176,8 +189,7 @@ MUTANTS = [
      "wings = _CASTLINGS.get((colour, king))",
      "wings = _CASTLINGS.get((Colour.WHITE, king)) or _CASTLINGS.get((Colour.BLACK, king))"),
     ("castling-table-read-under-the-wrong-colour", "board.py",
-     "_CASTLINGS.get((mov.from_.colour, square_index(origin)), {})",
-     "_CASTLINGS.get((opposite_colour(mov.from_.colour), square_index(origin)), {})"),
+     "_CASTLINGS.get((mover.colour, f), {})", "_CASTLINGS.get((opposite_colour(mover.colour), f), {})"),
     ("rights-mask-ignores-corners", "board.py",
      "        if s in (home, corner)\n", "        if s == home\n"),
     ("fen-accepts-a-repeated-rights-letter", "fen.py",
@@ -185,9 +197,10 @@ MUTANTS = [
      "if not set(letters) <= _RIGHTS.keys():"),
     ("fen-revokes-the-wrong-corner", "fen.py",
      "for s in (corner, off))", "for s in (corner ^ 7, off ^ 7))"),
+    # (the probe asks _king_context of the map after the capture now)
     ("en-passant-probe-reads-the-parent-occupancy", "board.py",
-     "if king is None or not _square_attacked(probe, sum(after), king):",
-     "if king is None or not _square_attacked(attackers, occupied, king):"),
+     "if king is None or not _king_context(after, colour)[4]:",
+     "if king is None or not _king_context(boards, colour)[4]:"),
     # the occupancy an applied board derives its piece set from, and the
     # named rules' pre-conditions
     ("castled-rook-never-joins-the-piece-set", "board.py",
@@ -226,9 +239,16 @@ MUTANTS = [
      "total += 0 * (((one | left) & last).bit_count() + (right & last).bit_count())"),
     ("en-passant-not-counted", "board.py",
      "            if pawns >> s & 1:", "            if pawns >> s & 1 and not count:"),
+    # (the recursion now gets the child's map as `after`; a depth-2 node counts
+    # its children itself, through _leaves)
     ("en-passant-window-from-a-stale-ply", "board.py",
-     "count = _perft(_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables)",
-     "count = _perft(_child_map(square_map, m, changes), last, enemy, depth - 1, child, tables)"),
+     "_perft(after, m, enemy, depth - 1, child, tables)", "_perft(after, last, enemy, depth - 1, child, tables)"),
+    ("leaf-count-after-a-stale-ply", "board.py",
+     "_leaves(after, m, enemy, slides)", "_leaves(after, last, enemy, slides)"),
+    ("leaf-count-for-the-mover's-colour", "board.py",
+     "_leaves(after, m, enemy, slides)", "_leaves(after, m, colour, slides)"),
+    ("en-passant-shortcut-always-empty", "board.py",
+     "passant = _NO_PASSANT if last is None or", "passant = _NO_PASSANT if True or"),
     ("divide-hands-its-workers-the-parent's-last-move", "board.py",
      "tasks.append((_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables))",
      "tasks.append((_child_map(square_map, m, changes),"
@@ -316,6 +336,15 @@ MUTANTS = [
      "if holder is not piece and holder != piece:", "if holder is not piece:"),
     ("held-piece-type-unchecked", "board.py",
      "if piece_type is not None and piece.type is not piece_type:", "if False:"),
+    # concurrent calls on one board: a list is stored only when whole, and the
+    # readers walk a snapshot of the kept lists
+    ("list-stored-before-it-is-filled", "board.py",
+     "kept, row = [], _MOVES[slot << 10 | slot << 6 | s]",
+     "moves[s] = kept = []; row = _MOVES[slot << 10 | slot << 6 | s]"),
+    ("pawn-lists-stored-before-they-are-filled", "board.py",
+     "rest, lists = 0 if count else pawns, {}", "rest, lists = 0 if count else pawns, moves"),
+    ("side-moves-walk-the-live-dict", "board.py",
+     "_legal_for_piece(context, ~_mask(tuple(moves)))", "_legal_for_piece(context, ~_mask(moves))"),
 ]
 
 
