@@ -22,8 +22,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .pieces import (
     _A_FILE,
@@ -87,10 +86,11 @@ class Move:
             raise ValueError("a move cannot change colour")
         if from_.square.x == to_.square.x and from_.square.y == to_.square.y:
             raise ValueError("a move must change square")
-        if from_.type is not to_.type and not (
-            from_.type is PAWN and to_.square.y == (8 if from_.colour is Colour.WHITE else 1)
+        if from_.type is not to_.type and (
+            from_.type is not PAWN or to_.type is KING
+            or to_.square.y != (8 if from_.colour is Colour.WHITE else 1)
         ):
-            raise ValueError("only a pawn reaching the last rank may change type")
+            raise ValueError("only a pawn reaching the last rank may change type, never to a king")
         object.__setattr__(self, "_hash", hash((from_, to_)))
 
     def __eq__(self, other) -> bool:
@@ -290,22 +290,21 @@ def en_passant(board: Board, pawn: Piece) -> frozenset[Move]:
     return frozenset(m for m in _unguarded_moves(board, pawn, PAWN) if iss_en_passant(board, m))
 
 
-_NO_PASSANT = MappingProxyType({})  # the en-passant captures of most plies: shared, never written
+_NO_PASSANT = (0, 0)  # the en-passant window of most plies: none
 
 
-def _en_passant_targets(last: Optional[Move], colour: Colour) -> Mapping[int, int]:
-    """Pawn square -> the square a `colour` pawn there captures onto en
-    passant: the square an enemy pawn's double push on the last ply (None
-    before the first) skipped, for the two squares beside where it landed."""
+def _en_passant_targets(last: Optional[Move], colour: Colour) -> tuple:
+    """The en-passant window a `colour` side has after move `last` (None
+    before the first), as (the squares beside where an enemy pawn's double
+    push landed as a mask, the square index it skipped): a `colour` pawn
+    beside captures onto the skipped square.  (0, 0) is no window."""
     if last is None or last.from_.type is not PAWN or last.from_.colour is colour:
         return _NO_PASSANT
-    origin, landing = last.from_.square, last.to_.square
-    if abs(landing.y - origin.y) != 2:
+    f, t = last.from_._s, last.to_._s
+    if abs(t - f) != 16:
         return _NO_PASSANT
-    skipped = square_at(landing.x, (origin.y + landing.y) // 2)
-    return {
-        square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1) if 1 <= x <= 8
-    }
+    landing = 1 << t
+    return (landing & _NOT_A_FILE) >> 1 | (landing & _NOT_H_FILE) << 1, (f + t) // 2
 
 
 def pawn_promotion(state: BoardState, pawn: Piece) -> frozenset[Move]:
@@ -344,20 +343,20 @@ def castling_possible(board: Board, king: Piece) -> frozenset[Move]:
     check, and neither the crossed square nor the destination is attacked.
     """
     context, s = _held(board, king, KING)
-    slot = king._slot
-    return frozenset(_MOVES[slot << 10 | slot << 6 | s][t] for t in _castling_moves(context))
+    row = _MOVES[king._slot << 10 | king._slot << 6 | s]
+    return frozenset(map(row.__getitem__, _squares(_castling_moves(context))))
 
 
-def _castling_moves(context) -> list[int]:
-    """castling_possible's destinations as square indices: the wings of the
+def _castling_moves(context) -> int:
+    """castling_possible's destinations as a mask: those of the wings of the
     king's (colour, square) in _CASTLINGS whose bit the square map's rights
     mask holds, with the side's rook on the corner.  A king off its colour's
-    home square or in check returns at once."""
+    home square or in check returns 0 at once."""
     _, boards, rights, colour, _, occupied, attackers, king, checked = context[:9]
     wings = _CASTLINGS.get((colour, king))
     if wings is None or checked:
-        return []
-    rooks, dests = boards[_SIDE[colour] + 3], []
+        return 0
+    rooks, dests = boards[_SIDE[colour] + 3], 0
     for dest, (bit, corner, between, crossed) in wings.items():
         if (
             rights & bit
@@ -366,7 +365,7 @@ def _castling_moves(context) -> list[int]:
             and not _square_attacked(attackers, occupied, crossed)
             and not _square_attacked(attackers, occupied, dest)
         ):
-            dests.append(dest)
+            dests |= 1 << dest
     return dests
 
 
@@ -444,9 +443,9 @@ def _context(board: Board, colour: Colour) -> _Context:
     enemy's pieces as the attack probe reads them, the side's king square,
     whether it is in check, its pin lines and check evasions (as masks),
     the legal moves _legal_for_piece keeps by square index, the en-passant
-    captures (pawn square -> target square) the last ply allows, and
-    perft's slider memo (None on a board).  The occupancy (a 64-slot list
-    indexed (x - 1) + 8 * (y - 1)) and the bitboards are the one square map
+    window the last ply opens (_en_passant_targets), and perft's slider
+    memo (None on a board).  The occupancy (a 64-slot list indexed
+    (x - 1) + 8 * (y - 1)) and the bitboards are the one square map
     of the position: both sides share it, the geometry, the applier and SAN
     read the occupancy, and the legality masks the bitboards.  Every board
     holds it, with a 4-bit castling-rights mask, under key None from birth
@@ -541,9 +540,10 @@ _PAWN_SHIFTS = {
     Colour.WHITE: ((8, 0), (7, 0), (9, 0), 0xFF << 16, 0xFF << 56),
     Colour.BLACK: ((0, 8), (0, 9), (0, 7), 0xFF << 40, 0xFF),
 }
-# Per colour, the slots of its knights and sliders, each with its _SLIDES
-# field (None for the knights), and the castling rights it may hold.
-_WALKED = {c: tuple((_SLOT[c, k], _SLIDE_FIELD.get(k)) for k in _KINDS[1:5]) for c in Colour}
+# Per colour, the slots of its knights, sliders and king, each with its
+# _SLIDES field, or for the knights and the king its type; and the castling
+# rights it may hold.
+_WALKED = {c: tuple((_SLOT[c, k], _SLIDE_FIELD.get(k, k)) for k in _KINDS[1:]) for c in Colour}
 _SIDE_RIGHTS = {side: sum(bit for bit, *_ in wings.values()) for (side, _), wings in _CASTLINGS.items()}
 
 
@@ -553,36 +553,49 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
     their number (a promotion target counts four).
 
     One walk computes a target mask per piece from the bitboards, a slot
-    at a time: a knight its steps, a slider its attacks (_slide, through
+    at a time: a knight its steps and a slider its attacks (_slide, through
     perft's memo when the context has one), both less the side's own
-    squares, on the pin line and, in check, on an evasion square; the count
-    adds up their bit_count(), the lists lift their set bits through the
-    piece's move row (_MOVES under its slot, moving and arriving).  The
-    unpinned pawns' targets are found in bulk, by shifts with file masks,
-    and each pinned pawn's alone on its pin line.  Castling (only while the
-    side holds a right), en passant and king steps are probed a square at
-    a time: a king step must land where the enemy does not attack, and en
-    passant, which also removes the captured pawn, is probed on the square
-    map the applier's patch leaves (_changes, _child_map).  A missing king
-    is never attacked."""
+    squares and, in check, on an evasion square; the king its steps less
+    the side's own squares, each probed with the king lifted
+    (_square_attacked), plus its castling destinations (_castling_moves,
+    asked only while the side holds a right).  Every mask is cut to the
+    piece's pin line; the count adds up their bit_count(), the lists lift
+    their set bits through the piece's move row (_MOVES under its slot,
+    moving and arriving).  The unpinned pawns' targets are found in bulk,
+    by shifts with file masks, and each pinned pawn's alone on its pin
+    line.  En passant, which also removes the captured pawn, is probed for
+    each pawn in the window's beside mask on the square map the applier's
+    patch leaves (_changes, _child_map).  Without a king nothing is probed
+    and no castling listed."""
     (occ, boards, rights, colour, us, occupied, attackers, king, _, pins, evasions, moves,
      passant, slides) = context
     own = _SIDE[colour]
     allowed = evasions & ~us
     total = 0
-    pawns, kings = boards[own] & wanted, boards[own + 5] & wanted
-    for slot, part in _WALKED[colour] if us & wanted ^ pawns ^ kings else ():
+    pawns = boards[own] & wanted
+    for slot, part in _WALKED[colour] if us & wanted ^ pawns else ():
         pieces = boards[slot] & wanted
         while pieces:
             s = pieces.bit_length() - 1
             pieces ^= 1 << s
-            if part is None:
+            if part is KNIGHT:
                 targets = _STEPS[s][0] & allowed
+            elif part is KING:
+                targets = _STEPS[s][1] & ~us
+                if king is not None:
+                    probed, steps = occupied ^ 1 << s, targets
+                    while steps:
+                        t = steps.bit_length() - 1
+                        steps ^= 1 << t
+                        if _square_attacked(attackers, probed, t):
+                            targets ^= 1 << t
+                    if rights & _SIDE_RIGHTS[colour]:
+                        targets |= _castling_moves(context)
             else:
                 reach, lines, key = _SLIDES[s][part]
                 targets = _slide(lines, occupied) if slides is None else slides[occupied & reach | key]
                 targets &= allowed
-            if s in pins:  # a pinned knight's steps never land on its line
+            if s in pins:  # a pinned knight's steps never land on its line; a king is never pinned
                 targets &= pins[s]
             if count:
                 total += targets.bit_count()
@@ -594,11 +607,7 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                 kept.append(row[t])
             moves[s] = kept
     if pawns:
-        rest, lists = 0 if count else pawns, {}
-        while rest:
-            s = rest.bit_length() - 1
-            rest ^= 1 << s
-            lists[s] = []
+        lists = {} if count else {s: [] for s in _squares(pawns)}
         groups = [(pawns, allowed)]
         if pins:
             groups = [(pawns & ~_mask(pins), allowed)]
@@ -625,36 +634,16 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                         lists[s] += [_MOVES[own << 10 | own + j << 6 | s][t] for j in (4, 3, 2, 1)]
                     else:
                         lists[s].append(_MOVES[row_key | s][t])
-        for s, t in passant.items():
-            if pawns >> s & 1:
-                capture = _MOVES[row_key | s][t]
+        beside, skipped = passant
+        if pawns & beside:
+            for s in _squares(pawns & beside):
+                capture = _MOVES[row_key | s][skipped]
                 after = _child_map((occ, boards, rights), capture, _changes(occ, capture))[1]
                 if king is None or not _king_context(after, colour)[4]:
                     total += 1
                     if not count:
                         lists[s].append(capture)
         moves.update(lists)
-    if kings:
-        s = kings.bit_length() - 1
-        targets = _STEPS[s][1] & ~us
-        if king is not None:
-            probed, steps = occupied ^ kings, targets
-            while steps:
-                t = steps.bit_length() - 1
-                steps ^= 1 << t
-                if _square_attacked(attackers, probed, t):
-                    targets ^= 1 << t
-        castlings = _castling_moves(context) if rights & _SIDE_RIGHTS[colour] else ()
-        if count:
-            total += targets.bit_count() + len(castlings)
-        else:
-            row = _MOVES[own + 5 << 10 | own + 5 << 6 | s]
-            kept = [row[t] for t in castlings]
-            while targets:
-                t = targets.bit_length() - 1
-                targets ^= 1 << t
-                kept.append(row[t])
-            moves[s] = kept
     return total if count else None
 
 
@@ -832,9 +821,9 @@ _ZOBRIST = _Table(_zobrist)
 # castling-rights mask in bits 128-131 and in bits 132-137 the square an
 # en-passant capture lands on, set only while a pawn of the side to move
 # stands beside the pawn that double-pushed (never square 0, so 0 is none).
-# The count table salts it with the depth above them, at bit 138.  Keys meet
-# only inside one perft call and every update is an XOR, so the root's key is
-# 0: each is this key XOR the root's with its en-passant field clear.
+# Keys meet only inside one perft call and every update is an XOR, so the
+# root's key is 0: each is this key XOR the root's with its en-passant field
+# clear.
 _LESS_PASSANT = (1 << 132) - 1
 
 
@@ -842,16 +831,15 @@ def _move_key(mov: Move) -> tuple:
     """An entry of _MOVE_KEYS, what a move does to the key wherever it is
     played: (the mover's number on its square XOR the arriving piece's on
     its target, the target's square index, the castling rights it keeps,
-    the enemy pawns' slot, and for a double push the squares beside its
-    landing as a mask and the skipped square in the en-passant field, else
-    0 and 0)."""
+    the enemy pawns' slot, and the en-passant window it opens for them
+    (_en_passant_targets): the beside mask, and the skipped square in the
+    en-passant field; 0 and 0 for none)."""
     mover, arrival = mov.from_, mov.to_
     f, t = mover._s, arrival._s
     moved = _ZOBRIST[mover.colour, mover.type][f] ^ _ZOBRIST[arrival.colour, arrival.type][t]
     enemy = opposite_colour(mover.colour)
-    targets = _en_passant_targets(mov, enemy)  # each square beside -> the one skipped square
-    beside, passant = _mask(targets), max(targets.values(), default=0) << 132
-    return moved, t, _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t], _SIDE[enemy], beside, passant
+    beside, skipped = _en_passant_targets(mov, enemy)
+    return moved, t, _RIGHTS_KEPT[f] & _RIGHTS_KEPT[t], _SIDE[enemy], beside, skipped << 132
 
 
 # Per interned move, its _move_key entry, made on first use: an import
@@ -896,30 +884,29 @@ def _perft(square_map, last: Optional[Move], colour: Colour, depth: int, key: in
     before the first) with `colour` to move and full key `key`
     (_child_key), through perft's tables (_divide).  A depth-1 node only
     counts, and a depth-2 node counts each child itself (_leaves) in its
-    loop, with no frame of the child's own.  A child whose depth is in the
-    tables' probed range is looked up in the count table under its key XOR
-    its depth shifted above the key's fields, and its count kept there.  A
-    tree with no probed depth keeps no keys: `key` stays 0."""
-    slides, counts, probed = tables
+    loop, with no frame of the child's own.  A child whose depth has a
+    count table is looked up there under its key, and its count kept
+    there.  A tree with no count table keeps no keys: `key` stays 0."""
+    slides, counts = tables
     if depth == 1:
         return _leaves(square_map, last, colour, slides)
     context = _side_context(square_map, last, colour, slides)
     occ, enemy, total = context.occ, opposite_colour(colour), 0
-    if probed:
+    if counts:
         key &= _LESS_PASSANT
-    salt = depth - 1 << 138 if depth - 1 in probed else None
+    table = counts.get(depth - 1)
     for m in _side_moves(context):
         changes = _changes(occ, m)
-        child = _child_key(key, square_map, m, changes) if probed else key
-        count = None if salt is None else counts.get(child ^ salt)
+        child = _child_key(key, square_map, m, changes) if counts else key
+        count = None if table is None else table.get(child)
         if count is None:
             after = _child_map(square_map, m, changes)
             if depth == 2:
                 count = _leaves(after, m, enemy, slides)
             else:
                 count = _perft(after, m, enemy, depth - 1, child, tables)
-            if salt is not None:
-                counts[child ^ salt] = count
+            if table is not None:
+                table[child] = count
         total += count
     return total
 
@@ -928,22 +915,21 @@ def _divide(board: Board, to_move: Colour, depth: int, jobs: int = 1) -> list:
     """(move, perft count of depth - 1 after it) for each legal move (depth
     >= 1): _perft on each root move's child square map and key, which with
     jobs > 1 a pool of that many processes receives.  perft's tables live
-    for one call, one set per process (a pool pickles them empty with its
-    tasks): the slider memo (_memo_slide), the count table, and the depths
-    whose positions it holds, those from the root's ply 3 on; the first
-    two plies cannot meet a position twice.  The root's key is 0, so each
-    child's is _child_key from 0."""
+    for one call, one pair per process (a pool pickles them empty with its
+    tasks): the slider memo (_memo_slide) and a count table (key -> count)
+    per depth whose positions are looked up, those from the root's ply 3
+    on; the first two plies cannot meet a position twice.  The root's key
+    is 0, so each child's is _child_key from 0."""
     context = _context(board, to_move)
     occ, square_map, enemy = context.occ, board._contexts[None], opposite_colour(to_move)
     moves = list(_side_moves(context))
     if depth == 1:
         return [(m, 1) for m in moves]
-    probed = range(1, depth - 2)
-    tables = (_Table(_memo_slide), {}, probed)
-    tasks = []
+    counts = {d: {} for d in range(1, depth - 2)}
+    tables, tasks = (_Table(_memo_slide), counts), []
     for m in moves:
         changes = _changes(occ, m)
-        child = _child_key(0, square_map, m, changes) if probed else 0
+        child = _child_key(0, square_map, m, changes) if counts else 0
         tasks.append((_child_map(square_map, m, changes), m, enemy, depth - 1, child, tables))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:

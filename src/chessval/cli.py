@@ -54,7 +54,6 @@ class ValidationReport:
     ply: Optional[int] = None
     lexeme: Optional[str] = None
     reason: Optional[str] = None
-    final_position: str = ""
     engine_result: GameResult = GameResult.UNKNOWN
     tag_result: GameResult = GameResult.UNKNOWN
     warnings: list[str] = field(default_factory=list)
@@ -96,7 +95,6 @@ def _validate_game(
         report.status = "error"
         report.ply, report.lexeme = played + 1, san_text(parsed.tokens[played])
         report.reason = str(exc)
-    report.final_position = board_to_ascii(game.board.board_state)
     if report.status == "ok":
         report.engine_result = RESULT_BY_WINNER[winner]
         if (

@@ -47,14 +47,15 @@ def opposite_colour(c: Colour) -> Colour:
 
 @dataclass(frozen=True)
 class Coordinate:
-    """A board square; file x and rank y both run 1-8."""
+    """A board square; file x and rank y are both whole numbers in 1-8."""
 
     x: int
     y: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.x <= 8 and 1 <= self.y <= 8):
-            raise ValueError(f"coordinate off the board: ({self.x}, {self.y})")
+        x, y = self.x, self.y
+        if not (isinstance(x, int) and isinstance(y, int) and 1 <= x <= 8 and 1 <= y <= 8):
+            raise ValueError(f"coordinate off the board: ({x}, {y})")
 
 
 # All 64 squares interned up front, indexed (x - 1) + 8 * (y - 1).

@@ -108,6 +108,11 @@ def test_move_type_change_needs_a_promoting_pawn():
     # a pawn arriving on the last rank may change type
     Move(P(PAWN, 1, 7), P(QUEEN, 1, 8))
     Move(P(PAWN, 1, 2, B), P(KNIGHT, 1, 1, B))
+    # but never to a king: move_other, which skips Board's checks, would
+    # build a board with two kings of one colour
+    for pawn, x, y in ((P(PAWN, 5, 7), 5, 8), (P(PAWN, 5, 7), 4, 8), (P(PAWN, 3, 2, B), 3, 1)):
+        with pytest.raises(ValueError, match="never to a king"):
+            M(pawn, x, y, KING)
 
 
 def test_move_equality_defers_to_the_other_operand_for_a_non_move():

@@ -223,10 +223,9 @@ def _scratch_key(square_map, last, colour):
     for s, piece in enumerate(occ):
         if piece is not None:
             key ^= board_module._ZOBRIST[piece.colour, piece.type][s]
-    pawns = boards[board_module._SIDE[colour]]
-    for s, t in _en_passant_targets(last, colour).items():
-        if pawns >> s & 1:
-            key |= t << 132
+    beside, skipped = _en_passant_targets(last, colour)
+    if boards[board_module._SIDE[colour]] & beside:
+        key |= skipped << 132
     return key
 
 
@@ -492,7 +491,7 @@ def _unfiltered(occ, colour):
         occ=occ, boards=boards, rights=15, colour=colour,
         us=sum(boards[:6] if colour is Colour.WHITE else boards[6:]), occupied=sum(boards),
         attackers=_king_context(boards, colour)[2], king=None, checked=False,
-        pins={}, evasions=FULL, moves={}, passant={}, slides=None,
+        pins={}, evasions=FULL, moves={}, passant=(0, 0), slides=None,
     )
 
 

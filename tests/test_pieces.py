@@ -89,6 +89,11 @@ def test_coordinate_rejects_out_of_range_construction():
         Coordinate(0, 4)
     with pytest.raises(ValueError):
         Coordinate(3, 9)
+    # nor a value that is not a whole number: a Piece there would get a
+    # float square index, and 2.0 equals 2 but indexes nothing
+    for x, y in ((1.5, 2), (2.0, 3), (4, 3.0), ("2", 3), (5, None)):
+        with pytest.raises(ValueError, match="off the board"):
+            Coordinate(x, y)
 
 
 def test_single_step_on_empty_board():

@@ -30,9 +30,13 @@ SLOW = (
 
 # (name, module, the line's text, its mutated text)
 MUTANTS = [
-    # the board's checks at birth
+    # the board's checks at birth, and the values' own
     ("second-king-accepted", "board.py",
      "if kings & (kings - 1):", "if False:"),
+    ("pawn-promotes-to-a-king", "board.py",
+     "from_.type is not PAWN or to_.type is KING\n", "from_.type is not PAWN\n"),
+    ("coordinate-accepts-non-integers", "pieces.py",
+     "if not (isinstance(x, int) and isinstance(y, int) and 1 <= x <= 8", "if not (1 <= x <= 8"),
     # the legality filter
     ("evasions-ignored", "board.py",
      "allowed = evasions & ~us", "allowed = FULL & ~us"),
@@ -43,7 +47,7 @@ MUTANTS = [
     ("king-steps-unprobed", "board.py",
      "if _square_attacked(attackers, probed, t):", "if False:"),
     ("king-not-lifted", "board.py",
-     "probed, steps = occupied ^ kings, targets", "probed, steps = occupied, targets"),
+     "probed, steps = occupied ^ 1 << s, targets", "probed, steps = occupied, targets"),
     # the special moves' walk, with the king filters cleared
     ("special-moves-filtered-by-the-king", "board.py",
      "_replace(king=None, pins={}, evasions=FULL, moves={})",
@@ -54,10 +58,10 @@ MUTANTS = [
     ("special-moves-filtered-by-evasions", "board.py",
      "_replace(king=None, pins={}, evasions=FULL, moves={})",
      "_replace(king=None, pins={}, moves={})"),
-    # the side's one walk
+    # the side's one walk (the king is walked after the queens)
     ("side-walk-skips-the-knights-and-sliders", "board.py",
-     "_WALKED[colour] if us & wanted ^ pawns ^ kings else ()",
-     "() if us & wanted ^ pawns ^ kings else ()"),
+     "_WALKED[colour] if us & wanted ^ pawns else ()",
+     "() if us & wanted ^ pawns else ()"),
     # the move rows, found by one int key: moving slot << 10 | arriving slot << 6 | square
     # (the walk's row line also starts the piece's list, kept in a local)
     ("row-of-the-wrong-type", "board.py",
@@ -71,9 +75,11 @@ MUTANTS = [
     ("promotion-row-keyed-by-the-moving-slot", "board.py",
      "_MOVES[own << 10 | own + j << 6 | s][t]", "_MOVES[own << 10 | own << 6 | s][t]"),
     ("castling-probed-never", "board.py",
-     "if rights & _SIDE_RIGHTS[colour] else ()", "if False else ()"),
+     "if rights & _SIDE_RIGHTS[colour]:", "if False:"),
     ("castling-probed-always", "board.py",
-     "if rights & _SIDE_RIGHTS[colour] else ()", "if True else ()"),
+     "if rights & _SIDE_RIGHTS[colour]:", "if True:"),
+    ("castling-listed-in-check", "board.py",
+     "if wings is None or checked:", "if wings is None:"),
     # the king's context: checks, pins and evasions as masks
     ("pin-with-two-shields", "board.py",
      "elif not shields & (shields - 1) and shields & us:", "elif shields & us:"),
@@ -148,9 +154,15 @@ MUTANTS = [
      "left = (group & _NOT_A_FILE) << al >> ar & ~us & on"),
     ("double-push-from-the-wrong-rank-in-the-walk", "board.py",
      "0xFF << 16, 0xFF << 56", "0xFF << 24, 0xFF << 56"),
+    # the en-passant window: a mask of the squares beside the landing, and the skipped square
     ("en-passant-neighbours-off-the-board", "board.py",
-     "square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1) if 1 <= x <= 8",
-     "square_at(x, landing.y): skipped for x in (landing.x - 1, landing.x + 1)"),
+     "(landing & _NOT_A_FILE) >> 1 | (landing & _NOT_H_FILE) << 1", "landing >> 1 | landing << 1"),
+    ("en-passant-neighbour-wraps-from-the-a-file", "board.py",
+     "(landing & _NOT_A_FILE) >> 1", "landing >> 1"),
+    ("en-passant-neighbour-wraps-from-the-h-file", "board.py",
+     "(landing & _NOT_H_FILE) << 1", "landing << 1"),
+    ("en-passant-skipped-square-a-rank-off", "board.py",
+     "(f + t) // 2", "(f + t) // 2 + 8"),
     # the square map a child inherits, and the move-kind dispatch behind it
     ("rook-not-patched-on-castling", "board.py",
      "return (corner, None), (crossed, _ROWS[ROOK, mover.colour][crossed])",
@@ -238,7 +250,7 @@ MUTANTS = [
      "total += 3 * (((one | left) & last).bit_count() + (right & last).bit_count())",
      "total += 0 * (((one | left) & last).bit_count() + (right & last).bit_count())"),
     ("en-passant-not-counted", "board.py",
-     "            if pawns >> s & 1:", "            if pawns >> s & 1 and not count:"),
+     "        if pawns & beside:", "        if pawns & beside and not count:"),
     # (the recursion now gets the child's map as `after`; a depth-2 node counts
     # its children itself, through _leaves)
     ("en-passant-window-from-a-stale-ply", "board.py",
@@ -261,20 +273,23 @@ MUTANTS = [
     ("key-rights-field-xored-with-the-kept-rights", "board.py",
      "key ^= (rights & ~kept) << 128", "key ^= (rights & kept) << 128"),
     ("root-key-not-0", "board.py",
-     "child = _child_key(0, square_map, m, changes) if probed else 0",
-     "child = _child_key(square_map[2] << 128, square_map, m, changes) if probed else 0"),
+     "child = _child_key(0, square_map, m, changes) if counts else 0",
+     "child = _child_key(square_map[2] << 128, square_map, m, changes) if counts else 0"),
     ("key-en-passant-field-never-set", "board.py",
-     "max(targets.values(), default=0) << 132", "0"),
+     "_SIDE[enemy], beside, skipped << 132", "_SIDE[enemy], beside, 0"),
     ("key-en-passant-field-over-the-rights", "board.py",
-     "max(targets.values(), default=0) << 132", "max(targets.values(), default=0) << 128"),
+     "beside, skipped << 132", "beside, skipped << 128"),
     ("key-without-the-en-passant-term", "board.py",
      "        key ^= passant", "        pass"),
     ("key-without-the-castled-rook", "board.py",
      "            key ^= _ZOBRIST[holder.colour, holder.type][s]", "            pass"),
     ("key-keeps-the-node's-en-passant-term", "board.py",
      "        key &= _LESS_PASSANT", "        pass"),
+    # (one count table per depth, {depth: {key: count}})
     ("count-table-keyed-without-the-depth", "board.py",
-     "salt = depth - 1 << 138 if", "salt = 1 << 138 if"),
+     "table = counts.get(depth - 1)", "table = counts[1] if depth - 1 in counts else None"),
+    ("count-table-shared-by-every-depth", "board.py",
+     "{d: {} for d in range(1, depth - 2)}", "dict.fromkeys(range(1, depth - 2), {})"),
     ("deep-perft-ends-in-a-traceback", "cli.py",
      "    except RecursionError:", "    except ZeroDivisionError:"),
     # the terminal test
@@ -342,7 +357,8 @@ MUTANTS = [
      "kept, row = [], _MOVES[slot << 10 | slot << 6 | s]",
      "moves[s] = kept = []; row = _MOVES[slot << 10 | slot << 6 | s]"),
     ("pawn-lists-stored-before-they-are-filled", "board.py",
-     "rest, lists = 0 if count else pawns, {}", "rest, lists = 0 if count else pawns, moves"),
+     "lists = {} if count else {s: [] for s in _squares(pawns)}",
+     "lists = {} if count else moves.update({s: [] for s in _squares(pawns)}) or moves"),
     ("side-moves-walk-the-live-dict", "board.py",
      "_legal_for_piece(context, ~_mask(tuple(moves)))", "_legal_for_piece(context, ~_mask(moves))"),
 ]
