@@ -272,8 +272,7 @@ def _unguarded_moves(board: Board, piece: Piece, piece_type=None) -> list[Move]:
     these."""
     context, s = _held(board, piece, piece_type)
     context = context._replace(king=None, pins={}, evasions=FULL, moves={})
-    _legal_for_piece(context, 1 << s)
-    return context.moves[s]
+    return _legal_for_piece(context, 1 << s)[s]
 
 
 def pawn_move_two(state: BoardState, pawn: Piece) -> frozenset[Move]:
@@ -484,17 +483,17 @@ def _piece_moves(context, s: int) -> list[Move]:
     never mutate it."""
     moves = context.moves.get(s)
     if moves is None:
-        _legal_for_piece(context, 1 << s)
-        moves = context.moves[s]
+        moves = _legal_for_piece(context, 1 << s)[s]
     return moves
 
 
 def _moves_onto(context, kind: PieceType, t: int) -> list[Move]:
     """The legal moves of the context's side's pieces of one type onto
-    square index t.  One walk covers those of them not yet kept by square
-    whose reach on an empty board holds t: for a pawn, t's file and the
-    squares it captures onto t from; the king always, for castling."""
-    colour, moves = context.colour, context.moves
+    square index t: one walk with the target mask 1 << t over those of them
+    whose reach on an empty board holds t (for a pawn, t's file and the
+    squares it captures onto t from; the king always, for castling).  The
+    walk keeps nothing on the context, whose lists stay whole."""
+    colour = context.colour
     if kind is PAWN:
         reach = _STEPS[t][_PAWN_FIELD[colour]] | _A_FILE << (t & 7)
     elif kind is KNIGHT:
@@ -502,9 +501,7 @@ def _moves_onto(context, kind: PieceType, t: int) -> list[Move]:
     else:
         reach = FULL if kind is KING else _SLIDES[t][_SLIDE_FIELD[kind]][0]
     pieces = context.boards[_SLOT[colour, kind]] & reach
-    _legal_for_piece(context, pieces & ~_mask(tuple(moves)))  # a snapshot: other threads may add
-    square = SQUARES[t]  # generated moves hold these
-    return [m for s in _squares(pieces) for m in moves[s] if m.to_.square is square]
+    return [m for moves in _legal_for_piece(context, pieces, False, 1 << t).values() for m in moves]
 
 
 def _side_moves(context) -> Iterator[Move]:
@@ -547,10 +544,12 @@ _WALKED = {c: tuple((_SLOT[c, k], _SLIDE_FIELD.get(k, k)) for k in _KINDS[1:]) f
 _SIDE_RIGHTS = {side: sum(bit for bit, *_ in wings.values()) for (side, _), wings in _CASTLINGS.items()}
 
 
-def _legal_for_piece(context, wanted: int, count: bool = False):
+def _legal_for_piece(context, wanted: int, count: bool = False, onto: int = FULL):
     """The legal moves of the side's pieces on the squares of the `wanted`
-    mask, kept in the context's by-square lists, or with `count` only
-    their number (a promotion target counts four).
+    mask onto the squares of the `onto` mask, by square index, or with
+    `count` only their number (a promotion target counts four).  The lists
+    go into the dict it returns: with `onto` FULL the context's, which keeps
+    them, and otherwise one of the walk's own, so kept lists stay whole.
 
     One walk computes a target mask per piece from the bitboards, a slot
     at a time: a knight its steps and a slider its attacks (_slide, through
@@ -559,18 +558,21 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
     the side's own squares, each probed with the king lifted
     (_square_attacked), plus its castling destinations (_castling_moves,
     asked only while the side holds a right).  Every mask is cut to the
-    piece's pin line; the count adds up their bit_count(), the lists lift
+    piece's pin line and to `onto` (the king's before it probes a step or
+    keeps a castling); the count adds up their bit_count(), the lists lift
     their set bits through the piece's move row (_MOVES under its slot,
     moving and arriving).  The unpinned pawns' targets are found in bulk,
     by shifts with file masks, and each pinned pawn's alone on its pin
     line.  En passant, which also removes the captured pawn, is probed for
     each pawn in the window's beside mask on the square map the applier's
-    patch leaves (_changes, _child_map).  Without a king nothing is probed
-    and no castling listed."""
+    patch leaves (_changes, _child_map), when `onto` holds the skipped
+    square.  Without a king nothing is probed and no castling listed."""
     (occ, boards, rights, colour, us, occupied, attackers, king, _, pins, evasions, moves,
      passant, slides) = context
-    own = _SIDE[colour]
-    allowed = evasions & ~us
+    own, not_ours = _SIDE[colour], ~us
+    allowed = evasions & not_ours
+    if onto != FULL:  # cut to `onto`, into lists of the walk's own
+        moves, not_ours, allowed = {}, not_ours & onto, allowed & onto
     total = 0
     pawns = boards[own] & wanted
     for slot, part in _WALKED[colour] if us & wanted ^ pawns else ():
@@ -581,7 +583,7 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
             if part is KNIGHT:
                 targets = _STEPS[s][0] & allowed
             elif part is KING:
-                targets = _STEPS[s][1] & ~us
+                targets = _STEPS[s][1] & not_ours
                 if king is not None:
                     probed, steps = occupied ^ 1 << s, targets
                     while steps:
@@ -590,7 +592,7 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                         if _square_attacked(attackers, probed, t):
                             targets ^= 1 << t
                     if rights & _SIDE_RIGHTS[colour]:
-                        targets |= _castling_moves(context)
+                        targets |= _castling_moves(context) & onto
             else:
                 reach, lines, key = _SLIDES[s][part]
                 targets = _slide(lines, occupied) if slides is None else slides[occupied & reach | key]
@@ -635,7 +637,7 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                     else:
                         lists[s].append(_MOVES[row_key | s][t])
         beside, skipped = passant
-        if pawns & beside:
+        if pawns & beside and onto >> skipped & 1:
             for s in _squares(pawns & beside):
                 capture = _MOVES[row_key | s][skipped]
                 after = _child_map((occ, boards, rights), capture, _changes(occ, capture))[1]
@@ -644,7 +646,7 @@ def _legal_for_piece(context, wanted: int, count: bool = False):
                     if not count:
                         lists[s].append(capture)
         moves.update(lists)
-    return total if count else None
+    return total if count else moves
 
 
 def legal_moves(board: Board, colour: Colour) -> frozenset[Move]:

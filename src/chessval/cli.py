@@ -1,8 +1,8 @@
 """Command line front end: replay PGN files, run perft, round-trip games.
 
 Exit codes are the machine contract: 0 success, 1 parse or validation
-failure, 2 an environment or I/O failure.  Reports go to stdout, errors
-to stderr.
+failure, 2 an environment or I/O failure (a reader that closes stdout
+early included).  Reports go to stdout, errors to stderr.
 """
 
 from __future__ import annotations
@@ -296,13 +296,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "validate":
-        code, _ = cmd_validate(args.paths, verbose=args.verbose, strict=args.strict)
+    try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "validate":
+            code = cmd_validate(args.paths, verbose=args.verbose, strict=args.strict)[0]
+        elif args.command == "perft":
+            code = cmd_perft(args.depth, fen=args.fen, divide=args.divide)
+        else:
+            code = cmd_roundtrip(args.path)
+        sys.stdout.flush()  # a reader that closed stdout early fails it here, not at exit
         return code
-    if args.command == "perft":
-        return cmd_perft(args.depth, fen=args.fen, divide=args.divide)
-    return cmd_roundtrip(args.path)
+    except BrokenPipeError:  # an I/O failure, quiet: the last flush writes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return IO_EXIT
 
 
 if __name__ == "__main__":

@@ -44,15 +44,22 @@ def new_game() -> Game:
 def game_move(game: Game, mov: Move) -> tuple[Game, Winner]:
     """Play one move and report whether it ended the game.
 
-    The move must belong to the side to move and be legal on the game's
-    board.  When the opponent is left without a legal reply the game is
-    over: won by the mover if the opponent is in check, drawn (remis)
-    otherwise.  The returned Game then carries the final board but keeps
-    the mover as turn holder; in the ongoing case the turn flips.
+    The move must belong to the side to move and pass the move() gate;
+    then the outcome step (_outcome).  When the opponent is left without a
+    legal reply the game is over: won by the mover if the opponent is in
+    check, drawn (remis) otherwise.  The returned Game then carries the
+    final board but keeps the mover as turn holder; in the ongoing case
+    the turn flips.
     """
     if mov.from_.colour is not game.turn:
         raise IllegalMoveError(f"it is not {mov.from_.colour.value}'s turn")
-    new_board = move(game.board, mov)
+    return _outcome(game, move(game.board, mov))
+
+
+def _outcome(game: Game, new_board: Board) -> tuple[Game, Winner]:
+    """The game once its side to move has made the move that built
+    `new_board`, and its winner: game_move's terminal test, winner and
+    turn, which SAN resolution also plays through after its own walk."""
     opponent = opposite_colour(game.turn)
     if not has_legal_move(new_board, opponent):
         if _context(new_board, opponent).checked:

@@ -28,11 +28,12 @@ from .board import (
     _PIECE_LETTERS,
     IllegalMoveError,
     Move,
+    _apply,
     _context,
     _moves_onto,
     iss_castling,
 )
-from .game import REMIS, Game, Winner, game_move, new_game
+from .game import REMIS, Game, Winner, _outcome, game_move, new_game
 from .pieces import SQUARES, Colour, Coordinate, PieceType, square_at, square_index
 
 FILE_TO_X = {c: i for i, c in enumerate("abcdefgh", start=1)}
@@ -314,22 +315,24 @@ def _is_capture(mov: Move, held: bool) -> bool:
     return held or mov.from_.type is PieceType.PAWN and mov.from_.square.x != mov.to_.square.x
 
 
-def _step(game: Game, mov: Move) -> tuple[Game, Winner, CheckMark]:
-    """Play a move through game_move's move() gate, the only legality check:
-    the game after it, its winner and the check mark it earns."""
-    after, winner = game_move(game, mov)
+def _step(played: tuple[Game, Winner]) -> tuple[Game, Winner, CheckMark]:
+    """A played move's result (game_move's, or game._outcome's): the game
+    after it, its winner and the check mark it earns."""
+    after, winner = played
     if winner is None:
-        # game_move's terminal test has just filled this context.
+        # the outcome step's terminal test has just filled this context.
         checked = _context(after.board, after.turn).checked
         return after, winner, CheckMark.CHECK if checked else CheckMark.NONE
-    return after, winner, CheckMark.MATE if winner is game.turn else CheckMark.NONE
+    return after, winner, CheckMark.NONE if winner is REMIS else CheckMark.MATE
 
 
 def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, CheckMark, list[Move]]:
     """Resolve a token and play it: the move, the game after it, its winner,
     its check mark and its rivals (the legal moves of its piece type onto
     its target square, which spelling it needs); see resolve_san for the
-    errors.  Nothing is spelled here."""
+    errors.  Nothing is spelled here.  The rivals are legal by their walk
+    (board._moves_onto), so the match is played by _apply and game_move's
+    outcome step, with no second pass through the move() gate."""
     piece_type, castle = token.piece_type, token.kind is not SanKind.NORMAL
     if castle:  # the king's destination on the token's wing
         kingside = token.kind is SanKind.KINGSIDE_CASTLE
@@ -355,7 +358,7 @@ def _play_san(token: SanToken, game: Game) -> tuple[Move, Game, Winner, CheckMar
         raise SanError(f"no legal move matches {san_text(token)!r}")
     if len(matches) > 1:
         raise SanError(f"ambiguous SAN {san_text(token)!r}: {len(matches)} moves match")
-    after, winner, mark = _step(game, matches[0])
+    after, winner, mark = _step(_outcome(game, _apply(game.board, matches[0])))
     if token.check_mark is CheckMark.CHECK and mark is CheckMark.NONE:
         raise SanError(f"{san_text(token)!r} claims check but gives none")
     if token.check_mark is CheckMark.MATE and mark is not CheckMark.MATE:
@@ -378,11 +381,12 @@ _ENDED = "move after the game already ended"
 
 def _play_move(mov: Move, game: Game) -> tuple[Move, Game, Winner, CheckMark, list[Move]]:
     """Play a move as _play_san plays a token: the move, the game after it,
-    its winner, its check mark and its rivals; it raises only game_move's
-    IllegalMoveError (the side to move, then the move() gate)."""
+    its winner, its check mark and its rivals; it plays through game_move,
+    so it raises only its IllegalMoveError (the side to move, then the
+    move() gate)."""
     context = _context(game.board, game.turn)
     rivals = _moves_onto(context, mov.from_.type, square_index(mov.to_.square))
-    return (mov, *_step(game, mov), rivals)
+    return (mov, *_step(game_move(game, mov)), rivals)
 
 
 def _plays(play, items: Iterable, game: Game) -> Iterator[tuple]:

@@ -1,6 +1,10 @@
 """CLI contract tests: exit codes, report lines, perft and round trips."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +378,33 @@ def test_roundtrip_handles_multiple_games(tmp_path, capsys):
     code = main(["roundtrip", str(path)])
     assert code == 0
     assert "2 games" in capsys.readouterr().out
+
+
+def test_roundtrip_that_cannot_write_its_output_is_an_io_failure(fools_mate_file, tmp_path):
+    (tmp_path / "fools.out.pgn").mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_roundtrip(str(fools_mate_file), out=out, err=err) == 2
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1 and "cannot write" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "args, lines",
+    [
+        (["validate", "--verbose", "corpus.pgn"], 1),  # stdout fails while the command runs
+        (["perft", "--depth", "1", "--divide"], 0),  # stdout fails at its last flush
+    ],
+)
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(args, lines):
+    data = Path(__file__).parent / "data"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in sys.path if p))
+    run = subprocess.Popen(
+        [sys.executable, "-m", "chessval.cli", *args],
+        cwd=data, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    for _ in range(lines):
+        assert run.stdout.readline()
+    run.stdout.close()
+    err = run.stderr.read()
+    assert run.wait(timeout=60) == 2
+    assert err == b""

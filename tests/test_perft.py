@@ -550,12 +550,12 @@ def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
     computed = []
     legal_for_piece = board_module._legal_for_piece
 
-    def counting(context, wanted, count=False):
-        if not count:  # the pieces whose lists this walk fills
+    def counting(context, wanted, count=False, onto=FULL):
+        if not count and onto == FULL:  # the pieces whose lists this walk keeps
             own = board_module._SIDE[context.colour]
             pieces = sum(context.boards[own:own + 6]) & wanted
             computed.extend((context.colour, s) for s in range(64) if pieces >> s & 1)
-        return legal_for_piece(context, wanted, count)
+        return legal_for_piece(context, wanted, count, onto)
 
     monkeypatch.setattr(board_module, "_legal_for_piece", counting)
     for board, colour in _sample_positions():
@@ -571,6 +571,8 @@ def test_the_legal_lists_do_not_depend_on_which_query_filled_them(monkeypatch):
             fresh = Board(board.board_state, board.history)
             computed.clear()
             fill(fresh)
+            if fill is fillers[2]:  # the onto walk keeps no list
+                assert not computed and not _context(fresh, colour).moves
             assert legal_moves(fresh, colour) == expected
             assert possible_moves(fresh, mov.from_) == {
                 m for m in expected if m.from_ == mov.from_

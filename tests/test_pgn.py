@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from chessval import pgn
-from chessval.board import Board, IllegalMoveError, Move
+from chessval.board import Board, IllegalMoveError, Move, _context, _moves_onto, legal_moves, move
+from chessval.fen import parse_fen
 from chessval.game import Game, game_move, new_game
 from chessval.pgn import (
     CheckMark,
@@ -25,7 +26,9 @@ from chessval.pgn import (
     san_text,
     serialize_game,
 )
-from chessval.pieces import Colour, Coordinate, Piece, PieceType
+from chessval.pieces import Colour, Coordinate, Piece, PieceType, opposite_colour, square_index
+
+from positions import KIWIPETE, POSITION_3, POSITION_4, POSITION_4_MIRROR, POSITION_5
 
 W, B = Colour.WHITE, Colour.BLACK
 PAWN, ROOK, KNIGHT = PieceType.PAWN, PieceType.ROOK, PieceType.KNIGHT
@@ -346,11 +349,14 @@ def test_ambiguous_san_is_an_error():
 
 
 def test_resolve_castling():
-    board = Board({P(KING, 5, 1), P(ROOK, 8, 1), P(KING, 8, 8, B)})
+    # both wings open: each token resolves to its own
+    board = Board({P(KING, 5, 1), P(ROOK, 1, 1), P(ROOK, 8, 1), P(KING, 8, 8, B)})
     king_move = resolve_san(
         SanToken(kind=SanKind.KINGSIDE_CASTLE, piece_type=KING), Game(board, W)
     )
     assert king_move == M(P(KING, 5, 1), 7, 1)
+    queenside = SanToken(kind=SanKind.QUEENSIDE_CASTLE, piece_type=KING)
+    assert resolve_san(queenside, Game(board, W)) == M(P(KING, 5, 1), 3, 1)
     # a castling token is the king's whatever its piece_type field says
     assert resolve_san(SanToken(kind=SanKind.KINGSIDE_CASTLE), Game(board, W)) == king_move
 
@@ -363,6 +369,9 @@ def test_a_plain_king_token_does_not_match_a_castling():
     with pytest.raises(SanError, match="no legal move matches 'Kg1'"):
         for _ in range(7):
             next(plies)
+    # a king step resolves beside the castling, and beside the other free step, e2
+    stepped = list(replay(parse_pgn(opening.format("Kf1"))[0].tokens))[-1]
+    assert (stepped[0], stepped[3]) == (M(P(KING, 5, 1), 6, 1), "Kf1")
 
 
 def test_en_passant_resolves_only_as_a_capture():
@@ -372,6 +381,9 @@ def test_en_passant_resolves_only_as_a_capture():
     assert P(PAWN, 4, 5, B) not in after.board.board_state
     with pytest.raises(SanError, match="no legal move matches 'ed6'"):
         list(replay(parse_pgn("1. e4 Nf6 2. e5 d5 3. ed6 *")[0].tokens))
+    # the other capture resolves beside the legal en-passant one
+    (game,) = parse_pgn("1. e4 Nf6 2. e5 d5 3. exf6 *")
+    assert list(replay(game.tokens))[-1][0] == M(P(PAWN, 5, 5), 6, 6)
 
 
 def test_resolution_spells_nothing(monkeypatch):
@@ -427,6 +439,52 @@ def test_resolve_validates_a_true_mate_claim():
         game, _ = game_move(game, mov)
     token = SanToken(piece_type=QUEEN, target=C(8, 4), check_mark=CheckMark.MATE)
     assert resolve_san(token, game) == FOOLS_MATE_MOVES[3]
+
+
+def _sampled_corpus_games():
+    """Every fourth game of the corpus."""
+    return parse_pgn((Path(__file__).parent / "data" / "corpus.pgn").read_text())[::4]
+
+
+def test_san_replay_plays_as_the_move_gate_replays():
+    for parsed in _sampled_corpus_games():
+        plays = list(pgn._plays(pgn._play_san, parsed.tokens, new_game()))
+        gated = pgn._plays(pgn._play_move, [mov for mov, *_ in plays], new_game())
+        for (mov, _, after, winner, mark, _), again in zip(plays, gated, strict=True):
+            assert (mov, after.turn, winner, mark) == (again[0], again[2].turn, again[3], again[4])
+            assert after.board == again[2].board
+
+
+def _onto_positions():
+    """Every tenth ply of the sampled corpus games, and the children of the
+    tricky perft positions."""
+    for parsed in _sampled_corpus_games():
+        for ply, (_, before, *_) in enumerate(pgn._plays(pgn._play_san, parsed.tokens, new_game())):
+            if ply % 10 == 0:
+                yield before.board, before.turn
+    for fen in (KIWIPETE, POSITION_3, POSITION_4, POSITION_4_MIRROR, POSITION_5):
+        game = parse_fen(fen)
+        for mov in legal_moves(game.board, game.turn):
+            yield move(game.board, mov), opposite_colour(game.turn)
+
+
+def test_the_onto_walk_lists_the_legal_moves_onto_a_square_and_keeps_none():
+    for n, (board, colour) in enumerate(_onto_positions()):
+        board = Board(board.board_state, board.history)
+        context = _context(board, colour)
+        if n % 2:  # half the positions with every list kept, which must stay as they are
+            legal_moves(board, colour)
+        kept = {s: (moves, list(moves)) for s, moves in context.moves.items()}
+        by_kind_and_target = {}
+        for m in legal_moves(Board(board.board_state, board.history), colour):
+            by_kind_and_target.setdefault((m.from_.type, square_index(m.to_.square)), set()).add(m)
+        for kind in PieceType:
+            for t in range(64):
+                onto = _moves_onto(context, kind, t)
+                assert len(onto) == len(set(onto))
+                assert set(onto) == by_kind_and_target.get((kind, t), set())
+        assert {s: (moves, list(moves)) for s, moves in context.moves.items()} == kept
+        assert all(moves is kept[s][0] for s, moves in context.moves.items())
 
 
 # --- serialization ----------------------------------------------------------

@@ -39,7 +39,7 @@ MUTANTS = [
      "if not (isinstance(x, int) and isinstance(y, int) and 1 <= x <= 8", "if not (1 <= x <= 8"),
     # the legality filter
     ("evasions-ignored", "board.py",
-     "allowed = evasions & ~us", "allowed = FULL & ~us"),
+     "allowed = evasions & not_ours", "allowed = FULL & not_ours"),
     ("pins-ignored", "board.py",
      "            targets &= pins[s]", "            targets &= FULL"),
     ("pinned-pawn-off-its-line", "board.py",
@@ -250,7 +250,7 @@ MUTANTS = [
      "total += 3 * (((one | left) & last).bit_count() + (right & last).bit_count())",
      "total += 0 * (((one | left) & last).bit_count() + (right & last).bit_count())"),
     ("en-passant-not-counted", "board.py",
-     "        if pawns & beside:", "        if pawns & beside and not count:"),
+     "        if pawns & beside and", "        if pawns & beside and not count and"),
     # (the recursion now gets the child's map as `after`; a depth-2 node counts
     # its children itself, through _leaves)
     ("en-passant-window-from-a-stale-ply", "board.py",
@@ -335,6 +335,20 @@ MUTANTS = [
      "words[word.rstrip('+#')] = token = _parse_san_word(word, text, start)"),
     ("san-candidates-miss-the-other-file", "board.py",
      "reach = _STEPS[t][_PAWN_FIELD[colour]] | _A_FILE << (t & 7)", "reach = _A_FILE << (t & 7)"),
+    # SAN's onto walk: the legal moves onto one square, in a dict of its own,
+    # and the resolved move played through game_move's outcome step alone
+    ("onto-mask-ignored-for-the-king's-steps", "board.py",
+     "targets = _STEPS[s][1] & not_ours", "targets = _STEPS[s][1] & ~us"),
+    ("onto-mask-ignored-for-castling", "board.py",
+     "targets |= _castling_moves(context) & onto", "targets |= _castling_moves(context)"),
+    ("onto-mask-ignored-for-en-passant", "board.py",
+     "if pawns & beside and onto >> skipped & 1:", "if pawns & beside:"),
+    ("onto-walk-keeps-its-lists-on-the-context", "board.py",
+     "moves, not_ours, allowed = {}, not_ours & onto", "_, not_ours, allowed = {}, not_ours & onto"),
+    ("san-play-skips-the-terminal-test", "pgn.py",
+     "_step(_outcome(game, _apply(game.board, matches[0])))",
+     "_step((Game(_apply(game.board, matches[0]), Colour.WHITE if game.turn is Colour.BLACK"
+     " else Colour.BLACK), None))"),
     # the interned moves and pieces, and the gate
     ("cached-hash-pickled", "board.py",
      "def __reduce__(self):  # pickle the pieces", "def _reduce(self):  # pickle the pieces"),
